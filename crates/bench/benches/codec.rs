@@ -40,7 +40,7 @@ fn rs_codec(c: &mut Criterion) {
 }
 
 fn color_conversion(c: &mut Criterion) {
-    use colorbars_color::{Lab, RgbSpace, Srgb, Xyz};
+    use colorbars_color::{Lab, RgbSpace, Srgb, SrgbToXyzLut, Xyz};
     let space = RgbSpace::srgb();
     let pixels: Vec<[u8; 3]> = (0..4096)
         .map(|i| {
@@ -63,6 +63,18 @@ fn color_conversion(c: &mut Criterion) {
                 acc += lab.a;
             }
             acc
+        })
+    });
+    // The receiver's row kernel on one 24-pixel scanline per iteration,
+    // stepping through the same pixels as above so each row is new.
+    let lut = SrgbToXyzLut::srgb();
+    let rows: Vec<&[[u8; 3]]> = pixels.chunks_exact(24).collect();
+    let mut next = 0;
+    g.throughput(Throughput::Elements(24));
+    g.bench_function("srgb_lab_row_24px", |b| {
+        b.iter(|| {
+            next = (next + 1) % rows.len();
+            lut.row_lab_mean(black_box(rows[next]))
         })
     });
     g.finish();
@@ -121,24 +133,36 @@ fn end_to_end_frame(c: &mut Criterion) {
     let device = DeviceProfile::nexus5();
     let cfg = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, device.loss_ratio());
     let tx = Transmitter::new(cfg).unwrap();
-    let data = vec![0x77u8; tx.budget().k_bytes * 4];
+    // About one data packet per frame: enough varied payload that every
+    // frame of the decode set below carries its own symbols.
+    let data: Vec<u8> = (0..tx.budget().k_bytes * 24)
+        .map(|i| (i * 37 + 11) as u8)
+        .collect();
     let tr = tx.transmit(&data);
     let emitter = tx.schedule(&tr);
     let mut rig = CameraRig::new(
-        device,
+        device.clone(),
         OpticalChannel::paper_setup(),
         CaptureConfig::default(),
     );
     rig.settle_exposure(&emitter, 8);
-    let frame = rig.capture_frame(&emitter, 0.02);
+    // Decode rotates over 16 distinct captures, so no iteration re-reads
+    // the pixels of the one before it.
+    const DECODE_FRAMES: usize = 16;
+    assert!(emitter.duration() > 0.02 + DECODE_FRAMES as f64 * device.frame_period());
+    let frames = rig.capture_video(&emitter, 0.02, DECODE_FRAMES);
 
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(20);
     g.bench_function("capture_one_frame_3264x24", |b| {
         b.iter(|| rig.capture_frame(black_box(&emitter), 0.02))
     });
+    let mut next = 0;
     g.bench_function("row_signal_3264x24", |b| {
-        b.iter(|| row_signal(black_box(&frame)))
+        b.iter(|| {
+            next = (next + 1) % frames.len();
+            row_signal(black_box(&frames[next]))
+        })
     });
     g.finish();
 }

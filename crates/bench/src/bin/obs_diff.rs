@@ -7,11 +7,14 @@
 //! §10's noise-band policy).
 //!
 //! ```text
-//! obs-diff <baseline.json> <candidate.json>
+//! obs-diff <baseline.json> <candidate.json> [--inject-latency-regression]
 //! obs-diff --smoke [--record] [--inject-ser-regression]
 //!          [--baseline <path>] [--write-report <path>]
 //! ```
 //!
+//! `--inject-latency-regression` doubles the candidate's
+//! `p99_frame_latency_ms` before the diff — CI's negative test for the
+//! gateway latency gate (a report without that metric is an error).
 //! `--smoke` runs the deterministic smoke scenario (Nexus 5, 8-CSK,
 //! 3 kHz, 0.4 s raw sweep over the standard seeds) and gates it against
 //! `results/baselines/smoke.json`. `--record` rewrites that baseline
@@ -42,7 +45,9 @@ fn main() -> ExitCode {
         }
         Err(err) => {
             eprintln!("obs-diff: {err}");
-            eprintln!("usage: obs-diff <baseline.json> <candidate.json>");
+            eprintln!(
+                "usage: obs-diff <baseline.json> <candidate.json> [--inject-latency-regression]"
+            );
             eprintln!(
                 "       obs-diff --smoke [--record] [--inject-ser-regression] \
                  [--baseline <path>] [--write-report <path>]"
@@ -56,6 +61,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut smoke = false;
     let mut record = false;
     let mut inject = false;
+    let mut inject_latency = false;
     let mut baseline_path: Option<String> = None;
     let mut write_report: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
@@ -65,6 +71,7 @@ fn run(args: &[String]) -> Result<bool, String> {
             "--smoke" => smoke = true,
             "--record" => record = true,
             "--inject-ser-regression" => inject = true,
+            "--inject-latency-regression" => inject_latency = true,
             "--baseline" => {
                 baseline_path = Some(it.next().ok_or("--baseline needs a path")?.clone());
             }
@@ -80,6 +87,9 @@ fn run(args: &[String]) -> Result<bool, String> {
         if paths.len() > 1 {
             return Err("--smoke takes no positional report paths".to_string());
         }
+        if inject_latency {
+            return Err("--inject-latency-regression needs two report paths".to_string());
+        }
         let baseline_path = baseline_path.unwrap_or_else(|| DEFAULT_BASELINE.to_string());
         return smoke_gate(&baseline_path, record, inject, write_report.as_deref());
     }
@@ -91,7 +101,11 @@ fn run(args: &[String]) -> Result<bool, String> {
         return Err("need exactly a baseline and a candidate report".to_string());
     };
     let base = parse_file(baseline)?;
-    let cand = parse_file(candidate)?;
+    let mut cand = parse_file(candidate)?;
+    if inject_latency {
+        worsen_metric(&mut cand, "p99_frame_latency_ms", |ms| 2.0 * ms)?;
+        eprintln!("obs-diff: doubled the candidate's p99 frame latency");
+    }
     let diff = diff_reports(&base, &cand, &DiffConfig::default())?;
     print!("{}", diff.render_text());
     Ok(!diff.has_regressions())
@@ -106,7 +120,7 @@ fn smoke_gate(
 ) -> Result<bool, String> {
     let mut report = smoke_run()?;
     if inject {
-        inject_ser_regression(&mut report)?;
+        worsen_metric(&mut report, "ser", |ser| ser * 10.0 + 0.25)?;
         eprintln!("obs-diff: injected a synthetic SER regression into the candidate");
     }
     if let Some(path) = write_report {
@@ -159,21 +173,29 @@ fn smoke_run() -> Result<Value, String> {
     Ok(doc)
 }
 
-/// Corrupt every row's SER in place — the negative test for the gate.
-fn inject_ser_regression(report: &mut Value) -> Result<(), String> {
+/// Rewrite `metric` in every row that carries it — the negative tests'
+/// synthetic regressions. Errors when no row does, so a drill cannot pass
+/// by injecting into nothing.
+fn worsen_metric(report: &mut Value, metric: &str, worsen: fn(f64) -> f64) -> Result<(), String> {
     let Value::Object(map) = report else {
         return Err("candidate report is not an object".to_string());
     };
     let Some(Value::Array(rows)) = map.get_mut("rows") else {
         return Err("candidate report has no rows".to_string());
     };
+    let mut rewritten = 0;
     for row in rows {
         let Value::Object(row) = row else { continue };
         let Some(Value::Object(metrics)) = row.get_mut("metrics") else {
             continue;
         };
-        let ser = metrics.get("ser").and_then(Value::as_f64).unwrap_or(0.0);
-        metrics.insert("ser".to_string(), Value::from(ser * 10.0 + 0.25));
+        if let Some(value) = metrics.get(metric).and_then(Value::as_f64) {
+            metrics.insert(metric.to_string(), Value::from(worsen(value)));
+            rewritten += 1;
+        }
+    }
+    if rewritten == 0 {
+        return Err(format!("candidate report has no {metric} to inject into"));
     }
     Ok(())
 }

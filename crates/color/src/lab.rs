@@ -206,63 +206,92 @@ fn safe_div(n: f64, d: f64) -> f64 {
     }
 }
 
-/// Exact memoized byte-pixel → CIELAB conversion for the receiver hot path.
-///
-/// Demodulation converts every stored pixel to Lab, and [`Lab::from_xyz`]
-/// costs three `cbrt` calls — the single most expensive operation in frame
-/// decode. But the pixels of one color band cluster within a few quantizer
-/// codes of the band's color (sensor noise is small in 8-bit units), so a
-/// frame touches only a tiny fraction of the 2²⁴ possible byte triples. A
-/// direct-mapped cache over the triple exploits that: hits return the
-/// previously computed Lab *verbatim* (this is memoization, not
-/// approximation — results are bit-identical to the uncached path, which
-/// the unit tests assert), and collisions simply recompute and replace.
-///
-/// The conversion is pinned to the receiver's fixed pipeline:
-/// [`SrgbToXyzLut::srgb`](crate::rgb::SrgbToXyzLut::srgb) then Lab
-/// against [`Xyz::D65_WHITE`].
-#[derive(Debug, Clone)]
-pub struct SrgbLabCache {
-    /// Occupied slots hold `key + 1` (so 0 means empty).
-    keys: Vec<u32>,
-    labs: Vec<Lab>,
-}
+/// Lane width of the receiver's row kernel
+/// ([`SrgbToXyzLut::row_lab_mean`](crate::rgb::SrgbToXyzLut::row_lab_mean)).
+pub(crate) const LANES: usize = 8;
 
-/// log₂ of the cache slot count: 2¹⁵ slots ≈ 1.2 MiB, large enough that the
-/// handful of symbol colors in flight (plus their noise neighborhoods)
-/// essentially never collide.
-const LAB_CACHE_BITS: u32 = 15;
-
-impl SrgbLabCache {
-    /// An empty cache (slots fill on demand).
-    pub fn new() -> SrgbLabCache {
-        SrgbLabCache {
-            keys: vec![0; 1 << LAB_CACHE_BITS],
-            labs: vec![Lab::new(0.0, 0.0, 0.0); 1 << LAB_CACHE_BITS],
+/// [`Lab::from_xyz`] against [`Xyz::D65_WHITE`] for [`LANES`] colors at
+/// once, given as `[x, y, z]` lanes; returns `[l, a, b]` lanes.
+///
+/// Every lane is bit-identical to the scalar conversion on every input a
+/// stored byte pixel produces: the white-point divisions, the linear toe
+/// and the final affine steps are the same IEEE operations in the same
+/// order, and there [`cbrt_lane`] and libm's `cbrt` both return the
+/// correctly rounded root (the exhaustive test in `rgb.rs` checks all 2²⁴
+/// pixels). Both branches of `lab_f` are computed in every lane and one is
+/// selected, so the loops carry no data-dependent branch and vectorize.
+#[inline]
+pub(crate) fn lab_lanes_d65(xyz: &[[f64; LANES]; 3]) -> [[f64; LANES]; 3] {
+    let white = [Xyz::D65_WHITE.x, Xyz::D65_WHITE.y, Xyz::D65_WHITE.z];
+    let mut f = [[0.0; LANES]; 3];
+    for c in 0..3 {
+        for i in 0..LANES {
+            let t = safe_div(xyz[c][i], white[c]);
+            let toe = t / (3.0 * DELTA * DELTA) + 4.0 / 29.0;
+            let root = cbrt_lane(t);
+            f[c][i] = if t > DELTA * DELTA * DELTA { root } else { toe };
         }
     }
-
-    /// The Lab value of a stored sRGB pixel — bit-identical to
-    /// `Lab::from_xyz(SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE)`.
-    #[inline]
-    pub fn lab_of(&mut self, px: [u8; 3]) -> Lab {
-        let key = u32::from_be_bytes([0, px[0], px[1], px[2]]) + 1;
-        // Fibonacci hashing spreads the triple across the slot index.
-        let idx = (key.wrapping_mul(2_654_435_761) >> (32 - LAB_CACHE_BITS)) as usize;
-        if self.keys[idx] == key {
-            return self.labs[idx];
-        }
-        let lab = Lab::from_xyz(crate::rgb::SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE);
-        self.keys[idx] = key;
-        self.labs[idx] = lab;
-        lab
+    let mut lab = [[0.0; LANES]; 3];
+    for i in 0..LANES {
+        let [fx, fy, fz] = [f[0][i], f[1][i], f[2][i]];
+        lab[0][i] = 116.0 * fy - 16.0;
+        lab[1][i] = 500.0 * (fx - fy);
+        lab[2][i] = 200.0 * (fy - fz);
     }
+    lab
 }
 
-impl Default for SrgbLabCache {
-    fn default() -> Self {
-        SrgbLabCache::new()
+/// Cube root of a positive normal `t`, branch-free and division-free,
+/// correctly rounded except within 2⁻⁹⁸·t of a midpoint between doubles.
+///
+/// The iteration runs on `z ≈ t^(−1/3)`, whose updates need no division.
+/// The seed subtracts a third of `t`'s high word from a constant, which
+/// divides the exponent by −3 and interpolates linearly within each octave
+/// (relative error ≤ 3.5%). With `ε = 1 − t·z³`, the exact root is
+/// `z·(1 − ε)^(−1/3) = z·(1 + ε/3 + 2ε²/9 + 14ε³/81 + …)`; two steps of the
+/// series cut at ε³ bring the error to about 2·10⁻⁵ and then to rounding
+/// level, so `y = t·z²` is within three ulps of `∛t`. A last Newton step
+/// for `y` evaluates the residual `t − y³` in double-double arithmetic with
+/// `mul_add` (each one correctly rounded IEEE operation, so every product's
+/// rounding error is captured exactly) and takes `z²/3` as the slope
+/// `1/(3y²)`. It leaves `y + δ` within about 150·2⁻¹⁰⁶ (< 2⁻⁹⁸) of `∛t` in
+/// relative terms, so rounding that sum once gives the correctly rounded
+/// root unless `∛t` lies that close to a midpoint. None of the inputs a
+/// stored byte pixel produces does (the exhaustive test in `rgb.rs`).
+/// Other inputs (zero, negative, subnormal) return an unspecified value
+/// that callers discard.
+#[inline]
+fn cbrt_lane(t: f64) -> f64 {
+    // Minimizes the seed's worst relative error over whole octaves.
+    const MAGIC: u64 = 0x553e_f0e8;
+    let hi = t.to_bits() >> 32;
+    // hi / 3, written as the multiply LLVM would emit for it, because that
+    // form vectorizes (one 32×32→64-bit multiply per lane) and `/` does not.
+    let third = (hi * 0xaaaa_aaab) >> 33;
+    let mut z = f64::from_bits(MAGIC.wrapping_sub(third) << 32);
+    for _ in 0..2 {
+        let eps = (-t).mul_add(z * z * z, 1.0);
+        let series = (14.0f64 / 81.0)
+            .mul_add(eps, 2.0 / 9.0)
+            .mul_add(eps, 1.0 / 3.0);
+        z = z.mul_add(eps * series, z);
     }
+    let zz = z * z;
+    let y = t * zz;
+    cube_residual(t, y).mul_add(zz * (1.0 / 3.0), y)
+}
+
+/// `t − y³` to a few units of 2⁻¹⁰⁶·t for `y` within a few ulps of `∛t`:
+/// `y² = s + s_lo` and `s·y = p + p_lo` exactly, and `t − p` is exact
+/// because `p` is within a factor of two of `t`.
+#[inline]
+fn cube_residual(t: f64, y: f64) -> f64 {
+    let s = y * y;
+    let s_lo = y.mul_add(y, -s);
+    let p = s * y;
+    let p_lo = s.mul_add(y, -p);
+    (-s_lo).mul_add(y, (t - p) - p_lo)
 }
 
 #[cfg(test)]
@@ -270,52 +299,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lab_cache_is_bit_identical_to_direct_conversion() {
-        let mut cache = SrgbLabCache::new();
-        let direct = |px: [u8; 3]| {
-            Lab::from_xyz(crate::rgb::SrgbToXyzLut::srgb().xyz_of(px), Xyz::D65_WHITE)
-        };
-        let assert_same = |got: Lab, px: [u8; 3]| {
-            let want = direct(px);
-            assert_eq!(got.l.to_bits(), want.l.to_bits(), "{px:?}");
-            assert_eq!(got.a.to_bits(), want.a.to_bits(), "{px:?}");
-            assert_eq!(got.b.to_bits(), want.b.to_bits(), "{px:?}");
-        };
-        // A deterministic LCG sweep with repeats: cold misses, warm hits and
-        // hash collisions must all return the exact direct-path value.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut pixels = Vec::new();
-        for _ in 0..20_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let bits = state >> 32;
-            pixels.push([bits as u8, (bits >> 8) as u8, (bits >> 16) as u8]);
+    fn cube_root_is_exact_on_cubes_and_rounds_up_below_powers_of_eight() {
+        for k in -3..=1 {
+            assert_eq!(cbrt_lane(8f64.powi(k)), 2f64.powi(k), "8^{k}");
         }
-        for &px in pixels.iter().chain(pixels.iter()) {
-            assert_same(cache.lab_of(px), px);
-        }
-        // Deliberate collision pair: two keys in the same slot keep exact
-        // results as they evict each other.
-        let slot_of = |px: [u8; 3]| {
-            ((u32::from_be_bytes([0, px[0], px[1], px[2]]) + 1).wrapping_mul(2_654_435_761)
-                >> (32 - LAB_CACHE_BITS)) as usize
-        };
-        let a = [1u8, 2, 3];
-        let mut b = [4u8, 5, 6];
-        'search: for r in 0..=255u8 {
-            for g in 0..=255u8 {
-                b = [r, g, 200];
-                if b != a && slot_of(b) == slot_of(a) {
-                    break 'search;
-                }
-            }
-        }
-        if slot_of(a) == slot_of(b) {
-            for _ in 0..3 {
-                assert_same(cache.lab_of(a), a);
-                assert_same(cache.lab_of(b), b);
-            }
+        // ∛(8^k·(1 − 2⁻⁵³)) = 2^k·(1 − 2⁻⁵³/3 − …) is nearer 2^k than the
+        // double below it: the last rounding must carry it up across the
+        // binade end, where the spacing of doubles changes.
+        for k in -3..=1 {
+            let t = 8f64.powi(k) * (1.0 - f64::EPSILON / 2.0);
+            assert_eq!(cbrt_lane(t), 2f64.powi(k), "below 8^{k}");
         }
     }
 

@@ -56,7 +56,7 @@ pub mod xyz;
 
 pub use chromaticity::{Chromaticity, GamutTriangle};
 pub use illuminant::Illuminant;
-pub use lab::{delta_e2000, delta_e76, delta_e94, Lab, SrgbLabCache};
+pub use lab::{delta_e2000, delta_e76, delta_e94, Lab};
 pub use matrix::{Mat3, Vec3};
 pub use rgb::{LinearRgb, RgbSpace, Srgb, SrgbQuantizer, SrgbQuantizerF32, SrgbToXyzLut};
 pub use xyz::Xyz;

@@ -15,6 +15,7 @@
 //! transfer (gamma) encoding.
 
 use crate::chromaticity::{Chromaticity, GamutTriangle};
+use crate::lab::{lab_lanes_d65, Lab, LANES};
 use crate::matrix::{Mat3, Vec3};
 use crate::xyz::Xyz;
 
@@ -482,6 +483,58 @@ impl SrgbToXyzLut {
         let b = &self.blue[px[2] as usize];
         Xyz::new(r[0] + g[0] + b[0], r[1] + g[1] + b[1], r[2] + g[2] + b[2])
     }
+
+    /// Mean CIELAB (against [`Xyz::D65_WHITE`]) of a row of stored pixels:
+    /// the receiver's per-scanline reduction, computed exactly.
+    ///
+    /// The result equals summing `Lab::from_xyz(self.xyz_of(px),
+    /// Xyz::D65_WHITE)` over the row in pixel order, starting from zero, and
+    /// dividing each sum by the row length. For [`SrgbToXyzLut::srgb`] the
+    /// unit tests check every one of the 2²⁴ pixels bit for bit. The
+    /// conversion runs eight pixels at a time through a branch-free lane
+    /// kernel with its own cube root, so the cost per pixel does not depend
+    /// on how many distinct colors a frame holds. An empty row gives NaN
+    /// components.
+    pub fn row_lab_mean(&self, row: &[[u8; 3]]) -> Lab {
+        let mut sum = [0.0; 3];
+        let mut chunks = row.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            let px = chunk.try_into().expect("chunks_exact yields LANES pixels");
+            add_lanes(&mut sum, &self.lab_lanes(px), LANES);
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut px = [[0u8; 3]; LANES];
+            px[..tail.len()].copy_from_slice(tail);
+            add_lanes(&mut sum, &self.lab_lanes(&px), tail.len());
+        }
+        let n = row.len() as f64;
+        Lab::new(sum[0] / n, sum[1] / n, sum[2] / n)
+    }
+
+    /// `[l, a, b]` lanes of [`LANES`] pixels.
+    #[inline]
+    fn lab_lanes(&self, px: &[[u8; 3]; LANES]) -> [[f64; LANES]; 3] {
+        let mut xyz = [[0.0; LANES]; 3];
+        for (i, &p) in px.iter().enumerate() {
+            let v = self.xyz_of(p);
+            xyz[0][i] = v.x;
+            xyz[1][i] = v.y;
+            xyz[2][i] = v.z;
+        }
+        lab_lanes_d65(&xyz)
+    }
+}
+
+/// Add the first `n` of each of the `[l, a, b]` lanes to `sum`, in lane
+/// (pixel) order.
+#[inline]
+fn add_lanes(sum: &mut [f64; 3], lab: &[[f64; LANES]; 3], n: usize) {
+    for i in 0..n {
+        for (s, lanes) in sum.iter_mut().zip(lab) {
+            *s += lanes[i];
+        }
+    }
 }
 
 fn encode_channel(v: f64) -> f64 {
@@ -690,6 +743,31 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let bits = state >> 32;
             assert_same([bits as u8, (bits >> 8) as u8, (bits >> 16) as u8]);
+        }
+    }
+
+    /// The row kernel's Lab must equal the scalar conversion on every one of
+    /// the 2²⁴ stored pixels. This pins the kernel's cube root to libm's on
+    /// every input the receiver can produce.
+    #[test]
+    fn lab_lanes_match_scalar_lab_on_every_pixel() {
+        let lut = SrgbToXyzLut::srgb();
+        let mut px = [[0u8; 3]; LANES];
+        for first in (0..1u32 << 24).step_by(LANES) {
+            for (i, p) in px.iter_mut().enumerate() {
+                let [_, r, g, b] = (first + i as u32).to_be_bytes();
+                *p = [r, g, b];
+            }
+            let [l, a, b] = lut.lab_lanes(&px);
+            for (i, &p) in px.iter().enumerate() {
+                let want = Lab::from_xyz(lut.xyz_of(p), Xyz::D65_WHITE);
+                let got = Lab::new(l[i], a[i], b[i]);
+                assert!(
+                    [got.l, got.a, got.b].map(f64::to_bits)
+                        == [want.l, want.a, want.b].map(f64::to_bits),
+                    "first mismatching pixel {p:?}: kernel {got:?}, scalar {want:?}"
+                );
+            }
         }
     }
 

@@ -279,18 +279,29 @@ impl Receiver {
     }
 
     /// Process one captured frame.
+    ///
+    /// Besides `rx.process_frame`, the frame's time is split over four
+    /// nested stage spans: `rx.row_signal`, `rx.segment`, `rx.classify`
+    /// (OFF re-anchoring, band classification, flag-driven reference
+    /// refresh) and `rx.depacket` (packet parsing, RS/interleave decode,
+    /// calibration absorption).
     pub fn process_frame(&mut self, frame: &Frame) {
         let _span = obs::span!("rx.process_frame");
         if self.report.stats.frames == 0 {
             self.record_replay_context();
         }
+        let stage = obs::span!("rx.row_signal");
         let signal = row_signal(frame);
+        stage.end();
+        let stage = obs::span!("rx.segment");
         let bands = segment(&signal, &self.seg);
+        stage.end();
         self.report.stats.frames += 1;
         self.report.stats.bands += bands.len();
         obs::counter!("rx.frames");
         obs::counter!("rx.bands.segmented", bands.len());
 
+        let stage = obs::span!("rx.classify");
         // Re-anchor the OFF detector from this frame's extremes before
         // classifying (sudden ambient changes move the dark floor).
         if let Some(darkest) = bands
@@ -308,6 +319,7 @@ impl Receiver {
         self.report.stats.bands_classified += observed.len();
         obs::counter!("rx.bands.classified", observed.len());
         self.refresh_from_flags(&observed);
+        stage.end();
 
         let calibrated = self.store.calibrations() > 0;
         if calibrated {
@@ -328,6 +340,7 @@ impl Receiver {
         let parser_input: Vec<ObservedBand> = observed.iter().map(|b| b.band).collect();
         self.report.stats.bands_depacketized += parser_input.len();
         obs::counter!("rx.bands.depacketized", parser_input.len());
+        let _stage = obs::span!("rx.depacket");
         let packets = self.depacketizer.push_frame(&parser_input);
         self.absorb(packets);
         self.sync_fec_counters();

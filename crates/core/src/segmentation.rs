@@ -15,7 +15,7 @@
 //! central portion of the band votes.
 
 use colorbars_camera::Frame;
-use colorbars_color::{Lab, SrgbLabCache};
+use colorbars_color::{Lab, SrgbToXyzLut};
 
 /// One detected color band.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,34 +72,15 @@ impl SegmentationConfig {
 /// averaged across the row — the same order as the paper (convert, then
 /// average), so non-linear encoding effects match the prototype app.
 ///
-/// The per-pixel conversion is *memoized*, not approximated: byte triples
-/// go through a thread-local [`SrgbLabCache`] (bit-identical byte→XYZ
-/// decode table, then the exact Lab transform, cached per distinct pixel
-/// value). Band pixels cluster within a few codes of the band color, so
-/// nearly every pixel is a cache hit and the per-pixel `cbrt` calls
-/// disappear from the hot path — while the signal (and every downstream
-/// decoded byte) stays bit-for-bit what the arithmetic path produced.
+/// Every pixel's Lab is computed exactly, with no cache, by
+/// [`SrgbToXyzLut::row_lab_mean`]'s lane kernel: each row is bit-for-bit
+/// the scalar fold of `Lab::from_xyz(lut.xyz_of(px), Xyz::D65_WHITE)` over
+/// its pixels divided by the width, so every downstream decoded byte is
+/// too, and a frame's decode time does not depend on how many distinct
+/// colors it holds.
 pub fn row_signal(frame: &Frame) -> Vec<Lab> {
-    thread_local! {
-        static LAB_CACHE: std::cell::RefCell<SrgbLabCache> =
-            std::cell::RefCell::new(SrgbLabCache::new());
-    }
-    let width = frame.width() as f64;
-    LAB_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        (0..frame.height())
-            .map(|r| {
-                let (mut sl, mut sa, mut sb) = (0.0, 0.0, 0.0);
-                for px in frame.row(r) {
-                    let lab = cache.lab_of(*px);
-                    sl += lab.l;
-                    sa += lab.a;
-                    sb += lab.b;
-                }
-                Lab::new(sl / width, sa / width, sb / width)
-            })
-            .collect()
-    })
+    let lut = SrgbToXyzLut::srgb();
+    frame.rows().map(|row| lut.row_lab_mean(row)).collect()
 }
 
 /// Step 2b: segment the 1-D Lab signal into bands.
@@ -307,6 +288,51 @@ mod tests {
     fn empty_signal_is_fine() {
         let cfg = SegmentationConfig::for_band_width(40.0);
         assert!(segment(&[], &cfg).is_empty());
+    }
+
+    /// Multi-transmitter crops are narrow, so every chunk tail of the row
+    /// kernel must reproduce the scalar fold exactly, not just full rows.
+    #[test]
+    fn row_signal_is_the_scalar_fold_at_every_width() {
+        use colorbars_camera::FrameMeta;
+        use colorbars_color::Xyz;
+        let lut = SrgbToXyzLut::srgb();
+        let meta = FrameMeta {
+            index: 0,
+            start_time: 0.0,
+            exposure: 1e-4,
+            iso: 100.0,
+            row_time: 1e-5,
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for width in [1, 2, 5, 7, 8, 9, 23, 24, 25] {
+            let height = 16;
+            let pixels: Vec<[u8; 3]> = (0..width * height)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let [r, g, b, ..] = (state >> 32).to_le_bytes();
+                    [r, g, b]
+                })
+                .collect();
+            let frame = Frame::new(width, height, pixels, meta);
+            for (r, got) in row_signal(&frame).into_iter().enumerate() {
+                let (mut l, mut a, mut b) = (0.0, 0.0, 0.0);
+                for &px in frame.row(r) {
+                    let lab = Lab::from_xyz(lut.xyz_of(px), Xyz::D65_WHITE);
+                    l += lab.l;
+                    a += lab.a;
+                    b += lab.b;
+                }
+                let n = width as f64;
+                assert_eq!(
+                    [got.l, got.a, got.b].map(f64::to_bits),
+                    [l / n, a / n, b / n].map(f64::to_bits),
+                    "width {width}, row {r}"
+                );
+            }
+        }
     }
 
     #[test]

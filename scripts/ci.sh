@@ -68,6 +68,19 @@ if cargo run --release -p colorbars-bench --bin obs-diff -- --smoke --inject-ser
     exit 1
 fi
 
+echo "==> obs-diff latency drill (a doubled gateway p99 must fail the gate)"
+# The committed gateway baseline against itself with its p99 doubled. Exit 1
+# is the gate flagging the regression; 0 would be a gate that cannot fail,
+# and 2 a usage error, so only 1 passes the drill.
+status=0
+cargo run --release -p colorbars-bench --bin obs-diff -- \
+    results/baselines/gateway_smoke.json results/baselines/gateway_smoke.json \
+    --inject-latency-regression || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: latency gate did not fail on a doubled p99 (exit $status)" >&2
+    exit 1
+fi
+
 echo "==> trace round-trip (exported trace.json parses and passes the doctor)"
 COLORBARS_OBS_TRACE="$CI_TMP/trace.json" COLORBARS_SWEEP_THREADS=2 \
     cargo run --release -p colorbars-bench --bin obs-diff -- \
