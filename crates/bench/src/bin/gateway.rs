@@ -1,10 +1,11 @@
 //! `gateway` — the streaming link-gateway benchmark.
 //!
 //! Multiplexes N simulated LED-to-camera feeds through concurrent
-//! streaming [`LinkSession`]s sharing one live-telemetry [`Registry`],
-//! scrapes the registry in Prometheus text format mid-run and again after
-//! the run, and reports sessions/sec/core plus p99 frame-to-bytes latency
-//! in a `results/gateway.json` run report. Every streamed decode is
+//! streaming [`LinkSession`]s sharing the process-wide live-telemetry
+//! registry ([`colorbars_obs::live::global`]), scrapes it in Prometheus
+//! text format mid-run and again after the run, and reports
+//! sessions/sec/core plus p99 frame-to-bytes latency in a
+//! `results/gateway.json` run report. Every streamed decode is
 //! checked byte-identical against the batch [`LinkSimulator`] decode of
 //! the same captured frames — the gateway proves the streaming path
 //! changes *when* bytes arrive, never *which* bytes arrive.
@@ -31,8 +32,9 @@
 //! reference decode — both decode paths see identical frames, so the
 //! streamed-vs-batch byte-identity gate still holds while the injected
 //! decode failure exercises the trigger → dump → `postmortem --replay`
-//! round trip. Journey-ring and trigger totals are bridged into the live
-//! registry as `journey.*` / `flight.*` counters.
+//! round trip. The registry reads the journey-ring and trigger totals
+//! (`journey.*` / `flight.*`), like the frame pool's `camera.pool.*`, at
+//! scrape time.
 //!
 //! Exit codes: 0 — all sessions matched batch and both scrapes valid
 //! (and, with `--flight`, the dump was written); 1 — a mismatch, an
@@ -46,8 +48,7 @@ use colorbars_core::{
     DEFAULT_QUEUE_CAPACITY,
 };
 use colorbars_obs::live::{
-    check_monotone_counters, validate_exposition, ExpoSample, LiveSnapshot, Registry,
-    SnapshotWriter,
+    check_monotone_counters, validate_exposition, ExpoSample, LiveSnapshot, SnapshotWriter,
 };
 use colorbars_obs::Value;
 use std::process::ExitCode;
@@ -167,7 +168,7 @@ struct SessionOutcome {
 
 fn run_gateway(options: &Options) -> Result<bool, String> {
     let mut reporter = Reporter::new("gateway");
-    let registry = Registry::new();
+    let registry = colorbars_obs::live::global();
     let mut snapshots = SnapshotWriter::from_env();
 
     // --flight: arm the failure flight recorder (which also turns on
@@ -211,53 +212,16 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
     );
 
     // One feeder thread per session: capture, batch-decode, then stream
-    // the same frames through a LinkSession. A barrier with one extra
-    // party (the scraper) guarantees scrape #1 happens while every
-    // session is live and has decoded at least one frame.
-    let barrier = Barrier::new(options.sessions + 1);
+    // the same frames through a LinkSession. Three rendezvous order the
+    // feeders against the shared frame pool and the scraper (DESIGN.md
+    // §11); every feeder reaches all three on its error paths too.
+    let gates = Gates {
+        captured: Barrier::new(options.sessions),
+        live: Barrier::new(options.sessions + 1),
+        scraped: Barrier::new(options.sessions + 1),
+    };
     let done = AtomicUsize::new(0);
     let started = Instant::now();
-
-    // The shared frame pool's allocation ledger, bridged into the live
-    // registry as monotone counters so scrapes (and `doctor --live`) see
-    // the steady-state allocation count alongside the session metrics.
-    let pool = FramePool::global().clone();
-    let no_labels: &[(&str, &str)] = &[];
-    let mut pool_last = (0u64, 0u64);
-    let bridge_pool = |registry: &Registry, last: &mut (u64, u64)| {
-        let (h, m) = (pool.hits(), pool.misses());
-        registry
-            .counter("camera.pool.hits", no_labels)
-            .add(h - last.0);
-        registry
-            .counter("camera.pool.misses", no_labels)
-            .add(m - last.1);
-        *last = (h, m);
-    };
-
-    // With --flight, the journey-ring and trigger totals are live metrics
-    // too: bridged as monotone `journey.*` / `flight.*` counters alongside
-    // the pool ledger, so scrapes and `doctor --live` see provenance
-    // pressure (ring drops) while sessions decode.
-    let mut journey_last = (0u64, 0u64, 0u64);
-    let bridge_journeys = |registry: &Registry, last: &mut (u64, u64, u64)| {
-        if !options.flight {
-            return;
-        }
-        let (recorded, dropped, _) = colorbars_obs::journey::stats();
-        let (kept, trig_dropped) = colorbars_obs::flight::stats();
-        let fired = kept as u64 + trig_dropped;
-        registry
-            .counter("journey.recorded", no_labels)
-            .add(recorded - last.0);
-        registry
-            .counter("journey.dropped", no_labels)
-            .add(dropped - last.1);
-        registry
-            .counter("flight.triggers", no_labels)
-            .add(fired - last.2);
-        *last = (recorded, dropped, fired);
-    };
 
     let mut warmup_misses = 0u64;
     let mut outcomes: Vec<Result<SessionOutcome, String>> = Vec::new();
@@ -267,45 +231,41 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
         let mut handles = Vec::with_capacity(options.sessions);
         for i in 0..options.sessions {
             let seed = SEEDS[i % SEEDS.len()] + 1000 * (i / SEEDS.len()) as u64;
-            let registry = registry.clone();
-            let barrier = &barrier;
+            let gates = &gates;
             let done = &done;
             // Failure injection targets exactly one session: the rest stay
             // healthy so the smoke gates (batch match, mid-run liveness)
             // keep their meaning.
             let corrupt = options.flight && i == 0;
             handles.push(scope.spawn(move || {
-                let outcome =
-                    feed_session(i, seed, device, options.seconds, corrupt, registry, barrier);
+                let outcome = feed_session(i, seed, device, options.seconds, corrupt, gates);
                 done.fetch_add(1, Ordering::Release);
                 outcome
             }));
         }
 
         // Rendezvous: every feeder has a live session with ≥1 decoded
-        // frame (or has failed and released the barrier) — scrape now.
+        // frame (or has failed) — scrape now, while the feeders wait at the
+        // next gate, so no session can finish before it is scraped.
         // Capture and session warmup are over: from here on the pixel
-        // arena must serve every checkout from its freelist, so this is
-        // the zero-point for the steady-state miss assertion.
-        barrier.wait();
-        warmup_misses = pool.misses();
-        bridge_pool(&registry, &mut pool_last);
-        bridge_journeys(&registry, &mut journey_last);
+        // arena must serve every checkout from its freelist, so this
+        // scrape is the zero-point for the steady-state miss assertion.
+        gates.live.wait();
         let snap = registry.snapshot();
+        warmup_misses = unlabeled_counter(&snap, "camera.pool.misses");
         scrape1_text = snap.render_prometheus();
         mid_run_live = check_mid_run(&snap, options.sessions);
         if let Some(writer) = snapshots.as_mut() {
-            writer.tick(&registry);
+            writer.tick(registry);
         }
+        gates.scraped.wait();
 
         // Drain phase: feeders push their remaining frames while the
         // gateway keeps the live plane ticking (and narrates in --watch).
         let mut last_watch = Instant::now() - Duration::from_secs(1);
         while done.load(Ordering::Acquire) < options.sessions {
-            bridge_pool(&registry, &mut pool_last);
-            bridge_journeys(&registry, &mut journey_last);
             if let Some(writer) = snapshots.as_mut() {
-                writer.tick(&registry);
+                writer.tick(registry);
             }
             if options.watch && last_watch.elapsed() >= Duration::from_millis(200) {
                 println!("{}", watch_line(&registry.snapshot(), started.elapsed()));
@@ -321,18 +281,15 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
     // Final scrape + a forced JSONL snapshot: with COLORBARS_OBS_LIVE set
     // the stream always carries at least two lines (the mid-run tick and
     // this one), so `doctor --live` has a complete final state to review.
-    bridge_pool(&registry, &mut pool_last);
-    bridge_journeys(&registry, &mut journey_last);
-    // Snapshot the pool ledger exactly once, here: the report rows and the
-    // steady-state assertion below must describe the same instant as the
-    // final scrape — a live pool read after the scrape could observe a
-    // mid-update ledger and disagree with what was scraped.
-    let (pool_hits, pool_misses) = (pool_last.0, pool_last.1);
-    let steady_misses = pool_misses - warmup_misses;
+    // The report rows and the steady-state assertion take the pool ledger
+    // from this scrape, so they describe the same instant it does.
     let final_snap = registry.snapshot();
+    let pool_hits = unlabeled_counter(&final_snap, "camera.pool.hits");
+    let pool_misses = unlabeled_counter(&final_snap, "camera.pool.misses");
+    let steady_misses = pool_misses - warmup_misses;
     let scrape2_text = final_snap.render_prometheus();
     if let Some(writer) = snapshots.as_mut() {
-        writer.force(&registry);
+        writer.force(registry);
         eprintln!("live snapshots written: {}", writer.lines_written());
     }
 
@@ -476,35 +433,39 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
         && per_session.len() == options.sessions)
 }
 
+/// The rendezvous between the feeders and the scraper.
+struct Gates {
+    /// Every feeder has captured (feeders only). Captured frames keep
+    /// their pixel buffers for the whole run, so a session still capturing
+    /// would take the buffers another session prefilled for its in-flight
+    /// frames: prefill waits for this gate.
+    captured: Barrier,
+    /// Every session is live with ≥ 1 decoded frame: scrape #1 may start.
+    live: Barrier,
+    /// Scrape #1 and the warmup miss count are taken: feeders may drain.
+    /// Without it a short session can finish before it is scraped.
+    scraped: Barrier,
+}
+
 /// One feeder thread's whole life: capture a coded transmission, decode
 /// it in batch, then stream the identical frames through a [`LinkSession`]
-/// and compare. The barrier is released once this session has processed
-/// at least one streamed frame (or on failure), so the scraper observes
-/// every session mid-flight.
+/// and compare. Every gate is reached on the error paths too — a
+/// deadlocked scraper would hang the whole gateway on one bad session.
 fn feed_session(
     index: usize,
     seed: u64,
     device: &colorbars_camera::DeviceProfile,
     seconds: f64,
     corrupt: bool,
-    registry: Registry,
-    barrier: &Barrier,
+    gates: &Gates,
 ) -> Result<SessionOutcome, String> {
     let label = format!("s{index}");
-    let prep = prepare_session(&label, seed, device, seconds, corrupt, &registry);
-    // The barrier must be released on both paths — a deadlocked scraper
-    // would hang the whole gateway on one bad session.
-    let prep = match prep {
-        Ok(prep) => {
-            barrier.wait();
-            prep
-        }
-        Err(e) => {
-            barrier.wait();
-            return Err(format!("{label}: {e}"));
-        }
-    };
-    let (sim, run, session, batch_report, fed) = prep;
+    let captured = capture(seed, device, seconds, corrupt);
+    gates.captured.wait();
+    let prep = captured.and_then(|(sim, run)| start_session(&label, sim, run));
+    gates.live.wait();
+    gates.scraped.wait();
+    let (sim, run, session, batch_report, fed) = prep.map_err(|e| format!("{label}: {e}"))?;
 
     for frame in &run.frames[fed..] {
         session.push_frame(frame.clone());
@@ -529,17 +490,14 @@ type PreparedSession = (
     usize,
 );
 
-/// Everything up to the barrier: capture, per-session `tx.*` ground-truth
-/// counters, the batch reference decode, and a spawned session that has
-/// decoded at least one frame.
-fn prepare_session(
-    label: &str,
+/// Capture one session's coded transmission (and, with `corrupt`, inject
+/// the `--flight` failure).
+fn capture(
     seed: u64,
     device: &colorbars_camera::DeviceProfile,
     seconds: f64,
     corrupt: bool,
-    registry: &Registry,
-) -> Result<PreparedSession, String> {
+) -> Result<(LinkSimulator, CapturedRun), String> {
     let sim = LinkSimulator::paper_setup(SMOKE_ORDER, SMOKE_RATE_HZ, device.clone(), seed)
         .map_err(|e| format!("operating point unrealizable: {e}"))?;
     let payload = sim
@@ -554,19 +512,29 @@ fn prepare_session(
         // byte-identity gate would report the injection as a divergence.
         inject_decode_failure(&mut run.frames);
     }
+    Ok((sim, run))
+}
 
-    // The captured frames keep their pixel buffers alive for the whole run,
-    // so warm the shared arena with this session's worth of in-flight clone
-    // buffers *after* capture: queue depth, the frame being decoded, the
-    // clone waiting to enqueue, plus slack for recycle lag between the
-    // worker dropping one frame and popping the next. Additive because
-    // every session draws on the one global pool.
+/// Everything between the capture and live gates: the pool prefill,
+/// per-session `tx.*` ground-truth counters, the batch reference decode,
+/// and a spawned session that has decoded at least one frame.
+fn start_session(
+    label: &str,
+    sim: LinkSimulator,
+    run: CapturedRun,
+) -> Result<PreparedSession, String> {
+    // Warm the shared arena with this session's worth of in-flight clone
+    // buffers: queue depth, the frame being decoded, the clone waiting to
+    // enqueue, plus slack for recycle lag between the worker dropping one
+    // frame and popping the next. Additive because every session draws on
+    // the one global pool.
     let frame_px = run.frames.first().map_or(0, |f| f.width() * f.height());
     FramePool::global().prefill_pixels(DEFAULT_QUEUE_CAPACITY + 4, frame_px);
 
     // Ground-truth transmit-side counters, labeled like the session's
     // rx ledger, so the doctor can balance each session's books from the
     // live JSONL stream alone.
+    let registry = colorbars_obs::live::global();
     let labels: &[(&str, &str)] = &[("session", label)];
     registry
         .counter("tx.symbols", labels)
@@ -769,6 +737,14 @@ fn session_p99_ms(snap: &LiveSnapshot, label: &str) -> Option<f64> {
         .iter()
         .find(|h| h.id.name == "session.frame_latency_ms" && h.id.label("session") == Some(label))
         .map(|h| h.p99_ms)
+}
+
+/// An unlabeled counter's value in a snapshot (0 when absent).
+fn unlabeled_counter(snap: &LiveSnapshot, name: &str) -> u64 {
+    snap.counters
+        .iter()
+        .find(|c| c.id.name == name && c.id.labels.is_empty())
+        .map_or(0, |c| c.value)
 }
 
 /// Mean and sample standard deviation (n − 1; zero below two samples).

@@ -17,7 +17,10 @@
 //! gateway latency gate (a report without that metric is an error).
 //! `--smoke` runs the deterministic smoke scenario (Nexus 5, 8-CSK,
 //! 3 kHz, 0.4 s raw sweep over the standard seeds) and gates it against
-//! `results/baselines/smoke.json`. `--record` rewrites that baseline
+//! `results/baselines/smoke.json`: the metrics within their noise bands,
+//! and every counter equal to the baseline's (an absent key counts as 0;
+//! `camera.pool.*` is skipped, since pool traffic depends on thread
+//! scheduling). `--record` rewrites that baseline
 //! instead of gating. `--inject-ser-regression` corrupts the candidate's
 //! SER before the diff — CI's negative test. `--write-report` also saves
 //! the candidate report (rows + counters) for the doctor to consume.
@@ -27,7 +30,7 @@
 
 use colorbars_bench::{devices, run_point, ResultRow, SweepMode};
 use colorbars_core::CskOrder;
-use colorbars_obs::diff::{diff_reports, DiffConfig};
+use colorbars_obs::diff::{counter_mismatches, diff_reports, DiffConfig};
 use colorbars_obs::{self as obs, Value};
 use std::process::ExitCode;
 
@@ -139,7 +142,16 @@ fn smoke_gate(
         .map_err(|e| format!("{e} (run `obs-diff --smoke --record` to create the baseline)"))?;
     let diff = diff_reports(&baseline, &report, &DiffConfig::default())?;
     print!("{}", diff.render_text());
-    Ok(!diff.has_regressions())
+    let moved = counter_mismatches(&baseline, &report, "camera.pool.")?;
+    for line in &moved {
+        println!("  counter changed: {line}");
+    }
+    if moved.is_empty() {
+        println!("  counters: PASS (identical to the baseline; camera.pool.* skipped)");
+    } else {
+        println!("  counters: FAIL ({} changed)", moved.len());
+    }
+    Ok(!diff.has_regressions() && moved.is_empty())
 }
 
 /// One deterministic operating point through the real sweep pool: the

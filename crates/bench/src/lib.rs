@@ -175,7 +175,11 @@ pub fn run_grid(
 ) -> Vec<Option<AveragedMetrics>> {
     let _span = obs::span!("bench.grid");
     let threads = sweep_threads();
-    obs::record!("bench.pool.threads", threads);
+    if obs::is_enabled() {
+        obs::live::global()
+            .gauge("bench.pool.threads", &[])
+            .set(threads as f64);
+    }
     obs::counter!("bench.grid.points", points.len());
     let jobs: Vec<_> = points
         .iter()

@@ -22,8 +22,9 @@
 //!   capture thread. Dropping every handle drops the arena.
 //!
 //! Pool pressure is observable: [`FramePool::hits`] / [`FramePool::misses`]
-//! count checkouts served from the arena vs. fresh allocations (misses also
-//! tick the `camera.pool.misses` ledger counter), and the gateway smoke run
+//! count checkouts served from the arena vs. fresh allocations (the global
+//! obs registry reads the [`FramePool::global`] pair at scrape time as
+//! `camera.pool.hits` / `camera.pool.misses`), and the gateway smoke run
 //! asserts zero misses at steady state.
 //!
 //! [`LinkSession`]: ../../colorbars_core/session/struct.LinkSession.html
@@ -67,7 +68,12 @@ impl FramePool {
     /// what lets the gateway observe pool pressure across all sessions.
     pub fn global() -> &'static FramePool {
         static GLOBAL: OnceLock<FramePool> = OnceLock::new();
-        GLOBAL.get_or_init(FramePool::new)
+        GLOBAL.get_or_init(|| {
+            let registry = obs::live::global();
+            registry.counter_source("camera.pool.hits", &[], || FramePool::global().hits());
+            registry.counter_source("camera.pool.misses", &[], || FramePool::global().misses());
+            FramePool::new()
+        })
     }
 
     fn note(&self, hit: bool) {
@@ -75,7 +81,6 @@ impl FramePool {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("camera.pool.misses");
         }
     }
 

@@ -19,6 +19,7 @@ use crate::symbol::SymbolMapper;
 use colorbars_camera::Frame;
 use colorbars_color::Lab;
 use colorbars_obs as obs;
+use colorbars_obs::live::Registry;
 
 /// One demodulated band with enough context to compare against the ground
 /// truth schedule (used for SER measurement, paper Fig 9).
@@ -46,7 +47,9 @@ pub struct DemodulatedBand {
     pub calibrated: bool,
 }
 
-/// Aggregated receive statistics.
+/// Aggregated receive statistics — the one place decode counts live.
+/// Observers read them through [`ReceiverStats::publish`] instead of
+/// keeping counters of their own.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReceiverStats {
     /// Frames processed.
@@ -109,7 +112,58 @@ pub struct ReceiverStats {
     pub eq_fallbacks: usize,
 }
 
+/// Reads one [`ReceiverStats`] field.
+type StatsField = fn(&ReceiverStats) -> usize;
+
 impl ReceiverStats {
+    /// The registry name of every published field: the one table both the
+    /// process-wide ledger (each [`Receiver`]'s) and every
+    /// [`LinkSession`](crate::session::LinkSession)'s `session`-labeled
+    /// ledger are written from, and the names the link doctor reads.
+    pub const COUNTERS: &[(&str, StatsField)] = &[
+        ("rx.frames", |s| s.frames),
+        ("rx.bands.segmented", |s| s.bands),
+        ("rx.bands.classified", |s| s.bands_classified),
+        ("rx.bands.calibrated", |s| s.bands_calibrated),
+        ("rx.bands.depacketized", |s| s.bands_depacketized),
+        ("rx.packets.ok", |s| s.packets_ok),
+        ("rx.packets.header_lost", |s| s.packets_header_lost),
+        ("rx.packets.rs_failed", |s| s.packets_rs_failed),
+        ("rx.packets.overrun", |s| s.packets_overrun),
+        ("rx.packets.undecoded", |s| s.packets_undecoded),
+        ("rx.packets.unrecoverable_burst", |s| s.packets_burst_lost),
+        ("rx.calibrations.ok", |s| s.calibrations),
+        ("rx.calibrations.failed", |s| s.calibrations_failed),
+        ("rx.rs.erasures_recovered", |s| s.erasures_recovered),
+        ("rx.rs.errors_corrected", |s| s.errors_corrected),
+        ("rx.fec.groups", |s| s.fec_groups),
+        ("rx.fec.codewords", |s| s.fec_codewords),
+        ("rx.fec.codewords_ok", |s| s.fec_codewords_ok),
+        ("rx.fec.segments_missing", |s| s.fec_segments_missing),
+        ("rx.fec.recovered_by_interleave", |s| {
+            s.fec_recovered_by_interleave
+        }),
+        ("rx.eq.trained", |s| s.eq_trained),
+        ("rx.eq.fallback", |s| s.eq_fallbacks),
+    ];
+
+    /// Add every [`COUNTERS`](ReceiverStats::COUNTERS) entry's growth since
+    /// `since` to `registry` under `labels`, then advance `since` to these
+    /// stats. A no-op while observability is disabled: nothing is
+    /// registered and nothing cloned.
+    pub fn publish(&self, since: &mut ReceiverStats, registry: &Registry, labels: &[(&str, &str)]) {
+        if !obs::is_enabled() {
+            return;
+        }
+        for (name, field) in Self::COUNTERS {
+            let delta = field(self).saturating_sub(field(since));
+            if delta > 0 {
+                registry.counter(name, labels).add(delta as u64);
+            }
+        }
+        since.clone_from(self);
+    }
+
     /// Sum of the six mutually exclusive data-packet outcome counters.
     /// Always equals [`ReceiverStats::packets_data_total`]: every parsed
     /// data packet is exactly one of ok / RS-failed / header-lost /
@@ -158,6 +212,8 @@ pub struct Receiver {
     /// Calibration preamble samples accumulated across absorbed
     /// calibrations (bounded; the training set).
     cal_samples: Vec<(usize, Lab)>,
+    /// The stats as last published to the process-wide ledger.
+    published: ReceiverStats,
 }
 
 impl Receiver {
@@ -221,6 +277,7 @@ impl Receiver {
             report: ReceiverReport::default(),
             equalizer: None,
             cal_samples: Vec::new(),
+            published: ReceiverStats::default(),
         })
     }
 
@@ -251,9 +308,11 @@ impl Receiver {
         &self.seg
     }
 
-    /// The counters accumulated so far. Streaming consumers (the
-    /// [`crate::session::LinkSession`] worker) diff this between frames to
-    /// feed per-session stage metrics without waiting for [`finish`].
+    /// The counters accumulated so far. The receiver publishes them to the
+    /// process-wide ledger as it goes, and a
+    /// [`LinkSession`](crate::session::LinkSession) worker publishes them
+    /// to its `session`-labeled ledger after every frame (both through
+    /// [`ReceiverStats::publish`]), so neither waits for [`finish`].
     ///
     /// [`finish`]: Receiver::finish
     pub fn stats(&self) -> &ReceiverStats {
@@ -298,8 +357,6 @@ impl Receiver {
         stage.end();
         self.report.stats.frames += 1;
         self.report.stats.bands += bands.len();
-        obs::counter!("rx.frames");
-        obs::counter!("rx.bands.segmented", bands.len());
 
         let stage = obs::span!("rx.classify");
         // Re-anchor the OFF detector from this frame's extremes before
@@ -317,14 +374,12 @@ impl Receiver {
 
         let observed = self.classify_bands(frame, &bands);
         self.report.stats.bands_classified += observed.len();
-        obs::counter!("rx.bands.classified", observed.len());
         self.refresh_from_flags(&observed);
         stage.end();
 
         let calibrated = self.store.calibrations() > 0;
         if calibrated {
             self.report.stats.bands_calibrated += observed.len();
-            obs::counter!("rx.bands.calibrated", observed.len());
         }
         for b in &observed {
             self.report.bands.push(DemodulatedBand {
@@ -339,41 +394,16 @@ impl Receiver {
         }
         let parser_input: Vec<ObservedBand> = observed.iter().map(|b| b.band).collect();
         self.report.stats.bands_depacketized += parser_input.len();
-        obs::counter!("rx.bands.depacketized", parser_input.len());
         let _stage = obs::span!("rx.depacket");
         let packets = self.depacketizer.push_frame(&parser_input);
         self.absorb(packets);
-        self.sync_fec_counters();
     }
 
     /// Flush trailing state at the end of a capture and take the report.
     pub fn finish(mut self) -> ReceiverReport {
         let packets = self.depacketizer.finish();
         self.absorb(packets);
-        self.sync_fec_counters();
         self.report
-    }
-
-    /// Mirror the depacketizer's cumulative group-level FEC counters into
-    /// the report stats, emitting the per-step deltas as obs counters so
-    /// streaming consumers see them as they happen.
-    fn sync_fec_counters(&mut self) {
-        let groups = self.depacketizer.fec_groups();
-        let codewords = self.depacketizer.fec_codewords();
-        let missing = self.depacketizer.fec_segments_missing();
-        let s = &mut self.report.stats;
-        if groups > s.fec_groups {
-            obs::counter!("rx.fec.groups", groups - s.fec_groups);
-        }
-        if codewords > s.fec_codewords {
-            obs::counter!("rx.fec.codewords", codewords - s.fec_codewords);
-        }
-        if missing > s.fec_segments_missing {
-            obs::counter!("rx.fec.segments_missing", missing - s.fec_segments_missing);
-        }
-        s.fec_groups = groups;
-        s.fec_codewords = codewords;
-        s.fec_segments_missing = missing;
     }
 
     /// Convenience: process a recorded clip and return the report — the
@@ -436,12 +466,10 @@ impl Receiver {
             Ok(eq) => {
                 self.equalizer = eq;
                 self.report.stats.eq_trained += 1;
-                obs::counter!("rx.eq.trained");
             }
             Err(e) => {
                 self.equalizer = None;
                 self.report.stats.eq_fallbacks += 1;
-                obs::counter!("rx.eq.fallback");
                 obs::event("rx.eq.fallback", [("reason", obs::Value::from(e.kind()))]);
             }
         }
@@ -469,10 +497,12 @@ impl Receiver {
 
     /// Feed already-parsed packets into the receiver's bookkeeping —
     /// calibration absorption (including equalizer training), chunk
-    /// collection, and the outcome counters. The frame pipeline calls this
-    /// internally; it is public so failure drills and tests can inject
-    /// hostile packet streams (e.g. a degenerate calibration preamble)
-    /// without fabricating whole captures.
+    /// collection, and the outcome counters — then mirror the
+    /// depacketizer's interleave-group counts and publish the stats to the
+    /// process-wide ledger. The frame pipeline calls this once per frame;
+    /// it is public so failure drills and tests can inject hostile packet
+    /// streams (e.g. a degenerate calibration preamble) without fabricating
+    /// whole captures.
     pub fn absorb(&mut self, packets: Vec<ParsedPacket>) {
         for p in packets {
             match p {
@@ -488,15 +518,10 @@ impl Receiver {
                     self.report.stats.erasures_recovered += erasures_recovered;
                     self.report.stats.errors_corrected += errors_corrected;
                     self.report.stats.data_symbols_received += data_symbols_received;
-                    obs::counter!("rx.packets.ok");
-                    obs::counter!("rx.rs.erasures_recovered", erasures_recovered);
-                    obs::counter!("rx.rs.errors_corrected", errors_corrected);
                     if via_interleave {
                         self.report.stats.fec_codewords_ok += 1;
-                        obs::counter!("rx.fec.codewords_ok");
                         if erasures_recovered + errors_corrected > 0 {
                             self.report.stats.fec_recovered_by_interleave += 1;
-                            obs::counter!("rx.fec.recovered_by_interleave");
                         }
                     }
                     self.report.chunks.push(chunk);
@@ -508,26 +533,11 @@ impl Receiver {
                     self.report.stats.packets_data_total += 1;
                     self.report.stats.data_symbols_received += data_symbols_received;
                     match reason {
-                        FailReason::BadHeader => {
-                            self.report.stats.packets_header_lost += 1;
-                            obs::counter!("rx.packets.header_lost");
-                        }
-                        FailReason::Overrun => {
-                            self.report.stats.packets_overrun += 1;
-                            obs::counter!("rx.packets.overrun");
-                        }
-                        FailReason::RsCapacityExceeded => {
-                            self.report.stats.packets_rs_failed += 1;
-                            obs::counter!("rx.packets.rs_failed");
-                        }
-                        FailReason::DecoderDisabled => {
-                            self.report.stats.packets_undecoded += 1;
-                            obs::counter!("rx.packets.undecoded");
-                        }
-                        FailReason::UnrecoverableBurst => {
-                            self.report.stats.packets_burst_lost += 1;
-                            obs::counter!("rx.packets.unrecoverable_burst");
-                        }
+                        FailReason::BadHeader => self.report.stats.packets_header_lost += 1,
+                        FailReason::Overrun => self.report.stats.packets_overrun += 1,
+                        FailReason::RsCapacityExceeded => self.report.stats.packets_rs_failed += 1,
+                        FailReason::DecoderDisabled => self.report.stats.packets_undecoded += 1,
+                        FailReason::UnrecoverableBurst => self.report.stats.packets_burst_lost += 1,
                     }
                     obs::event(
                         "rx.packet.drop",
@@ -539,7 +549,6 @@ impl Receiver {
                     if self.store.calibration_consistent(&features, &seq) {
                         self.store.absorb_calibration(&features);
                         self.report.stats.calibrations += 1;
-                        obs::counter!("rx.calibrations.ok");
                         self.train_equalizer(&features);
                         // The references (and possibly the equalizer) moved:
                         // the replay context must track them or the
@@ -547,20 +556,21 @@ impl Receiver {
                         self.record_replay_context();
                     } else {
                         self.report.stats.calibrations_failed += 1;
-                        obs::counter!("rx.calibrations.failed");
                     }
                 }
-                ParsedPacket::CalibrationFailed => {
-                    self.report.stats.calibrations_failed += 1;
-                    obs::counter!("rx.calibrations.failed");
-                }
+                ParsedPacket::CalibrationFailed => self.report.stats.calibrations_failed += 1,
             }
         }
+        let stats = &mut self.report.stats;
         debug_assert_eq!(
-            self.report.stats.data_packets_observed(),
-            self.report.stats.packets_data_total,
+            stats.data_packets_observed(),
+            stats.packets_data_total,
             "data-packet outcome counters must be exhaustive and disjoint"
         );
+        stats.fec_groups = self.depacketizer.fec_groups();
+        stats.fec_codewords = self.depacketizer.fec_codewords();
+        stats.fec_segments_missing = self.depacketizer.fec_segments_missing();
+        stats.publish(&mut self.published, obs::live::global(), &[]);
     }
 }
 

@@ -25,10 +25,12 @@
 //!   (p50/p99), plus an unlabeled aggregate across all sessions.
 //! * `session.queue_depth` gauge and `session.backpressure_stalls`
 //!   counter — how far the decoder trails the feed.
-//! * The link doctor's per-stage ledger counters (`rx.frames`,
-//!   `rx.bands.*`, `rx.packets.*`, `rx.rs.*`), diffed from
-//!   [`Receiver::stats`] per frame, so `doctor --live` can attribute
-//!   losses per session mid-run.
+//! * The link doctor's per-stage ledger: every
+//!   [`ReceiverStats::COUNTERS`] name (`rx.frames`, `rx.bands.*`,
+//!   `rx.packets.*`, `rx.rs.*`, …), published from [`Receiver::stats`]
+//!   after every frame by [`ReceiverStats::publish`], so `doctor --live`
+//!   can attribute losses per session mid-run. A counter appears once it
+//!   is non-zero.
 //! * A shared unlabeled `sessions.active` gauge.
 //!
 //! All recording funnels through `colorbars-obs`'s global gate: with
@@ -114,39 +116,7 @@ struct Instruments {
     stalls: Counter,
     evicted: Counter,
     active: Gauge,
-    ledger: Vec<(&'static str, Counter)>,
 }
-
-/// Extractor over [`ReceiverStats`] for one ledger entry.
-type LedgerProbe = fn(&ReceiverStats) -> usize;
-
-/// The doctor-ledger counters a session maintains per frame, paired with
-/// extractors over [`ReceiverStats`] so the worker can diff consecutive
-/// snapshots generically.
-const LEDGER: &[(&str, LedgerProbe)] = &[
-    ("rx.frames", |s| s.frames),
-    ("rx.bands.segmented", |s| s.bands),
-    ("rx.bands.classified", |s| s.bands_classified),
-    ("rx.bands.calibrated", |s| s.bands_calibrated),
-    ("rx.bands.depacketized", |s| s.bands_depacketized),
-    ("rx.packets.ok", |s| s.packets_ok),
-    ("rx.packets.header_lost", |s| s.packets_header_lost),
-    ("rx.packets.rs_failed", |s| s.packets_rs_failed),
-    ("rx.packets.overrun", |s| s.packets_overrun),
-    ("rx.packets.undecoded", |s| s.packets_undecoded),
-    ("rx.packets.unrecoverable_burst", |s| s.packets_burst_lost),
-    ("rx.rs.erasures_recovered", |s| s.erasures_recovered),
-    ("rx.rs.errors_corrected", |s| s.errors_corrected),
-    ("rx.fec.groups", |s| s.fec_groups),
-    ("rx.fec.codewords", |s| s.fec_codewords),
-    ("rx.fec.codewords_ok", |s| s.fec_codewords_ok),
-    ("rx.fec.segments_missing", |s| s.fec_segments_missing),
-    ("rx.fec.recovered_by_interleave", |s| {
-        s.fec_recovered_by_interleave
-    }),
-    ("rx.eq.trained", |s| s.eq_trained),
-    ("rx.eq.fallback", |s| s.eq_fallbacks),
-];
 
 impl Instruments {
     fn new(registry: Registry, label: &str) -> Instruments {
@@ -160,36 +130,21 @@ impl Instruments {
             stalls: registry.counter("session.backpressure_stalls", l),
             evicted: registry.counter("rx.session.evicted", l),
             active: registry.gauge("sessions.active", &[]),
-            ledger: LEDGER
-                .iter()
-                .map(|(name, _)| (*name, registry.counter(name, l)))
-                .collect(),
             registry,
         }
     }
 
-    /// Record everything one decoded frame produced: rates, latency, queue
-    /// drain, and the stage-counter deltas between `prev` and `now`.
-    fn on_frame(&self, prev: &ReceiverStats, now: &ReceiverStats, enqueued_at: Instant) {
+    /// Record the rates, latency and queue drain of one decoded frame that
+    /// held `bands` bands.
+    fn on_frame(&self, bands: usize, enqueued_at: Instant) {
         self.registry.rate_record(&self.frames, 1);
-        let bands = now.bands.saturating_sub(prev.bands) as u64;
         if bands > 0 {
-            self.registry.rate_record(&self.symbols, bands);
+            self.registry.rate_record(&self.symbols, bands as u64);
         }
         let latency = enqueued_at.elapsed();
         self.latency.record(latency);
         self.latency_all.record(latency);
         self.queue_depth.add(-1.0);
-        self.record_deltas(prev, now);
-    }
-
-    fn record_deltas(&self, prev: &ReceiverStats, now: &ReceiverStats) {
-        for ((_, extract), (_, counter)) in LEDGER.iter().zip(&self.ledger) {
-            let delta = extract(now).saturating_sub(extract(prev)) as u64;
-            if delta > 0 {
-                counter.add(delta);
-            }
-        }
     }
 }
 
@@ -236,8 +191,9 @@ impl LinkSession {
                 // it publishes) carry the session label as their namespace,
                 // so a fleet dump attributes every record to its session.
                 obs::journey::set_namespace(&thread_label);
+                let labels: &[(&str, &str)] = &[("session", &thread_label)];
                 let mut rx = rx;
-                let mut prev = rx.stats().clone();
+                let mut published = ReceiverStats::default();
                 loop {
                     let job = match idle_timeout {
                         None => match receiver.recv() {
@@ -251,7 +207,6 @@ impl LinkSession {
                                 // Feed went silent: evict. Trailing
                                 // packets are flushed below; frames
                                 // pushed after this point are dropped.
-                                obs::counter!("rx.session.evicted");
                                 obs::flight::trigger(
                                     "session_evicted",
                                     0,
@@ -267,19 +222,20 @@ impl LinkSession {
                             }
                         },
                     };
+                    let bands_before = rx.stats().bands;
                     rx.process_frame(&job.frame);
                     if let Some(i) = &instruments {
-                        let now = rx.stats().clone();
-                        i.on_frame(&prev, &now, job.enqueued_at);
-                        prev = now;
+                        let stats = rx.stats();
+                        i.on_frame(stats.bands - bands_before, job.enqueued_at);
+                        stats.publish(&mut published, &i.registry, labels);
                     }
                     processed.fetch_add(1, Ordering::Release);
                 }
                 let report = rx.finish();
                 if let Some(i) = &instruments {
-                    // `finish` flushes trailing packets; account their
-                    // stage deltas before the session disappears.
-                    i.record_deltas(&prev, &report.stats);
+                    // `finish` flushes trailing packets; publish them
+                    // before the session disappears.
+                    report.stats.publish(&mut published, &i.registry, labels);
                     i.active.add(-1.0);
                 }
                 report
@@ -518,73 +474,6 @@ mod tests {
         let n = run.frames.len() as u64;
         let report = session.finish();
         assert_eq!(report.stats.frames as u64, n);
-    }
-
-    #[test]
-    fn instrumented_session_populates_registry() {
-        // The registry gates writes on the global obs switch.
-        let _guard = obs_guard();
-        colorbars_obs::init(colorbars_obs::ObsConfig::default());
-
-        let sim = tiny_sim(1000.0, 63);
-        let run = sim.prepare_raw(0.06, 5).unwrap();
-        let registry = Registry::new();
-        let session = LinkSession::spawn(
-            sim.receiver_raw().unwrap(),
-            SessionConfig::new("s0", registry.clone()),
-        );
-        for f in &run.frames {
-            session.push_frame(f.clone());
-        }
-        let frames = run.frames.len() as u64;
-        let report = session.finish();
-        colorbars_obs::disable();
-
-        let snap = registry.snapshot();
-        let rate = snap
-            .rates
-            .iter()
-            .find(|r| r.id.name == "session.frames" && r.id.label("session") == Some("s0"))
-            .expect("per-session frame rate registered");
-        assert_eq!(rate.total, frames);
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.id.name == "session.frame_latency_ms" && !h.id.labels.is_empty())
-            .expect("latency histogram registered");
-        assert_eq!(hist.count, frames);
-        let aggregate = snap
-            .histograms
-            .iter()
-            .find(|h| h.id.name == "session.frame_latency_ms" && h.id.labels.is_empty())
-            .expect("aggregate latency histogram registered");
-        assert_eq!(aggregate.count, frames);
-
-        // Ledger counters mirror the report's stats exactly.
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|c| c.id.name == name)
-                .map(|c| c.value)
-                .unwrap_or(0)
-        };
-        assert_eq!(counter("rx.frames"), frames);
-        assert_eq!(counter("rx.bands.segmented"), report.stats.bands as u64);
-        assert_eq!(
-            counter("rx.bands.depacketized"),
-            report.stats.bands_depacketized as u64
-        );
-
-        // Queue depth drains to zero; the active gauge returns to zero.
-        let gauge = |name: &str| {
-            snap.gauges
-                .iter()
-                .find(|g| g.id.name == name)
-                .map(|g| g.value)
-                .unwrap_or(f64::NAN)
-        };
-        assert_eq!(gauge("session.queue_depth"), 0.0);
-        assert_eq!(gauge("sessions.active"), 0.0);
     }
 
     #[test]

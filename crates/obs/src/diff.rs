@@ -33,7 +33,7 @@
 //! loss); a new row is reported but never fails the gate.
 
 use crate::json::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Gated metrics: `(metric key, std key, higher_is_better)`.
 const GATED_METRICS: &[(&str, &str, bool)] = &[
@@ -384,6 +384,29 @@ pub fn diff_reports(
     })
 }
 
+/// Every counter whose value differs between two run reports, as
+/// `name: baseline -> candidate` lines; an absent key counts as 0, and
+/// names starting with `skip` are not compared. The stage ledgers of a
+/// deterministic run must not move, so the smoke gate requires this empty.
+pub fn counter_mismatches(
+    baseline: &Value,
+    candidate: &Value,
+    skip: &str,
+) -> Result<Vec<String>, String> {
+    let base = crate::report::counters(baseline)?;
+    let cand = crate::report::counters(candidate)?;
+    let names: BTreeSet<&String> = base.keys().chain(cand.keys()).collect();
+    Ok(names
+        .into_iter()
+        .filter(|name| !name.starts_with(skip))
+        .filter_map(|name| {
+            let b = base.get(name).copied().unwrap_or(0);
+            let c = cand.get(name).copied().unwrap_or(0);
+            (b != c).then(|| format!("{name}: {b} -> {c}"))
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,6 +640,35 @@ mod tests {
             .unwrap_err()
             .contains("different experiments"));
         assert!(diff_reports(&Value::Null, &a, &DiffConfig::default()).is_err());
+    }
+
+    #[test]
+    fn counter_mismatches_treat_absent_as_zero_and_honor_the_skip_prefix() {
+        let with = |counters: Value| {
+            Value::object([("experiment", Value::from("unit")), ("counters", counters)])
+        };
+        let base = with(Value::object([
+            ("rx.frames", Value::from(65u64)),
+            ("rx.rs.errors_corrected", Value::from(0u64)),
+            ("camera.pool.misses", Value::from(30u64)),
+        ]));
+        let same = with(Value::object([
+            ("rx.frames", Value::from(65u64)),
+            ("camera.pool.misses", Value::from(41u64)),
+            ("camera.pool.hits", Value::from(300u64)),
+        ]));
+        assert!(counter_mismatches(&base, &same, "camera.pool.")
+            .unwrap()
+            .is_empty());
+        let moved = with(Value::object([
+            ("rx.frames", Value::from(64u64)),
+            ("rx.eq.trained", Value::from(1u64)),
+        ]));
+        assert_eq!(
+            counter_mismatches(&base, &moved, "camera.pool.").unwrap(),
+            ["rx.eq.trained: 0 -> 1", "rx.frames: 65 -> 64"]
+        );
+        assert!(counter_mismatches(&base, &report(vec![]), "camera.pool.").is_err());
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl Doctor {
             counters: snapshot
                 .counters
                 .iter()
-                .map(|c| (c.name.clone(), c.value))
+                .map(|c| (c.id.name.clone(), c.value))
                 .collect(),
         }
     }
@@ -275,18 +275,9 @@ impl Doctor {
     /// Diagnose a parsed `results/<experiment>.json` run report (reads its
     /// `"counters"` member).
     pub fn from_report(report: &Value) -> Result<Doctor, String> {
-        let counters = report
-            .get("counters")
-            .and_then(Value::as_object)
-            .ok_or("report has no \"counters\" object")?;
-        let mut out = BTreeMap::new();
-        for (name, value) in counters {
-            let v = value
-                .as_u64()
-                .ok_or_else(|| format!("counter {name:?} is not a non-negative integer"))?;
-            out.insert(name.clone(), v);
-        }
-        Ok(Doctor { counters: out })
+        Ok(Doctor {
+            counters: crate::report::counters(report)?,
+        })
     }
 
     /// One counter's value (0 when absent).

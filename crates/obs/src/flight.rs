@@ -176,18 +176,16 @@ pub fn trigger(reason: &str, journey_id: u64, detail: Value) {
         journey_record,
         detail,
     };
-    {
-        let mut s = lock();
-        if s.triggers.len() >= MAX_TRIGGERS {
-            s.dropped += 1;
-        } else {
-            s.triggers.push(t);
-        }
+    let mut s = lock();
+    if s.triggers.len() >= MAX_TRIGGERS {
+        s.dropped += 1;
+    } else {
+        s.triggers.push(t);
     }
-    crate::counter!("flight.triggers");
 }
 
-/// `(triggers retained, triggers dropped)` since the last [`reset`].
+/// `(triggers retained, triggers dropped)` since the last [`reset`]. The
+/// global registry reads their sum as `flight.triggers`.
 pub fn stats() -> (usize, u64) {
     let s = lock();
     (s.triggers.len(), s.dropped)
@@ -208,9 +206,10 @@ pub fn dump_path() -> Option<String> {
 pub fn to_json() -> Value {
     let (recorded, journeys_dropped, _) = journey::stats();
     let counters = Value::object(
-        crate::metrics::counter_summaries()
-            .iter()
-            .map(|c| (c.name.clone(), Value::from(c.value))),
+        crate::snapshot()
+            .counters
+            .into_iter()
+            .map(|c| (c.id.name, Value::from(c.value))),
     );
     let s = lock();
     Value::object([

@@ -277,20 +277,18 @@ pub fn record(mut record: JourneyRecord) -> u64 {
         record.fields.insert("bands_truncated", Value::Bool(true));
     }
     let id = record.id;
-    {
-        let mut s = lock();
-        if s.ring.len() >= CAPACITY {
-            s.ring.pop_front();
-            s.dropped += 1;
-        }
-        s.ring.push_back(record);
-        s.recorded += 1;
+    let mut s = lock();
+    if s.ring.len() >= CAPACITY {
+        s.ring.pop_front();
+        s.dropped += 1;
     }
-    crate::counter!("journey.recorded");
+    s.ring.push_back(record);
+    s.recorded += 1;
     id
 }
 
-/// `(recorded, dropped, retained)` since the last [`reset`].
+/// `(recorded, dropped, retained)` since the last [`reset`]. The global
+/// registry reads the first two as `journey.recorded` / `journey.dropped`.
 pub fn stats() -> (u64, u64, usize) {
     let s = lock();
     (s.recorded, s.dropped, s.ring.len())

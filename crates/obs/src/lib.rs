@@ -13,20 +13,22 @@
 //! * **Spans** ([`span!`], [`mod@span`]) — hierarchically named wall-clock
 //!   timers (`"rx.process_frame"`, `"camera.capture_frame"`). A thread-safe
 //!   registry aggregates count / total / min / max / p50 / p99 per name.
-//! * **Counters & histograms** ([`counter!`], [`record!`]) — typed
-//!   pipeline-stage accounting: bands segmented → classified → calibrated →
-//!   depacketized, packets ok / RS-failed / header-lost / overrun, and
-//!   per-stage drop reasons.
+//! * **Counters** ([`counter!`]) — typed pipeline-stage accounting on the
+//!   process-wide [`live::global`] registry: bands segmented → classified
+//!   → calibrated → depacketized, packets ok / RS-failed / header-lost /
+//!   overrun, and per-stage drop reasons.
 //! * **Events** ([`fn@event`]) — a structured sink (bounded ring buffer plus
 //!   an optional JSONL writer) so a run can be replayed or diffed, e.g. the
 //!   per-seed metrics of a seed-averaged sweep.
 //! * **Run reports** ([`RunReport`]) — a serializer every bench binary uses
 //!   to write `results/<experiment>.json`: result rows + stage counters +
-//!   span timings + config + seeds, alongside the existing stdout table.
-//! * **Live telemetry** ([`mod@live`]) — per-session [`Registry`] of
-//!   gauges, counters, sliding-window rates, and latency histograms,
-//!   snapshot-able mid-run without stopping writers, with a Prometheus
-//!   text renderer and a periodic JSONL writer (`COLORBARS_OBS_LIVE`).
+//!   gauges + span timings + config + seeds, alongside the existing stdout
+//!   table.
+//! * **Live telemetry** ([`mod@live`]) — the one [`Registry`]
+//!   implementation of gauges, counters, sliding-window rates, and latency
+//!   histograms, snapshot-able mid-run without stopping writers, with a
+//!   Prometheus text renderer and a periodic JSONL writer
+//!   (`COLORBARS_OBS_LIVE`).
 //!
 //! ## Zero cost when disabled
 //!
@@ -53,15 +55,13 @@ pub mod flight;
 pub mod journey;
 pub mod json;
 pub mod live;
-pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod trace;
 
 pub use event::{event, event_fields, take_events, Event};
 pub use json::Value;
-pub use live::{LiveSnapshot, Registry, SnapshotWriter};
-pub use metrics::{CounterSummary, HistogramSummary};
+pub use live::{CounterSample, GaugeSample, LiveSnapshot, Registry, SnapshotWriter};
 pub use report::RunReport;
 pub use span::SpanSummary;
 
@@ -155,12 +155,12 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Clear all accumulated spans, counters, histograms, buffered events,
-/// trace tracks, journey records, and flight-recorder triggers. The
-/// enabled/disabled state is unchanged.
+/// Clear all accumulated spans, global-registry instruments (its counter
+/// sources stay), buffered events, trace tracks, journey records, and
+/// flight-recorder triggers. The enabled/disabled state is unchanged.
 pub fn reset() {
     span::reset();
-    metrics::reset();
+    live::global().clear();
     event::reset();
     trace::reset();
     journey::reset();
@@ -177,15 +177,16 @@ pub fn flush() {
     flight::flush_to_configured();
 }
 
-/// A consistent point-in-time view of every registry, ready to serialize.
+/// A consistent point-in-time view of the spans, the global registry's
+/// unlabeled counters and gauges, and the event totals.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Aggregated span timings, sorted by name.
     pub spans: Vec<SpanSummary>,
-    /// Counter values, sorted by name.
-    pub counters: Vec<CounterSummary>,
-    /// Histogram summaries, sorted by name.
-    pub histograms: Vec<HistogramSummary>,
+    /// Unlabeled counters of [`live::global`], sorted by name.
+    pub counters: Vec<CounterSample>,
+    /// Unlabeled gauges of [`live::global`], sorted by name.
+    pub gauges: Vec<GaugeSample>,
     /// Events emitted since the last [`reset`] (including ones the ring
     /// buffer has since dropped).
     pub events_emitted: u64,
@@ -193,44 +194,23 @@ pub struct Snapshot {
     pub events_dropped: u64,
 }
 
-impl Snapshot {
-    /// Serialize the snapshot as a JSON object.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            (
-                "spans",
-                Value::Array(self.spans.iter().map(SpanSummary::to_json).collect()),
-            ),
-            (
-                "counters",
-                Value::object(
-                    self.counters
-                        .iter()
-                        .map(|c| (c.name.as_str(), Value::from(c.value))),
-                ),
-            ),
-            (
-                "histograms",
-                Value::Array(
-                    self.histograms
-                        .iter()
-                        .map(HistogramSummary::to_json)
-                        .collect(),
-                ),
-            ),
-            ("events_emitted", Value::from(self.events_emitted)),
-            ("events_dropped", Value::from(self.events_dropped)),
-        ])
-    }
-}
-
-/// Take a consistent snapshot of all registries.
+/// Take a consistent snapshot. Labeled instruments (per-session ledgers,
+/// rates, histograms) belong to the live plane and are left out.
 pub fn snapshot() -> Snapshot {
     let (events_emitted, events_dropped) = event::stats();
+    let live = live::global().snapshot();
     Snapshot {
         spans: span::summaries(),
-        counters: metrics::counter_summaries(),
-        histograms: metrics::histogram_summaries(),
+        counters: live
+            .counters
+            .into_iter()
+            .filter(|c| c.id.labels.is_empty())
+            .collect(),
+        gauges: live
+            .gauges
+            .into_iter()
+            .filter(|g| g.id.labels.is_empty())
+            .collect(),
         events_emitted,
         events_dropped,
     }
@@ -272,7 +252,10 @@ mod tests {
         crate::counter!("test.lib.snapshot", 3);
         reset();
         let snap = snapshot();
-        assert!(snap.counters.iter().all(|c| c.name != "test.lib.snapshot"));
+        assert!(snap
+            .counters
+            .iter()
+            .all(|c| c.id.name != "test.lib.snapshot"));
         assert_eq!(snap.events_emitted, 0);
         disable();
     }
@@ -283,14 +266,13 @@ mod tests {
         disable();
         reset();
         crate::counter!("test.lib.noop");
-        crate::record!("test.lib.noop_hist", 1.0);
         {
             let _span = crate::span!("test.lib.noop_span");
         }
         event("test.lib.noop_event", [("k", Value::Null)]);
         let snap = snapshot();
         assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
+        assert!(snap.gauges.is_empty());
         assert!(snap.spans.is_empty());
         assert_eq!(snap.events_emitted, 0);
     }

@@ -1,17 +1,20 @@
 //! Live telemetry plane: lock-cheap registries you can scrape mid-run.
 //!
-//! Everything else in this crate is post-hoc — spans, counters, and events
-//! are aggregated while a batch run executes and serialized once it ends.
-//! A streaming gateway (ROADMAP open item 1) needs the opposite: metrics a
-//! human or a scraper can read *while* hundreds of decode sessions are in
-//! flight, without stopping the writers. This module provides that plane:
+//! This is the crate's one counter/gauge/histogram implementation. The
+//! process-wide [`global`] registry backs [`counter!`](crate::counter)
+//! and is what run reports, flight dumps and the gateway's scrapes read;
+//! a streaming gateway reads it *while* decode sessions are in flight,
+//! without stopping the writers. The plane:
 //!
 //! * [`Registry`] — a clonable handle store of named, labeled instruments.
 //!   Instrument handles ([`Counter`], [`Gauge`], [`WindowRate`],
 //!   [`LatencyHistogram`]) are resolved once (one mutex hit) and from then
 //!   on every write is a handful of relaxed atomic operations. Writes are
 //!   gated on [`crate::is_enabled`], so the disabled path is exactly one
-//!   relaxed atomic load — the same contract as `counter!`/`record!`.
+//!   relaxed atomic load — the same contract as `counter!`. Counter
+//!   *sources* ([`Registry::counter_source`]) are read at snapshot time
+//!   from state that lives elsewhere (the camera pool's hit/miss atomics,
+//!   the journey ring's totals), so no code copies those facts in.
 //! * Sliding-window rates — each [`WindowRate`] keeps two bucket rings
 //!   (10 × 100 ms = 1 s and 10 × 1 s = 10 s) plus an EWMA, so frames/sec
 //!   and symbols/sec read as *current* rates that decay to zero when a
@@ -42,7 +45,7 @@ use crate::json::Value;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Buckets per ring. Both windows use the same bucket count; only the
@@ -432,6 +435,8 @@ struct HistSample {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: Mutex<HashMap<MetricId, Counter>>,
+    /// Counters whose value lives outside the registry, read per snapshot.
+    sources: Mutex<HashMap<MetricId, fn() -> u64>>,
     gauges: Mutex<HashMap<MetricId, Gauge>>,
     rates: Mutex<HashMap<MetricId, WindowRate>>,
     histograms: Mutex<HashMap<MetricId, LatencyHistogram>>,
@@ -491,6 +496,31 @@ impl Registry {
         })
     }
 
+    /// Register a counter whose value lives elsewhere (the camera pool's
+    /// hit count, the journey ring's totals): `read` is called at every
+    /// snapshot, and the counter appears once it reads non-zero. Sources
+    /// survive [`crate::reset`], since the registry does not own their
+    /// state; registering an identity again replaces its reader.
+    pub fn counter_source(&self, name: &str, labels: &[(&str, &str)], read: fn() -> u64) {
+        self.inner
+            .sources
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(MetricId::new(name, labels), read);
+    }
+
+    /// Drop every instrument this registry owns (sources stay). Handles
+    /// resolved earlier keep working but are no longer scraped.
+    pub(crate) fn clear(&self) {
+        fn drain<T>(map: &Mutex<HashMap<MetricId, T>>) {
+            map.lock().unwrap_or_else(|p| p.into_inner()).clear();
+        }
+        drain(&self.inner.counters);
+        drain(&self.inner.gauges);
+        drain(&self.inner.rates);
+        drain(&self.inner.histograms);
+    }
+
     /// Resolve (creating if absent) a gauge handle.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         resolve(&self.inner.gauges, name, labels, || {
@@ -535,10 +565,17 @@ impl Registry {
             pairs
         }
 
-        let counters = handles(&self.inner.counters)
+        let mut counters: Vec<CounterSample> = handles(&self.inner.counters)
             .into_iter()
             .map(|(id, h)| CounterSample { value: h.get(), id })
             .collect();
+        counters.extend(
+            handles(&self.inner.sources)
+                .into_iter()
+                .map(|(id, read)| CounterSample { value: read(), id })
+                .filter(|c| c.value > 0),
+        );
+        counters.sort_by(|a, b| a.id.cmp(&b.id));
         let gauges = handles(&self.inner.gauges)
             .into_iter()
             .map(|(id, h)| GaugeSample { value: h.get(), id })
@@ -580,6 +617,50 @@ impl Registry {
             histograms,
         }
     }
+}
+
+// --- The global registry --------------------------------------------------
+
+/// The process-wide registry. [`counter!`](crate::counter) writes its
+/// unlabeled counters, [`crate::snapshot`] reads them for run reports and
+/// flight dumps, and the gateway's sessions publish their labeled ledgers
+/// into it. It carries the journey and flight-recorder totals as sources.
+pub fn global() -> &'static Registry {
+    static GLOBAL: OnceLock<Registry> = OnceLock::new();
+    GLOBAL.get_or_init(|| {
+        let registry = Registry::new();
+        registry.counter_source("journey.recorded", &[], || crate::journey::stats().0);
+        registry.counter_source("journey.dropped", &[], || crate::journey::stats().1);
+        registry.counter_source("flight.triggers", &[], || {
+            let (kept, dropped) = crate::flight::stats();
+            kept as u64 + dropped
+        });
+        registry
+    })
+}
+
+/// Add `n` to the unlabeled counter `name` on the [`global`] registry
+/// (the [`counter!`](crate::counter) macro calls this). The enable flag is
+/// checked before the registry is touched, so the disabled path is one
+/// relaxed atomic load and registers nothing.
+#[inline]
+pub fn count(name: &str, n: u64) {
+    if crate::is_enabled() {
+        global().counter(name, &[]).add(n);
+    }
+}
+
+/// Increment an unlabeled counter on the [`global`] registry:
+/// `counter!("rx.frames")` adds 1, `counter!("tx.symbols", n)` adds `n`.
+/// No-op when observability is disabled.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {
+        $crate::live::count($name, 1)
+    };
+    ($name:expr, $n:expr) => {
+        $crate::live::count($name, $n as u64)
+    };
 }
 
 // --- Snapshots ------------------------------------------------------------
@@ -1619,6 +1700,55 @@ mod tests {
         std::env::remove_var(OBS_LIVE_ENV);
         std::env::remove_var(OBS_LIVE_INTERVAL_ENV);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn counter_macro_writes_the_global_registry_only_when_enabled() {
+        let _guard = test_lock::hold();
+        crate::disable();
+        crate::reset();
+        crate::counter!("test.live.global_off", 5);
+        let shown = |name: &str| {
+            global()
+                .snapshot()
+                .counters
+                .iter()
+                .any(|c| c.id.name == name)
+        };
+        assert!(
+            !shown("test.live.global_off"),
+            "disabled counter! registers nothing"
+        );
+        crate::init(crate::ObsConfig::default());
+        crate::counter!("test.live.global");
+        crate::counter!("test.live.global", 41);
+        let snap = global().snapshot();
+        let c = snap
+            .counters
+            .iter()
+            .find(|c| c.id.name == "test.live.global")
+            .expect("enabled counter! lands in the global registry");
+        assert_eq!(c.value, 42);
+        crate::reset();
+        assert!(!shown("test.live.global"), "reset drops owned counters");
+        crate::disable();
+    }
+
+    #[test]
+    fn counter_sources_are_read_at_snapshot_and_survive_clear() {
+        static CELL: AtomicU64 = AtomicU64::new(0);
+        let reg = Registry::new();
+        reg.counter_source("test.live.source", &[("k", "v")], || {
+            CELL.load(Ordering::Relaxed)
+        });
+        assert!(reg.snapshot_at(0).counters.is_empty(), "zero sources hide");
+        CELL.store(7, Ordering::Relaxed);
+        reg.counter("test.live.owned", &[]);
+        reg.clear();
+        let snap = reg.snapshot_at(0);
+        assert_eq!(snap.counters.len(), 1, "clear keeps only the source");
+        assert_eq!(snap.counters[0].value, 7);
+        assert_eq!(snap.counters[0].id.label("k"), Some("v"));
     }
 
     #[test]

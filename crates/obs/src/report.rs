@@ -20,9 +20,8 @@
 //!   "rows": [ ... ],                // one object per printed table cell/row
 //!   "spans": [ {"name", "count", "total_ns", "mean_ns", "min_ns",
 //!               "max_ns", "p50_ns", "p99_ns"} ],
-//!   "counters": { "rx.packets.ok": 123, ... },
-//!   "histograms": [ {"name", "count", "sum", "mean", "min", "max",
-//!                    "p50", "p99"} ],
+//!   "counters": { "rx.packets.ok": 123, ... },   // unlabeled, global registry
+//!   "gauges": { "bench.pool.threads": 2, ... },   // unlabeled, global registry
 //!   "events": [ {"seq", "t_ns", "name", "fields"} ],   // bounded
 //!   "events_emitted": 1234,
 //!   "events_dropped": 0
@@ -30,6 +29,7 @@
 //! ```
 
 use crate::json::Value;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Current report schema version.
@@ -91,7 +91,7 @@ impl RunReport {
     }
 
     /// Assemble the full report document: rows + config + a snapshot of
-    /// every obs registry + the buffered events (drained).
+    /// the spans and the global registry + the buffered events (drained).
     pub fn to_json(&self) -> Value {
         let snap = crate::snapshot();
         let mut events = crate::take_events();
@@ -118,12 +118,16 @@ impl RunReport {
                 Value::object(
                     snap.counters
                         .iter()
-                        .map(|c| (c.name.as_str(), Value::from(c.value))),
+                        .map(|c| (c.id.name.as_str(), Value::from(c.value))),
                 ),
             ),
             (
-                "histograms",
-                Value::Array(snap.histograms.iter().map(|h| h.to_json()).collect()),
+                "gauges",
+                Value::object(
+                    snap.gauges
+                        .iter()
+                        .map(|g| (g.id.name.as_str(), Value::from(g.value))),
+                ),
             ),
             (
                 "events",
@@ -151,6 +155,23 @@ impl RunReport {
 }
 
 use crate::event::Event;
+
+/// A parsed run report's `"counters"` member, by name.
+pub fn counters(report: &Value) -> Result<BTreeMap<String, u64>, String> {
+    let counters = report
+        .get("counters")
+        .and_then(Value::as_object)
+        .ok_or("report has no \"counters\" object")?;
+    counters
+        .iter()
+        .map(|(name, value)| {
+            let v = value
+                .as_u64()
+                .ok_or_else(|| format!("counter {name:?} is not a non-negative integer"))?;
+            Ok((name.clone(), v))
+        })
+        .collect()
+}
 
 fn unix_ms() -> u64 {
     std::time::SystemTime::now()
