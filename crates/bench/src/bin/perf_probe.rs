@@ -6,9 +6,8 @@
 //! bench harness: it times each component with `Instant`, compares the
 //! optimized path against the retained reference path where one exists
 //! (prefix-sum vs walking emitter integration, threshold-table vs `powf`
-//! gamma encode, profile vs per-pixel vignetting, f32 lane kernels vs the
-//! f64 reference capture, row-parallel vs serial capture, pooled vs fresh
-//! frame buffers), and prints one JSON object. `--smoke` shrinks every
+//! gamma encode, profile vs per-pixel vignetting, row-parallel vs serial
+//! capture, pooled vs fresh frame buffers), and prints one JSON object. `--smoke` shrinks every
 //! repetition count so CI can run it in seconds.
 
 use colorbars_bench::{run_point, SweepMode};
@@ -132,17 +131,13 @@ fn main() {
     fields.push(("vignette_factor_s", Value::from(slow)));
     fields.push(("vignette_speedup", Value::from(slow / fast)));
 
-    // Full frame at Nexus 5 row count. The headline (`capture_frame_*`) is
-    // the shipped fast path — f32 lane kernels — timed serial and with auto
-    // threads; the f64 reference path rides along so the lane speedup stays
-    // reviewable in the same entry.
-    let rig = |threads: usize, lane_f32: bool| {
+    // Full frame at Nexus 5 row count, serial and with auto threads.
+    let rig = |threads: usize| {
         let mut rig = CameraRig::new(
             DeviceProfile::nexus5(),
             OpticalChannel::paper_setup(),
             CaptureConfig {
                 threads,
-                lane_f32,
                 ..CaptureConfig::default()
             },
         );
@@ -152,23 +147,17 @@ fn main() {
         }));
         rig
     };
-    let mut serial = rig(1, true);
+    let mut serial = rig(1);
     let serial_s = time(reps, || {
         std::hint::black_box(serial.capture_frame(&emitter, 0.02));
     });
-    let mut auto = rig(0, true);
+    let mut auto = rig(0);
     let auto_s = time(reps, || {
         std::hint::black_box(auto.capture_frame(&emitter, 0.02));
-    });
-    let mut reference = rig(1, false);
-    let f64_s = time(reps, || {
-        std::hint::black_box(reference.capture_frame(&emitter, 0.02));
     });
     fields.push(("capture_frame_threads1_s", Value::from(serial_s)));
     fields.push(("capture_frame_auto_s", Value::from(auto_s)));
     fields.push(("capture_thread_speedup", Value::from(serial_s / auto_s)));
-    fields.push(("capture_frame_f64_s", Value::from(f64_s)));
-    fields.push(("lane_f32_speedup", Value::from(f64_s / serial_s)));
 
     // Steady-state pool pressure: the capture loops above warmed the global
     // arena, so further captures must recycle every buffer — any miss here
@@ -182,20 +171,8 @@ fn main() {
     fields.push(("pool_hits_steady", Value::from(pool.hits() - hits0)));
     fields.push(("pool_misses_steady", Value::from(pool.misses() - misses0)));
 
-    // One full operating point through the sweep pool: the f32 fast path as
-    // the headline, the f64 reference alongside. `run_point` builds rigs
-    // with `CaptureConfig::default()`, which reads the env flag.
+    // One full operating point through the sweep pool.
     let device = DeviceProfile::nexus5();
-    let point_f64_s = time(1, || {
-        std::hint::black_box(run_point(
-            CskOrder::Csk8,
-            3000.0,
-            &device,
-            sweep_secs,
-            SweepMode::Raw,
-        ));
-    });
-    std::env::set_var("COLORBARS_CAPTURE_F32", "1");
     let point_s = time(1, || {
         std::hint::black_box(run_point(
             CskOrder::Csk8,
@@ -205,10 +182,7 @@ fn main() {
             SweepMode::Raw,
         ));
     });
-    std::env::remove_var("COLORBARS_CAPTURE_F32");
     fields.push(("run_point_csk8_3khz_s", Value::from(point_s)));
-    fields.push(("run_point_f64_s", Value::from(point_f64_s)));
-    fields.push(("run_point_f32_speedup", Value::from(point_f64_s / point_s)));
 
     println!("{}", Value::object(fields).to_compact());
 }

@@ -131,7 +131,7 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
     for row in 0..height {
         if row == 0 || row + 1 == height {
             for col in 0..width {
-                emit(border_pixel_f64(raw, width, height, &parity, row, col));
+                emit(border_pixel(raw, width, height, &parity, row, col));
             }
             continue;
         }
@@ -146,7 +146,7 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
         // no dynamic channel indexing inside the loop.
         let g_parity = if parity[rp][0] == 1 { 0 } else { 1 };
         let x_is_r = parity[rp][1 - g_parity] == 0;
-        emit(border_pixel_f64(raw, width, height, &parity, row, 0));
+        emit(border_pixel(raw, width, height, &parity, row, 0));
         for col in 1..width.saturating_sub(1) {
             let (g, xv, yv) = if col & 1 == g_parity {
                 // G site: X lives left/right, Y above/below.
@@ -167,14 +167,7 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
             emit(LinearRgb::new(r, g, b));
         }
         if width > 1 {
-            emit(border_pixel_f64(
-                raw,
-                width,
-                height,
-                &parity,
-                row,
-                width - 1,
-            ));
+            emit(border_pixel(raw, width, height, &parity, row, width - 1));
         }
     }
 }
@@ -182,7 +175,7 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
 /// Border-clamped bilinear reconstruction of one pixel — the general path
 /// shared by frame edges, where the 3×3 window is clamped into the plane
 /// and neighbor counts vary.
-fn border_pixel_f64(
+fn border_pixel(
     raw: &[f64],
     width: usize,
     height: usize,
@@ -215,113 +208,6 @@ fn border_pixel_f64(
         };
     }
     LinearRgb::new(px[0], px[1], px[2])
-}
-
-/// f32 mirror of [`demosaic_bilinear_with`] for the lane-kernel fast
-/// capture path: same parity tables, same interior/border split, same
-/// accumulation order, single-precision arithmetic. `emit` receives each
-/// reconstructed pixel as an `[r, g, b]` triple in row-major order. This
-/// path is tolerance-gated against the f64 reference, not bit-gated — the
-/// default capture path never goes through here.
-pub fn demosaic_bilinear_f32_with<F: FnMut([f32; 3])>(
-    raw: &[f32],
-    width: usize,
-    height: usize,
-    pattern: BayerPattern,
-    mut emit: F,
-) {
-    assert_eq!(raw.len(), width * height, "raw plane size mismatch");
-    let ch_index = |r: usize, c: usize| -> usize {
-        match pattern.channel_at(r, c) {
-            CfaChannel::R => 0,
-            CfaChannel::G => 1,
-            CfaChannel::B => 2,
-        }
-    };
-    let parity = [
-        [ch_index(0, 0), ch_index(0, 1)],
-        [ch_index(1, 0), ch_index(1, 1)],
-    ];
-    // Same interior specialization as the f64 path: constant-offset
-    // neighbor loads from three row slices, unrolled per column parity.
-    for row in 0..height {
-        if row == 0 || row + 1 == height {
-            for col in 0..width {
-                emit(border_pixel_f32(raw, width, height, &parity, row, col));
-            }
-            continue;
-        }
-        let base = row * width;
-        let up = &raw[base - width..base];
-        let mid = &raw[base..base + width];
-        let down = &raw[base + width..base + 2 * width];
-        let rp = row & 1;
-        let g_parity = if parity[rp][0] == 1 { 0 } else { 1 };
-        let x_is_r = parity[rp][1 - g_parity] == 0;
-        emit(border_pixel_f32(raw, width, height, &parity, row, 0));
-        for col in 1..width.saturating_sub(1) {
-            let (g, xv, yv) = if col & 1 == g_parity {
-                (
-                    mid[col],
-                    (mid[col - 1] + mid[col + 1]) * 0.5,
-                    (up[col] + down[col]) * 0.5,
-                )
-            } else {
-                (
-                    (up[col] + mid[col - 1] + mid[col + 1] + down[col]) * 0.25,
-                    mid[col],
-                    (up[col - 1] + up[col + 1] + down[col - 1] + down[col + 1]) * 0.25,
-                )
-            };
-            let (r, b) = if x_is_r { (xv, yv) } else { (yv, xv) };
-            emit([r, g, b]);
-        }
-        if width > 1 {
-            emit(border_pixel_f32(
-                raw,
-                width,
-                height,
-                &parity,
-                row,
-                width - 1,
-            ));
-        }
-    }
-}
-
-/// f32 mirror of [`border_pixel_f64`].
-fn border_pixel_f32(
-    raw: &[f32],
-    width: usize,
-    height: usize,
-    parity: &[[usize; 2]; 2],
-    row: usize,
-    col: usize,
-) -> [f32; 3] {
-    let mut sums = [0.0f32; 3];
-    let mut counts = [0u32; 3];
-    for dr in -1i64..=1 {
-        for dc in -1i64..=1 {
-            let r = (row as i64 + dr).clamp(0, height as i64 - 1) as usize;
-            let c = (col as i64 + dc).clamp(0, width as i64 - 1) as usize;
-            let ch = parity[r & 1][c & 1];
-            sums[ch] += raw[r * width + c];
-            counts[ch] += 1;
-        }
-    }
-    let own = raw[row * width + col];
-    let own_ch = parity[row & 1][col & 1];
-    let mut px = [0.0f32; 3];
-    for ch in 0..3 {
-        px[ch] = if ch == own_ch {
-            own
-        } else if counts[ch] > 0 {
-            sums[ch] / counts[ch] as f32
-        } else {
-            0.0
-        };
-    }
-    px
 }
 
 #[cfg(test)]
@@ -467,35 +353,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn f32_demosaic_tracks_the_f64_path() {
-        let (w, h) = (9, 11);
-        let raw: Vec<f64> = (0..w * h)
-            .map(|i| ((i * 2654435761usize) % 1000) as f64 / 1000.0)
-            .collect();
-        let raw32: Vec<f32> = raw.iter().map(|&v| v as f32).collect();
-        for p in [
-            BayerPattern::Rggb,
-            BayerPattern::Bggr,
-            BayerPattern::Grbg,
-            BayerPattern::Gbrg,
-        ] {
-            let reference = demosaic_bilinear(&raw, w, h, p);
-            let mut i = 0usize;
-            demosaic_bilinear_f32_with(&raw32, w, h, p, |px| {
-                let want = reference[i];
-                for (got, want) in px.iter().zip([want.r, want.g, want.b]) {
-                    assert!(
-                        (*got as f64 - want).abs() < 1e-6,
-                        "{p:?} pixel {i}: {px:?} vs {want}"
-                    );
-                }
-                i += 1;
-            });
-            assert_eq!(i, w * h);
-        }
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   inter-frame gap, and every captured frame reports exactly when each of
 //!   its rows saw the scene.
 //! * [`scene`] — column-partitioned spatial scenes: the [`SceneRadiance`]
-//!   contract lets the rig sample per-(row, region) irradiance when several
-//!   transmitters share the sensor, with the one-region [`UniformScene`]
-//!   pinned byte-identical to the classic single-emitter path.
+//!   contract is what the rig's one capture loop renders, sampling
+//!   per-(row, region) irradiance when several transmitters share the
+//!   sensor; the one-region [`UniformScene`] is how the single-emitter
+//!   entry points capture an emitter through the rig's own channel.
 //!
 //! The simulation is deterministic given an RNG seed.
 

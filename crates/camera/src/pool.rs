@@ -43,7 +43,6 @@ const MAX_IDLE_PER_KIND: usize = 64;
 struct PoolInner {
     pixels: Mutex<Vec<Vec<[u8; 3]>>>,
     raw_f64: Mutex<Vec<Vec<f64>>>,
-    raw_f32: Mutex<Vec<Vec<f32>>>,
     row_light: Mutex<Vec<Vec<Xyz>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -132,27 +131,6 @@ impl FramePool {
         Self::put(&self.inner.raw_f64, buf);
     }
 
-    /// Check out an `f32` raw mosaic plane of exactly `len` elements (the
-    /// lane-kernel fast path). Contents arbitrary on a hit, like
-    /// [`take_raw_f64`](FramePool::take_raw_f64).
-    pub fn take_raw_f32(&self, len: usize) -> Vec<f32> {
-        let got = self
-            .inner
-            .raw_f32
-            .lock()
-            .expect("frame pool poisoned")
-            .pop();
-        self.note(got.is_some());
-        let mut buf = got.unwrap_or_default();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Return an `f32` raw plane to the arena.
-    pub fn recycle_raw_f32(&self, buf: Vec<f32>) {
-        Self::put(&self.inner.raw_f32, buf);
-    }
-
     /// Check out a per-row irradiance buffer of exactly `len` rows.
     /// Contents arbitrary on a hit — the row integrator writes every row.
     pub fn take_row_light(&self, len: usize) -> Vec<Xyz> {
@@ -213,7 +191,6 @@ impl FramePool {
         let i = &self.inner;
         i.pixels.lock().expect("frame pool poisoned").len()
             + i.raw_f64.lock().expect("frame pool poisoned").len()
-            + i.raw_f32.lock().expect("frame pool poisoned").len()
             + i.row_light.lock().expect("frame pool poisoned").len()
     }
 }
@@ -243,10 +220,8 @@ mod tests {
         // Reuse at a different size: exact length, stale contents allowed.
         let raw = pool.take_raw_f64(4);
         assert_eq!(raw.len(), 4);
-        let raw32 = pool.take_raw_f32(6);
-        assert_eq!(raw32.len(), 6);
-        pool.recycle_raw_f32(raw32);
-        assert_eq!(pool.take_raw_f32(12).len(), 12);
+        pool.recycle_raw_f64(raw);
+        assert_eq!(pool.take_raw_f64(12).len(), 12);
     }
 
     #[test]

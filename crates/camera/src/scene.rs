@@ -9,18 +9,18 @@
 //! one LED transmitter per span, dark guard gaps between spans, background
 //! ambient elsewhere.
 //!
-//! [`SceneRadiance`] is the substrate contract: the rig asks the scene how
-//! many distinct radiance regions exist, which region each ROI column
-//! belongs to, the mean irradiance of a region over an exposure window,
-//! and the row-axis blur kernel to apply to that region's band structure.
-//! [`crate::CameraRig::capture_frame_scene`] then samples per-(row, region)
-//! instead of per-row.
+//! [`SceneRadiance`] is the substrate contract and the only thing the
+//! rig's capture loop renders: the rig asks the scene how many distinct
+//! radiance regions exist, which region each ROI column belongs to, the
+//! mean irradiance of a region over an exposure window, and the row-axis
+//! blur kernel to apply to that region's band structure, then samples
+//! per-(row, region).
 //!
 //! [`UniformScene`] adapts the single emitter + channel pair to a
-//! one-region scene. It is the bridge used by the equivalence tests: a
-//! uniform scene must produce **byte-identical** frames to the classic
-//! [`crate::CameraRig::capture_frame`] path at every thread count, because
-//! it performs exactly the same floating-point operations per photosite.
+//! one-region scene. It is the single-emitter capture path:
+//! [`crate::CameraRig::capture_frame`], [`crate::CameraRig::capture_video`]
+//! and [`crate::CameraRig::settle_exposure`] wrap their emitter and the
+//! rig's channel in one and capture it.
 
 use colorbars_channel::{BlurKernel, OpticalChannel};
 use colorbars_color::Xyz;
@@ -53,12 +53,9 @@ pub trait SceneRadiance: Sync {
 
 /// The trivial one-region scene: a single emitter behind a single optical
 /// channel filling every column — the classic ColorBars geometry expressed
-/// through the scene interface.
-///
-/// Capturing a `UniformScene` is guaranteed byte-identical to capturing
-/// its emitter through [`crate::CameraRig::capture_frame`]: both paths
-/// evaluate `channel.received_mean(emitter, ..)` once per row, apply the
-/// same blur, and run the same per-photosite pipeline in the same order.
+/// through the scene interface, and what the rig's single-emitter entry
+/// points capture. Its region integrates `channel.received_mean(emitter,
+/// ..)` once per row and blurs with the channel's kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformScene<'a> {
     emitter: &'a LedEmitter,
@@ -135,7 +132,8 @@ mod tests {
         for &(t0, t1) in &[(0.0, 40e-6), (0.0031, 0.0032), (0.0095, 0.0105)] {
             let via_scene = scene.region_mean(0, t0, t1);
             let direct = ch.received_mean(&e, t0, t1);
-            // Bitwise, not approximate: the equivalence guarantee.
+            // Bitwise, not approximate: single-emitter captures render
+            // exactly this region.
             assert_eq!(via_scene.to_vec3().0, direct.to_vec3().0);
         }
         assert_eq!(scene.region_blur(0).taps(), ch.blur().taps());

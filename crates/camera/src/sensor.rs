@@ -92,11 +92,10 @@ pub fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
 /// loop that calls [`gaussian_pair`] and keeps the spare for the next
 /// sample: pairs land in order, and an odd-length tail takes the cosine
 /// branch of a final pair whose sine branch is discarded — precisely what
-/// the spare-keeping photosite loop did at end of row. The capture lane
-/// kernels call this per fixed-width chunk; as long as the chunk width is
-/// even, only the last chunk of a row can be odd, so the draw sequence (and
-/// therefore every captured byte) is bit-identical to the scalar path at
-/// any chunking.
+/// the spare-keeping photosite loop did at end of row. The capture loop
+/// fills each row's raw plane in one call; filling it in even-width chunks
+/// instead would draw the same sequence (only the last chunk of a row can
+/// be odd), so every captured byte is independent of the chunking.
 pub fn fill_normals<R: Rng>(rng: &mut R, out: &mut [f64]) {
     let mut pairs = out.chunks_exact_mut(2);
     for pair in &mut pairs {
@@ -106,133 +105,6 @@ pub fn fill_normals<R: Rng>(rng: &mut R, out: &mut [f64]) {
     }
     if let [last] = pairs.into_remainder() {
         *last = gaussian_pair(rng).0;
-    }
-}
-
-/// `ln` for the f32 lane path, in `(0, 1]`: exponent/mantissa split plus a
-/// 5-term atanh series on the mantissa. No `libm` call, so the Box–Muller
-/// transform loop stays a straight line of f32 arithmetic the compiler can
-/// keep in SIMD lanes. Absolute error stays below a few `1e-6` over the
-/// full input range of the uniform draws (one f32 ulp of the `e·ln 2`
-/// term dominates at tiny inputs).
-#[inline]
-fn ln_f32(x: f32) -> f32 {
-    // x = m · 2^e with m ∈ [1, 2).
-    let bits = x.to_bits();
-    let e = (bits >> 23) as i32 - 127;
-    let m = f32::from_bits((bits & 0x007F_FFFF) | 0x3F80_0000);
-    // ln m = 2·atanh(s) with s = (m−1)/(m+1); |s| < 1/3 so five terms reach
-    // f32 precision.
-    let s = (m - 1.0) / (m + 1.0);
-    let s2 = s * s;
-    let series =
-        2.0 * s * (1.0 + s2 * (1.0 / 3.0 + s2 * (1.0 / 5.0 + s2 * (1.0 / 7.0 + s2 * (1.0 / 9.0)))));
-    series + e as f32 * std::f32::consts::LN_2
-}
-
-/// `(sin, cos)` of `2π·u` for `u ∈ [0, 1)` via quadrant-folded Taylor
-/// polynomials — the f32 lane path's replacement for `sin_cos`. Reduction:
-/// `t = 2u`, `k = round(t)` (plain truncating cast, exact for `t ≥ 0`),
-/// `x = π(t − k) ∈ [−π/2, π/2]`, then `sin(2πu) = (−1)^k sin(x)` and
-/// likewise for cosine. Absolute error is below `5e-6`.
-#[inline]
-fn sincos_2pi_f32(u: f32) -> (f32, f32) {
-    let t = 2.0 * u;
-    let k = (t + 0.5) as i32;
-    let x = std::f32::consts::PI * (t - k as f32);
-    let x2 = x * x;
-    let sin = x
-        * (1.0
-            + x2 * (-1.0 / 6.0
-                + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 * (1.0 / 362_880.0)))));
-    let cos = 1.0
-        + x2 * (-0.5
-            + x2 * (1.0 / 24.0
-                + x2 * (-1.0 / 720.0 + x2 * (1.0 / 40_320.0 + x2 * (-1.0 / 3_628_800.0)))));
-    let sign = 1.0 - 2.0 * (k & 1) as f32;
-    (sign * sin, sign * cos)
-}
-
-/// f32 counterpart of [`fill_normals`] for the tolerance-gated fast capture
-/// path. It consumes the *same* `u64` stream — two raw draws per pair, top
-/// 24 bits each (exactly how the `rand` crate derives an f32 uniform) — so
-/// each lane tracks the f64 normal drawn at the same stream position to a
-/// few `1e-4`, which is what makes the f32-vs-f64 equivalence test
-/// meaningful per sample rather than only in distribution. The transform is
-/// branchless (`u1` is clamped to half an f32-uniform LSB instead of the
-/// rejection loop) and runs in two phases per 64-lane chunk: a serial draw
-/// phase and a straight-line polynomial transform phase with no calls out.
-pub fn fill_normals_f32<R: Rng>(rng: &mut R, out: &mut [f32]) {
-    const LANES: usize = 64;
-    const HALF: usize = LANES / 2;
-    const SCALE: f32 = 1.0 / (1u32 << 24) as f32;
-    const U1_MIN: f32 = 1.0 / (1u64 << 25) as f32; // half an LSB, in place of u1 = 0
-                                                   // Structure-of-arrays scratch: each transform below is a straight-line
-                                                   // loop over one array (no interleaved pair access), which the compiler
-                                                   // can turn into packed SIMD lanes.
-    let mut radius = [0.0f32; HALF];
-    let mut sin = [0.0f32; HALF];
-    let mut cos = [0.0f32; HALF];
-    for chunk in out.chunks_mut(LANES) {
-        let pairs = chunk.len().div_ceil(2);
-        // RNG draws stay strictly interleaved (u1, u2 per pair) so the
-        // stream positions match the f64 path draw-for-draw.
-        for i in 0..pairs {
-            radius[i] = ((rng.next_u64() >> 40) as f32 * SCALE).max(U1_MIN);
-            sin[i] = (rng.next_u64() >> 40) as f32 * SCALE;
-        }
-        for r in radius.iter_mut().take(pairs) {
-            *r = (-2.0 * ln_f32(*r)).sqrt();
-        }
-        for i in 0..pairs {
-            let (s, c) = sincos_2pi_f32(sin[i]);
-            sin[i] = s;
-            cos[i] = c;
-        }
-        for (i, pair) in chunk.chunks_mut(2).enumerate() {
-            pair[0] = radius[i] * cos[i];
-            if let [_, second] = pair {
-                *second = radius[i] * sin[i];
-            }
-        }
-    }
-}
-
-/// Per-frame constants of the f32 lane exposure kernel: everything in
-/// [`SensorModel::expose_with_noise`] that does not vary per photosite,
-/// folded once so the inner loop is multiply/add/sqrt/clamp only. Only the
-/// opt-in f32 capture path uses this — the default f64 path keeps the exact
-/// scalar arithmetic (and its bit-identical bytes).
-#[derive(Debug, Clone, Copy)]
-pub struct ExposeKernelF32 {
-    exp_sens: f32,
-    well4: f32,
-    rn2: f32,
-    scale: f32,
-}
-
-impl SensorModel {
-    /// Fold the exposure/ISO constants for a frame into an
-    /// [`ExposeKernelF32`].
-    pub fn lane_kernel_f32(&self, exposure_s: f64, iso: f64) -> ExposeKernelF32 {
-        ExposeKernelF32 {
-            exp_sens: (exposure_s * self.sensitivity) as f32,
-            well4: (self.full_well_e * 4.0) as f32,
-            rn2: (self.read_noise_e * self.read_noise_e) as f32,
-            scale: (self.gain(iso) / self.full_well_e) as f32,
-        }
-    }
-}
-
-impl ExposeKernelF32 {
-    /// f32 mirror of [`SensorModel::expose_with_noise`] with the per-frame
-    /// constants pre-folded.
-    #[inline]
-    pub fn expose(&self, luminance: f32, normal: f32) -> f32 {
-        let electrons = (luminance.max(0.0) * self.exp_sens).min(self.well4);
-        let sigma = (electrons + self.rn2).sqrt();
-        let noisy = electrons + normal * sigma;
-        (noisy * self.scale).clamp(0.0, 1.0)
     }
 }
 
@@ -391,8 +263,9 @@ mod tests {
 
     #[test]
     fn fill_normals_is_invariant_under_even_chunking() {
-        // A row filled in even-width chunks (the lane layout) must equal the
-        // row filled in one call — only the final chunk may be odd.
+        // A row filled in even-width chunks must equal the row filled in
+        // one call (as the capture loop fills it) — only the final chunk
+        // may be odd.
         let n = 67usize;
         let mut whole = vec![0.0f64; n];
         let mut rng = StdRng::seed_from_u64(5);
@@ -408,75 +281,6 @@ mod tests {
                 chunked.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "lane width {lane_width}"
             );
-        }
-    }
-
-    #[test]
-    fn ln_f32_tracks_f64_ln() {
-        // Over the uniform-draw range (0, 1], including the clamp floor.
-        let mut x = 1.0f32;
-        while x > 1e-8 {
-            for m in [1.0f32, 1.17, 1.5, 1.93] {
-                let v = x * m;
-                let err = (ln_f32(v) as f64 - (v as f64).ln()).abs();
-                assert!(err < 4e-6, "ln_f32({v}) off by {err}");
-            }
-            x /= 2.0;
-        }
-    }
-
-    #[test]
-    fn sincos_2pi_f32_tracks_f64_sin_cos() {
-        for i in 0..=10_000 {
-            let u = i as f32 / 10_001.0;
-            let (s, c) = sincos_2pi_f32(u);
-            let (s64, c64) = (2.0 * std::f64::consts::PI * u as f64).sin_cos();
-            assert!((s as f64 - s64).abs() < 5e-6, "sin(2π·{u})");
-            assert!((c as f64 - c64).abs() < 5e-6, "cos(2π·{u})");
-        }
-    }
-
-    #[test]
-    fn fill_normals_f32_tracks_f64_stream_per_sample() {
-        // Same seed → same u64 draws → each f32 lane must sit within a few
-        // 1e-4 of the f64 normal at the same stream position (loose bound
-        // for rare tiny-u1 draws where the truncated uniform is least
-        // precise), and the bulk must be much tighter.
-        let n = 10_000usize;
-        let mut f64s = vec![0.0f64; n];
-        let mut rng = StdRng::seed_from_u64(33);
-        fill_normals(&mut rng, &mut f64s);
-        let mut f32s = vec![0.0f32; n];
-        let mut rng = StdRng::seed_from_u64(33);
-        fill_normals_f32(&mut rng, &mut f32s);
-        let mut close = 0usize;
-        for (i, (a, b)) in f32s.iter().zip(&f64s).enumerate() {
-            let err = (*a as f64 - b).abs();
-            assert!(err < 0.02, "sample {i}: f32 {a} vs f64 {b}");
-            if err < 1e-3 {
-                close += 1;
-            }
-        }
-        assert!(close as f64 > 0.99 * n as f64, "only {close}/{n} tight");
-        let mean = f32s.iter().map(|v| *v as f64).sum::<f64>() / n as f64;
-        let var = f32s.iter().map(|v| (*v as f64 - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.03, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn f32_lane_kernel_tracks_expose_with_noise() {
-        let m = model();
-        let kernel = m.lane_kernel_f32(40e-6, 400.0);
-        for lum in [0.0f64, 1e-4, 0.05, 0.4, 0.9, 3.0] {
-            for normal in [-3.0f64, -0.5, 0.0, 0.7, 2.5] {
-                let want = m.expose_with_noise(lum, 40e-6, 400.0, normal);
-                let got = kernel.expose(lum as f32, normal as f32) as f64;
-                assert!(
-                    (got - want).abs() < 2e-4,
-                    "lum {lum} normal {normal}: f32 {got} vs f64 {want}"
-                );
-            }
         }
     }
 }

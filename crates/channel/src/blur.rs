@@ -80,32 +80,41 @@ impl BlurKernel {
     /// Convolve a sequence of per-row light values, clamp-to-edge at the
     /// boundaries. Returns a vector of the same length.
     pub fn convolve_rows(&self, rows: &[Xyz]) -> Vec<Xyz> {
-        let mut out = Vec::with_capacity(rows.len());
+        let mut out = vec![Xyz::BLACK; rows.len()];
         self.convolve_rows_into(rows, &mut out);
         out
     }
 
-    /// [`BlurKernel::convolve_rows`] writing into a caller-provided buffer —
-    /// the zero-allocation capture path hands in a recycled buffer instead
-    /// of allocating per frame. `out` is cleared first; the accumulation
-    /// order is identical to [`BlurKernel::convolve_rows`], so the results
-    /// are bit-for-bit the same.
-    pub fn convolve_rows_into(&self, rows: &[Xyz], out: &mut Vec<Xyz>) {
-        out.clear();
+    /// [`BlurKernel::convolve_rows`] writing into a caller-provided slice of
+    /// the same length — the zero-allocation capture path hands in a slice
+    /// of a recycled buffer (one per scene region) instead of allocating per
+    /// frame. Every element is overwritten; the accumulation order is
+    /// identical to [`BlurKernel::convolve_rows`], so the results are
+    /// bit-for-bit the same.
+    pub fn convolve_rows_into(&self, rows: &[Xyz], out: &mut [Xyz]) {
+        assert_eq!(out.len(), rows.len(), "blur output length mismatch");
         if rows.is_empty() || self.taps.len() == 1 {
-            out.extend_from_slice(rows);
+            out.copy_from_slice(rows);
             return;
         }
         let _span = colorbars_obs::span!("channel.blur_rows");
-        let r = self.radius() as i64;
-        let n = rows.len() as i64;
-        for i in 0..n {
+        let r = self.radius();
+        let n = rows.len();
+        for (i, out) in out.iter_mut().enumerate() {
             let mut acc = Xyz::BLACK;
-            for (k, &w) in self.taps.iter().enumerate() {
-                let j = (i + k as i64 - r).clamp(0, n - 1) as usize;
-                acc = acc.add(rows[j].scale(w));
+            if i >= r && i + r < n {
+                // Interior row: the window lies inside the frame, so no
+                // clamping — same taps, same order, same floats.
+                for (&w, &x) in self.taps.iter().zip(&rows[i - r..=i + r]) {
+                    acc = acc.add(x.scale(w));
+                }
+            } else {
+                for (k, &w) in self.taps.iter().enumerate() {
+                    let j = (i + k).saturating_sub(r).min(n - 1);
+                    acc = acc.add(rows[j].scale(w));
+                }
             }
-            out.push(acc);
+            *out = acc;
         }
     }
 
@@ -212,11 +221,47 @@ mod tests {
             .collect();
         for k in [BlurKernel::gaussian(1.5, 4), BlurKernel::identity()] {
             let want = k.convolve_rows(&rows);
-            // A stale wrong-sized buffer must come back identical to the
-            // allocating path.
-            let mut out = vec![Xyz::new(9.0, 9.0, 9.0); 3];
+            // A stale buffer must come back identical to the allocating
+            // path.
+            let mut out = vec![Xyz::new(9.0, 9.0, 9.0); rows.len()];
             k.convolve_rows_into(&rows, &mut out);
             assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn interior_fast_path_matches_clamped_walk_bit_exactly() {
+        // Irregular rows, and lengths below, at and above the kernel width,
+        // so every row can be a border row, an interior row, or both kinds
+        // appear.
+        let clamped = |k: &BlurKernel, rows: &[Xyz]| -> Vec<Xyz> {
+            let (r, n) = (k.radius() as i64, rows.len() as i64);
+            (0..n)
+                .map(|i| {
+                    k.taps()
+                        .iter()
+                        .enumerate()
+                        .fold(Xyz::BLACK, |acc, (t, &w)| {
+                            acc.add(rows[(i + t as i64 - r).clamp(0, n - 1) as usize].scale(w))
+                        })
+                })
+                .collect()
+        };
+        for k in [BlurKernel::gaussian(1.5, 4), BlurKernel::boxcar(2)] {
+            for n in [1usize, 3, 8, 9, 10, 40] {
+                let rows: Vec<Xyz> = (0..n)
+                    .map(|i| Xyz::new(((i * 7919) % 101) as f64 / 7.0, 0.5 + i as f64, 0.2))
+                    .collect();
+                let fast = k.convolve_rows(&rows);
+                let want = clamped(&k, &rows);
+                for (i, (a, b)) in fast.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        a.to_vec3().0.map(f64::to_bits),
+                        b.to_vec3().0.map(f64::to_bits),
+                        "n {n} row {i}"
+                    );
+                }
+            }
         }
     }
 

@@ -58,5 +58,5 @@ pub use chromaticity::{Chromaticity, GamutTriangle};
 pub use illuminant::Illuminant;
 pub use lab::{delta_e2000, delta_e76, delta_e94, Lab};
 pub use matrix::{Mat3, Vec3};
-pub use rgb::{LinearRgb, RgbSpace, Srgb, SrgbQuantizer, SrgbQuantizerF32, SrgbToXyzLut};
+pub use rgb::{LinearRgb, RgbSpace, Srgb, SrgbQuantizer, SrgbToXyzLut};
 pub use xyz::Xyz;

@@ -347,80 +347,6 @@ impl Default for SrgbQuantizer {
     }
 }
 
-/// `f32` counterpart of [`SrgbQuantizer`] for the camera's opt-in f32 lane
-/// path: the same decision-table design with the thresholds rounded to
-/// `f32`, so encoding an `f32` linear value never widens back to `f64`.
-///
-/// Rounding the thresholds keeps the table strictly monotone (adjacent
-/// thresholds are ≥ ~1.5e-4 apart, far above one `f32` ulp), so the output
-/// can differ from the `f64` quantizer only for inputs within one ulp of a
-/// decision boundary — and then by exactly one code. That sits inside the
-/// tolerance the f32 capture path is gated by; byte-exact consumers use
-/// [`SrgbQuantizer`].
-///
-/// Like [`SrgbQuantizer`], the bucket table is fine enough that one
-/// bucket (2.44e-4 wide) holds at most one threshold even in the linear toe
-/// of the gamma curve (where thresholds sit 3.03e-4 apart), so encoding is
-/// one table load plus one branchless comparison — dark frames encode as
-/// fast as bright ones, and noisy pixels cost no branch mispredictions.
-#[derive(Debug, Clone)]
-pub struct SrgbQuantizerF32 {
-    /// `thresholds[b - 1]` is the smallest linear value that rounds to
-    /// byte `b`, rounded to `f32`.
-    thresholds: [f32; 255],
-    /// Byte code at each fine bucket floor, counted against the `f32`
-    /// thresholds (see [`SrgbQuantizer::coarse`]).
-    coarse: [u8; COARSE_BUCKETS + 1],
-}
-
-impl SrgbQuantizerF32 {
-    /// Build the `f32` threshold table (derived from the exact `f64`
-    /// thresholds, done once).
-    pub fn new() -> SrgbQuantizerF32 {
-        let mut thresholds = [0.0f32; 255];
-        for (i, t) in thresholds.iter_mut().enumerate() {
-            let b = (i + 1) as f64;
-            *t = decode_channel((b - 0.5) / 255.0) as f32;
-        }
-        let mut coarse = [0u8; COARSE_BUCKETS + 1];
-        for (k, start) in coarse.iter_mut().enumerate() {
-            let bucket_floor = k as f32 / COARSE_BUCKETS as f32;
-            *start = thresholds.partition_point(|&t| t <= bucket_floor) as u8;
-        }
-        SrgbQuantizerF32 { thresholds, coarse }
-    }
-
-    /// Gamma-encode and quantize one `f32` linear channel to its 8-bit
-    /// code. See [`SrgbQuantizer::encode_byte`] for the bucket logic; the
-    /// float→usize cast saturates, so negatives/NaN encode to 0 and values
-    /// above 1 to 255.
-    #[inline]
-    pub fn encode_byte(&self, linear: f32) -> u8 {
-        let bucket = ((linear * COARSE_BUCKETS as f32) as usize).min(COARSE_BUCKETS);
-        let byte = self.coarse[bucket] as usize;
-        if byte >= 255 {
-            return 255;
-        }
-        byte as u8 + u8::from(self.thresholds[byte] <= linear)
-    }
-
-    /// Encode an `f32` linear sRGB pixel straight to its stored bytes.
-    #[inline]
-    pub fn encode_pixel(&self, px: [f32; 3]) -> [u8; 3] {
-        [
-            self.encode_byte(px[0]),
-            self.encode_byte(px[1]),
-            self.encode_byte(px[2]),
-        ]
-    }
-}
-
-impl Default for SrgbQuantizerF32 {
-    fn default() -> Self {
-        SrgbQuantizerF32::new()
-    }
-}
-
 /// Exact byte→XYZ decode table — the *receiver* hot path's replacement for
 /// `space.to_xyz(Srgb::from_bytes(px).decode())`.
 ///
@@ -670,33 +596,6 @@ mod tests {
             let diff = q.encode_byte(t) as i16 - reference(t) as i16;
             assert!(diff.abs() <= 1, "threshold {b}: codes differ by {diff}");
         }
-    }
-
-    /// The f32 quantizer may disagree with the f64 path only within one
-    /// ulp of a decision boundary, and then by exactly one code.
-    #[test]
-    fn f32_quantizer_tracks_f64_quantizer_within_one_code() {
-        let q = SrgbQuantizer::new();
-        let q32 = SrgbQuantizerF32::new();
-        let mut exact = 0u32;
-        let total = 1_200_000u32;
-        for i in 0..=total {
-            let v = i as f64 / 1_000_000.0 - 0.1;
-            let a = q.encode_byte(v) as i16;
-            let b = q32.encode_byte(v as f32) as i16;
-            assert!((a - b).abs() <= 1, "linear {v}: f64 code {a}, f32 code {b}");
-            exact += u32::from(a == b);
-        }
-        assert!(
-            exact as f64 / total as f64 > 0.9999,
-            "boundary disagreements must be vanishingly rare: {exact}/{total}"
-        );
-        assert_eq!(q32.encode_byte(-1.0), 0);
-        assert_eq!(q32.encode_byte(0.0), 0);
-        assert_eq!(q32.encode_byte(1.0), 255);
-        assert_eq!(q32.encode_byte(42.0), 255);
-        assert_eq!(q32.encode_byte(f32::NAN), 0);
-        assert_eq!(q32.encode_pixel([0.5, -0.2, 2.0]), [188, 0, 255]);
     }
 
     #[test]

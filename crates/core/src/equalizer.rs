@@ -1,25 +1,21 @@
-//! Learned per-link equalizers (DESIGN.md §15).
+//! The learned per-link equalizer (DESIGN.md §15).
 //!
 //! The paper's classifier is nearest-neighbor against the live calibration
 //! references — a per-symbol *point* estimate of the channel. At high CSK
 //! orders (64+) the inter-symbol distance shrinks below the channel's
 //! *structured* distortion (chromatic crosstalk, saturation compression,
 //! white-balance shear), which a point-per-symbol correction cannot
-//! express. The equalizers here instead learn a smooth map from measured
+//! express. [`RidgeEqualizer`] instead learns a smooth map from measured
 //! CIELAB features to the constellation's **ideal** `(a*, b*)` geometry,
-//! fitted on the calibration preamble the link already transmits:
-//!
-//! * [`RidgeEqualizer`] — closed-form ridge regression on quadratic
-//!   polynomial features, solved by normal equations (no external deps,
-//!   deterministic to the last bit).
-//! * [`MlpEqualizer`] — a tiny fixed-seed MLP (8 tanh units) trained by
-//!   full-batch gradient descent, behind the same [`Equalizer`] trait.
+//! fitted on the calibration preamble the link already transmits: a
+//! closed-form ridge regression on quadratic polynomial features, solved by
+//! normal equations (no external deps, deterministic to the last bit).
 //!
 //! Classification then becomes nearest *ideal* reference in the corrected
 //! plane. When the preamble is too degenerate to fit (too few samples,
-//! rank-deficient features, non-finite solve) training fails with
-//! [`LinkError::EqualizerDegenerate`] and the receiver falls back to plain
-//! nearest-neighbor — never NaN weights.
+//! non-finite samples, rank-deficient features, non-finite solve) training
+//! fails with [`LinkError::EqualizerDegenerate`] and the receiver falls
+//! back to plain nearest-neighbor — never NaN weights, never a panic.
 
 use crate::error::LinkError;
 use colorbars_color::Lab;
@@ -32,8 +28,6 @@ pub enum EqualizerKind {
     NearestNeighbor,
     /// Ridge regression on quadratic Lab features (closed form).
     Ridge,
-    /// Tiny fixed-seed MLP (8 tanh hidden units, full-batch GD).
-    Mlp,
 }
 
 impl EqualizerKind {
@@ -42,7 +36,6 @@ impl EqualizerKind {
         match self {
             EqualizerKind::NearestNeighbor => "nn",
             EqualizerKind::Ridge => "ridge",
-            EqualizerKind::Mlp => "mlp",
         }
     }
 
@@ -51,19 +44,9 @@ impl EqualizerKind {
         match s {
             "nn" => Some(EqualizerKind::NearestNeighbor),
             "ridge" => Some(EqualizerKind::Ridge),
-            "mlp" => Some(EqualizerKind::Mlp),
             _ => None,
         }
     }
-}
-
-/// A trained channel correction: maps a measured band feature into the
-/// constellation's ideal `(a*, b*)` plane.
-pub trait Equalizer: std::fmt::Debug {
-    /// Corrected `(a*, b*)` for a measured feature.
-    fn correct(&self, feature: Lab) -> (f64, f64);
-    /// Flat weight vector (replay-context serialization).
-    fn weights(&self) -> Vec<f64>;
 }
 
 /// Quadratic polynomial feature basis: `[1, a', b', a'², b'², a'b', L']`
@@ -86,13 +69,24 @@ fn features(feature: Lab) -> [f64; NUM_FEATURES] {
     [1.0, a, b, a * a, b * b, a * b, l]
 }
 
-/// Shared degeneracy screen: every fit refuses preambles that cannot
-/// constrain a channel map, so no trainer ever emits NaN weights.
+/// Degeneracy screen: the fit refuses preambles that cannot constrain a
+/// channel map, so it never emits NaN weights. A non-finite sample (an
+/// overflowed or corrupted feature) is refused outright — it would poison
+/// every normal-equation sum.
 fn check_degenerate(samples: &[(usize, Lab)]) -> Result<(), LinkError> {
     if samples.len() < MIN_TRAIN_SAMPLES {
         return Err(LinkError::EqualizerDegenerate {
             samples: samples.len(),
             cause: "too_few_samples",
+        });
+    }
+    if samples
+        .iter()
+        .any(|(_, f)| !(f.l.is_finite() && f.a.is_finite() && f.b.is_finite()))
+    {
+        return Err(LinkError::EqualizerDegenerate {
+            samples: samples.len(),
+            cause: "non_finite",
         });
     }
     let n = samples.len() as f64;
@@ -123,12 +117,12 @@ fn check_degenerate(samples: &[(usize, Lab)]) -> Result<(), LinkError> {
 /// Solve `A · X = Y` for square `A` (n×n) and multi-column `Y` (n×m) by
 /// Gaussian elimination with partial pivoting — the n-dimensional sibling
 /// of the calibration module's 3×3 solver. `None` on a vanishing pivot.
+/// The pivot search is a total order, so a non-finite entry cannot panic
+/// it; the caller's finiteness check refuses the resulting weights.
 fn solve(mut a: Vec<Vec<f64>>, mut y: Vec<Vec<f64>>) -> Option<Vec<Vec<f64>>> {
     let n = a.len();
     for col in 0..n {
-        let pivot_row = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).unwrap())
-            .unwrap();
+        let pivot_row = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
         if a[pivot_row][col].abs() < 1e-12 {
             return None;
         }
@@ -219,10 +213,9 @@ impl RidgeEqualizer {
         w[1].copy_from_slice(&flat[NUM_FEATURES..]);
         Some(RidgeEqualizer { w })
     }
-}
 
-impl Equalizer for RidgeEqualizer {
-    fn correct(&self, feature: Lab) -> (f64, f64) {
+    /// Corrected `(a*, b*)` for a measured feature.
+    pub fn correct(&self, feature: Lab) -> (f64, f64) {
         let phi = features(feature);
         let dot = |w: &[f64; NUM_FEATURES]| -> f64 {
             let mut s = 0.0;
@@ -234,193 +227,9 @@ impl Equalizer for RidgeEqualizer {
         (dot(&self.w[0]), dot(&self.w[1]))
     }
 
-    fn weights(&self) -> Vec<f64> {
+    /// Flat weight vector (replay-context serialization).
+    pub fn weights(&self) -> Vec<f64> {
         self.w[0].iter().chain(self.w[1].iter()).copied().collect()
-    }
-}
-
-/// Hidden units of the tiny MLP.
-const HIDDEN: usize = 8;
-/// MLP input dimension (`L'`, `a'`, `b'`).
-const MLP_IN: usize = 3;
-/// Full-batch gradient-descent epochs.
-const MLP_EPOCHS: usize = 400;
-/// Gradient-descent learning rate.
-const MLP_LR: f64 = 0.3;
-/// Fixed init seed: training is deterministic per preamble.
-const MLP_SEED: u64 = 0xC0102BA25;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[-0.5, 0.5)`.
-fn init_weight(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-}
-
-/// A tiny deterministic MLP: 3 → 8 (tanh) → 2, trained by full-batch
-/// gradient descent from a fixed seed. Exists to show the [`Equalizer`]
-/// trait admits non-closed-form learners; ridge is the default choice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpEqualizer {
-    w1: [[f64; MLP_IN]; HIDDEN],
-    b1: [f64; HIDDEN],
-    w2: [[f64; HIDDEN]; 2],
-    b2: [f64; 2],
-}
-
-impl MlpEqualizer {
-    fn input(feature: Lab) -> [f64; MLP_IN] {
-        [feature.l / SCALE, feature.a / SCALE, feature.b / SCALE]
-    }
-
-    fn forward(&self, x: &[f64; MLP_IN]) -> ([f64; HIDDEN], [f64; 2]) {
-        let mut h = [0.0; HIDDEN];
-        for (j, hj) in h.iter_mut().enumerate() {
-            let mut s = self.b1[j];
-            for (w, xv) in self.w1[j].iter().zip(x) {
-                s += w * xv;
-            }
-            *hj = s.tanh();
-        }
-        let mut out = [0.0; 2];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut s = self.b2[i];
-            for (w, hv) in self.w2[i].iter().zip(&h) {
-                s += w * hv;
-            }
-            *o = s;
-        }
-        (h, out)
-    }
-
-    /// Fit on the calibration preamble. Same degeneracy screen as ridge;
-    /// the fixed seed and full-batch updates make training deterministic.
-    pub fn fit(samples: &[(usize, Lab)], ideal: &[(f64, f64)]) -> Result<MlpEqualizer, LinkError> {
-        check_degenerate(samples)?;
-        let mut state = MLP_SEED;
-        let mut net = MlpEqualizer {
-            w1: [[0.0; MLP_IN]; HIDDEN],
-            b1: [0.0; HIDDEN],
-            w2: [[0.0; HIDDEN]; 2],
-            b2: [0.0; 2],
-        };
-        for row in net.w1.iter_mut() {
-            for w in row.iter_mut() {
-                *w = init_weight(&mut state);
-            }
-        }
-        for row in net.w2.iter_mut() {
-            for w in row.iter_mut() {
-                *w = init_weight(&mut state);
-            }
-        }
-        let n = samples.len() as f64;
-        for _ in 0..MLP_EPOCHS {
-            let mut gw1 = [[0.0; MLP_IN]; HIDDEN];
-            let mut gb1 = [0.0; HIDDEN];
-            let mut gw2 = [[0.0; HIDDEN]; 2];
-            let mut gb2 = [0.0; 2];
-            for (idx, f) in samples {
-                let x = Self::input(*f);
-                let (h, out) = net.forward(&x);
-                let (ta, tb) = ideal[*idx];
-                let err = [out[0] - ta / SCALE, out[1] - tb / SCALE];
-                for i in 0..2 {
-                    gb2[i] += err[i];
-                    for j in 0..HIDDEN {
-                        gw2[i][j] += err[i] * h[j];
-                    }
-                }
-                for j in 0..HIDDEN {
-                    let mut back = 0.0;
-                    for (e, wrow) in err.iter().zip(&net.w2) {
-                        back += e * wrow[j];
-                    }
-                    let d = back * (1.0 - h[j] * h[j]);
-                    gb1[j] += d;
-                    for k in 0..MLP_IN {
-                        gw1[j][k] += d * x[k];
-                    }
-                }
-            }
-            let step = MLP_LR / n;
-            for (j, grow) in gw1.iter().enumerate() {
-                net.b1[j] -= step * gb1[j];
-                for (w, g) in net.w1[j].iter_mut().zip(grow) {
-                    *w -= step * g;
-                }
-            }
-            for (i, grow) in gw2.iter().enumerate() {
-                net.b2[i] -= step * gb2[i];
-                for (w, g) in net.w2[i].iter_mut().zip(grow) {
-                    *w -= step * g;
-                }
-            }
-        }
-        if net.weights().iter().any(|v| !v.is_finite()) {
-            return Err(LinkError::EqualizerDegenerate {
-                samples: samples.len(),
-                cause: "non_finite",
-            });
-        }
-        Ok(net)
-    }
-
-    /// Rebuild from a flat weight vector (replay path).
-    pub fn from_weights(flat: &[f64]) -> Option<MlpEqualizer> {
-        if flat.len() != HIDDEN * MLP_IN + HIDDEN + 2 * HIDDEN + 2 {
-            return None;
-        }
-        let mut net = MlpEqualizer {
-            w1: [[0.0; MLP_IN]; HIDDEN],
-            b1: [0.0; HIDDEN],
-            w2: [[0.0; HIDDEN]; 2],
-            b2: [0.0; 2],
-        };
-        let mut it = flat.iter().copied();
-        for row in net.w1.iter_mut() {
-            for w in row.iter_mut() {
-                *w = it.next()?;
-            }
-        }
-        for w in net.b1.iter_mut() {
-            *w = it.next()?;
-        }
-        for row in net.w2.iter_mut() {
-            for w in row.iter_mut() {
-                *w = it.next()?;
-            }
-        }
-        for w in net.b2.iter_mut() {
-            *w = it.next()?;
-        }
-        Some(net)
-    }
-}
-
-impl Equalizer for MlpEqualizer {
-    fn correct(&self, feature: Lab) -> (f64, f64) {
-        let (_, out) = self.forward(&Self::input(feature));
-        (out[0] * SCALE, out[1] * SCALE)
-    }
-
-    fn weights(&self) -> Vec<f64> {
-        let mut v = Vec::with_capacity(HIDDEN * MLP_IN + HIDDEN + 2 * HIDDEN + 2);
-        for row in &self.w1 {
-            v.extend_from_slice(row);
-        }
-        v.extend_from_slice(&self.b1);
-        for row in &self.w2 {
-            v.extend_from_slice(row);
-        }
-        v.extend_from_slice(&self.b2);
-        v
     }
 }
 
@@ -428,9 +237,7 @@ impl Equalizer for MlpEqualizer {
 /// against — everything the demodulator (live or replayed) needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainedEqualizer {
-    kind: EqualizerKind,
-    ridge: Option<RidgeEqualizer>,
-    mlp: Option<MlpEqualizer>,
+    ridge: RidgeEqualizer,
     ideal: Vec<(f64, f64)>,
 }
 
@@ -446,19 +253,9 @@ impl TrainedEqualizer {
     ) -> Result<Option<TrainedEqualizer>, LinkError> {
         match kind {
             EqualizerKind::NearestNeighbor => Ok(None),
-            EqualizerKind::Ridge => RidgeEqualizer::fit(samples, ideal).map(|e| {
+            EqualizerKind::Ridge => RidgeEqualizer::fit(samples, ideal).map(|ridge| {
                 Some(TrainedEqualizer {
-                    kind,
-                    ridge: Some(e),
-                    mlp: None,
-                    ideal: ideal.to_vec(),
-                })
-            }),
-            EqualizerKind::Mlp => MlpEqualizer::fit(samples, ideal).map(|e| {
-                Some(TrainedEqualizer {
-                    kind,
-                    ridge: None,
-                    mlp: Some(e),
+                    ridge,
                     ideal: ideal.to_vec(),
                 })
             }),
@@ -475,15 +272,7 @@ impl TrainedEqualizer {
         match kind {
             EqualizerKind::NearestNeighbor => None,
             EqualizerKind::Ridge => Some(TrainedEqualizer {
-                kind,
-                ridge: Some(RidgeEqualizer::from_weights(flat)?),
-                mlp: None,
-                ideal,
-            }),
-            EqualizerKind::Mlp => Some(TrainedEqualizer {
-                kind,
-                ridge: None,
-                mlp: Some(MlpEqualizer::from_weights(flat)?),
+                ridge: RidgeEqualizer::from_weights(flat)?,
                 ideal,
             }),
         }
@@ -491,18 +280,7 @@ impl TrainedEqualizer {
 
     /// Which learner this is.
     pub fn kind(&self) -> EqualizerKind {
-        self.kind
-    }
-
-    /// The active learner behind the shared trait.
-    pub fn equalizer(&self) -> &dyn Equalizer {
-        match self.kind {
-            EqualizerKind::Ridge => self.ridge.as_ref().unwrap(),
-            EqualizerKind::Mlp => self.mlp.as_ref().unwrap(),
-            EqualizerKind::NearestNeighbor => {
-                unreachable!("TrainedEqualizer is never built for NearestNeighbor")
-            }
-        }
+        EqualizerKind::Ridge
     }
 
     /// The ideal reference geometry classified against.
@@ -512,12 +290,12 @@ impl TrainedEqualizer {
 
     /// Flat weight vector (replay-context serialization).
     pub fn weights(&self) -> Vec<f64> {
-        self.equalizer().weights()
+        self.ridge.weights()
     }
 
     /// Corrected `(a*, b*)` for a measured feature.
     pub fn correct(&self, feature: Lab) -> (f64, f64) {
-        self.equalizer().correct(feature)
+        self.ridge.correct(feature)
     }
 
     /// Demodulate: nearest ideal reference to the corrected feature.
@@ -589,17 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_trains_and_roundtrips_weights() {
-        let ideal = ideal_octagon();
-        let eq = MlpEqualizer::fit(&preamble(&ideal, 3), &ideal).unwrap();
-        let flat = eq.weights();
-        let rebuilt = MlpEqualizer::from_weights(&flat).unwrap();
-        assert_eq!(eq, rebuilt);
-        let f = distort(10.0, -20.0);
-        assert_eq!(eq.correct(f), rebuilt.correct(f));
-    }
-
-    #[test]
     fn too_few_samples_is_typed_degenerate() {
         let ideal = ideal_octagon();
         let p = preamble(&ideal, 1);
@@ -613,8 +380,6 @@ mod tests {
         let ideal = ideal_octagon();
         let p: Vec<(usize, Lab)> = (0..16).map(|i| (i % 8, Lab::new(50.0, 5.0, 5.0))).collect();
         let err = RidgeEqualizer::fit(&p, &ideal).unwrap_err();
-        assert!(err.to_string().contains("rank_deficient"));
-        let err = MlpEqualizer::fit(&p, &ideal).unwrap_err();
         assert!(err.to_string().contains("rank_deficient"));
     }
 
@@ -651,11 +416,7 @@ mod tests {
 
     #[test]
     fn kind_strings_roundtrip() {
-        for k in [
-            EqualizerKind::NearestNeighbor,
-            EqualizerKind::Ridge,
-            EqualizerKind::Mlp,
-        ] {
+        for k in [EqualizerKind::NearestNeighbor, EqualizerKind::Ridge] {
             assert_eq!(EqualizerKind::from_name(k.as_str()), Some(k));
         }
         assert_eq!(EqualizerKind::from_name("bogus"), None);
@@ -664,15 +425,14 @@ mod tests {
     #[test]
     fn trained_roundtrip_through_flat_weights() {
         let ideal = ideal_octagon();
-        for kind in [EqualizerKind::Ridge, EqualizerKind::Mlp] {
-            let eq = TrainedEqualizer::fit(kind, &preamble(&ideal, 3), &ideal)
-                .unwrap()
-                .unwrap();
-            let rebuilt =
-                TrainedEqualizer::from_weights(kind, &eq.weights(), eq.ideal().to_vec()).unwrap();
-            assert_eq!(eq, rebuilt, "{kind:?}");
-            let f = distort(25.0, 10.0);
-            assert_eq!(eq.classify(f), rebuilt.classify(f), "{kind:?}");
-        }
+        let kind = EqualizerKind::Ridge;
+        let eq = TrainedEqualizer::fit(kind, &preamble(&ideal, 3), &ideal)
+            .unwrap()
+            .unwrap();
+        let rebuilt =
+            TrainedEqualizer::from_weights(kind, &eq.weights(), eq.ideal().to_vec()).unwrap();
+        assert_eq!(eq, rebuilt);
+        let f = distort(25.0, 10.0);
+        assert_eq!(eq.classify(f), rebuilt.classify(f));
     }
 }

@@ -57,7 +57,7 @@ pub use calibration::ReferenceStore;
 pub use classify::Label;
 pub use config::LinkConfig;
 pub use constellation::{Constellation, CskOrder};
-pub use equalizer::{Equalizer, EqualizerKind, TrainedEqualizer};
+pub use equalizer::{EqualizerKind, TrainedEqualizer};
 pub use error::LinkError;
 pub use illumination::{is_white_position, WhiteRatioTable};
 pub use link::{compute_metrics, start_phase, CapturedRun, LinkMetrics, LinkSimulator};

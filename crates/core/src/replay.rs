@@ -174,12 +174,21 @@ impl ReplayLink {
             })
             .unwrap_or_default();
         // Equalizer fields are optional: pre-equalizer dumps (and plain
-        // nearest-neighbor links) replay exactly as before.
-        let eq_kind = ctx
-            .get("equalizer_kind")
-            .and_then(|v| v.as_str())
-            .and_then(EqualizerKind::from_name)
-            .unwrap_or(EqualizerKind::NearestNeighbor);
+        // nearest-neighbor links) replay exactly as before. A kind that is
+        // present but unknown is refused — replaying it as nearest-neighbor
+        // would silently drop the recorded weights.
+        let eq_kind = match ctx.get("equalizer_kind") {
+            None => EqualizerKind::NearestNeighbor,
+            Some(v) => v
+                .as_str()
+                .and_then(EqualizerKind::from_name)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown equalizer kind {} in replay context",
+                        v.to_compact()
+                    )
+                })?,
+        };
         let equalizer = if eq_kind == EqualizerKind::NearestNeighbor {
             None
         } else {
@@ -412,6 +421,41 @@ mod tests {
                 "verdict {i} must replay byte-identically"
             );
         }
+    }
+
+    #[test]
+    fn unknown_equalizer_kind_is_refused() {
+        // A real ridge context with its kind rewritten: replaying it as
+        // nearest-neighbor would drop the recorded weights, so it must fail
+        // and name the kind.
+        let config = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, 0.2312)
+            .with_equalizer(EqualizerKind::Ridge);
+        let mapper = crate::symbol::SymbolMapper::new(config.led, config.constellation());
+        let store = ReferenceStore::ideal(&mapper);
+        let ideal: Vec<(f64, f64)> = (0..store.len()).map(|i| store.ideal_reference(i)).collect();
+        let samples: Vec<(usize, colorbars_color::Lab)> = (0..2 * ideal.len())
+            .map(|k| {
+                let (a, b) = ideal[k % ideal.len()];
+                (
+                    k % ideal.len(),
+                    colorbars_color::Lab::new(50.0, 0.9 * a + 2.0, 0.85 * b - 1.0),
+                )
+            })
+            .collect();
+        let eq = TrainedEqualizer::fit(EqualizerKind::Ridge, &samples, &ideal)
+            .unwrap()
+            .unwrap();
+        let text = context_json(&config, false, true, &store, Some(&eq)).to_compact();
+        assert!(text.contains(r#""equalizer_kind":"ridge""#));
+        let parsed = obs::Value::parse(
+            &text.replace(r#""equalizer_kind":"ridge""#, r#""equalizer_kind":"mlp""#),
+        )
+        .expect("valid json");
+        let err = ReplayLink::from_context(&parsed).unwrap_err();
+        assert!(
+            err.contains("unknown equalizer kind") && err.contains("mlp"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   [`colorbars_camera::SceneRadiance`] contract, so
 //!   [`colorbars_camera::CameraRig::capture_frame_scene`] renders it with
 //!   the full sensor model. A one-transmitter, zero-guard, zero-bleed
-//!   scene is byte-identical to the classic single-emitter capture path.
+//!   scene is byte-identical to capturing its emitter through the rig's
+//!   single-emitter entry points.
 //! * [`segment`] — the receive-side column segmentation stage: temporal
 //!   variance across a frame window locates each transmitter's column
 //!   span, without knowledge of the layout.

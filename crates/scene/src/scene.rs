@@ -12,7 +12,8 @@
 //! [`colorbars_camera::CameraRig`] renders it through the full sensor
 //! model via `capture_frame_scene`. The degenerate one-transmitter,
 //! zero-guard, zero-bleed scene performs exactly the per-row operations of
-//! the classic single-emitter path and is pinned byte-identical by tests.
+//! the [`colorbars_camera::UniformScene`] that the rig's single-emitter
+//! entry points capture, and is pinned byte-identical by tests.
 
 use colorbars_camera::SceneRadiance;
 use colorbars_channel::{AmbientLight, BlurKernel, OpticalChannel};
@@ -226,9 +227,9 @@ impl SceneRadiance for Scene {
             RegionKind::Gap => self.background.irradiance(),
             RegionKind::Tx(k) => {
                 // The transmitter's own channel: attenuated emission plus
-                // that channel's ambient — identical operations to the
-                // classic single-emitter path, which keeps the one-region
-                // scene byte-exact.
+                // that channel's ambient — identical operations to a
+                // single-emitter capture, which keeps the one-region scene
+                // byte-exact.
                 let own = self.txs[k]
                     .channel
                     .received_mean(&self.txs[k].emitter, t0, t1);

@@ -59,9 +59,6 @@ cargo run --release -p colorbars-bench --bin ext_highorder -- --degenerate-negat
 echo "==> obs-diff --smoke (regression gate vs committed baseline)"
 cargo run --release -p colorbars-bench --bin obs-diff -- --smoke
 
-echo "==> obs-diff --smoke with f32 lane kernels (fast path stays in the noise bands)"
-COLORBARS_CAPTURE_F32=1 cargo run --release -p colorbars-bench --bin obs-diff -- --smoke
-
 echo "==> obs-diff negative test (injected SER regression must fail the gate)"
 if cargo run --release -p colorbars-bench --bin obs-diff -- --smoke --inject-ser-regression; then
     echo "ERROR: regression gate failed to fail on an injected SER regression" >&2

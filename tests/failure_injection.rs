@@ -181,9 +181,10 @@ fn empty_payload_is_fine() {
 }
 
 /// A degenerate calibration preamble — every reference band measured as
-/// the *same* Lab point (a saturated or occluded sensor) — must demote the
-/// learned equalizer to plain nearest-neighbor through the typed error
-/// path: counted fallback, no trained classifier, and never NaN weights.
+/// the *same* Lab point (a saturated or occluded sensor), or a sample that
+/// is not a number at all — must demote the learned equalizer to plain
+/// nearest-neighbor through the typed error path: counted fallback, no
+/// trained classifier, never NaN weights and never a panic.
 #[test]
 fn degenerate_calibration_falls_back_to_nearest_neighbor() {
     let cfg = LinkConfig::paper_default(CskOrder::Csk64, 3000.0, 0.2312)
@@ -224,6 +225,52 @@ fn degenerate_calibration_falls_back_to_nearest_neighbor() {
     assert!(eq.weights().iter().all(|w| w.is_finite()), "no NaN weights");
     assert_eq!(rx.stats().eq_trained, 1);
     assert_eq!(rx.stats().eq_fallbacks, 1);
+
+    // A non-finite sample is refused by the fit with its own typed cause.
+    let ideal8: Vec<(f64, f64)> = (0..8)
+        .map(|i| {
+            let t = i as f64 * std::f64::consts::PI / 4.0;
+            (40.0 * t.cos(), 40.0 * t.sin())
+        })
+        .collect();
+    let mut poisoned: Vec<(usize, Lab)> = (0..16)
+        .map(|k| {
+            let (a, b) = ideal8[k % 8];
+            (k % 8, Lab::new(50.0, 0.9 * a + 2.0, 0.85 * b - 1.0))
+        })
+        .collect();
+    poisoned[5].1.a = f64::NAN;
+    match TrainedEqualizer::fit(EqualizerKind::Ridge, &poisoned, &ideal8) {
+        Err(LinkError::EqualizerDegenerate { samples, cause }) => {
+            assert_eq!(samples, 16);
+            assert_eq!(cause, "non_finite");
+        }
+        other => panic!("a NaN sample must be typed-degenerate, got {other:?}"),
+    }
+
+    // Through a live 8-CSK receiver: two short calibration packets, the
+    // second carrying one NaN a*. Together they pass the sample floor, so
+    // the fit runs on the NaN — and must demote, not panic.
+    let cfg8 = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, 0.2312)
+        .with_equalizer(EqualizerKind::Ridge);
+    let mut rx = Receiver::new_raw(cfg8, device.row_time()).unwrap();
+    let packet = |indices: std::ops::Range<usize>| -> Vec<(usize, Lab)> {
+        indices
+            .map(|k| {
+                let (a, b) = rx.store().ideal_reference(k % 8);
+                (k % 8, Lab::new(55.0, 1.05 * a + 2.0, 0.95 * b - 1.0))
+            })
+            .collect()
+    };
+    let first = packet(0..5);
+    let mut second = packet(5..10);
+    second[2].1.a = f64::NAN;
+    rx.absorb(vec![ParsedPacket::Calibration { features: first }]);
+    let fallbacks = rx.stats().eq_fallbacks;
+    rx.absorb(vec![ParsedPacket::Calibration { features: second }]);
+    assert_eq!(rx.stats().eq_fallbacks, fallbacks + 1);
+    assert_eq!(rx.stats().eq_trained, 0);
+    assert!(rx.equalizer().is_none(), "no classifier may train on a NaN");
 }
 
 /// Truncated capture mid-packet: the flush path must not panic and must
