@@ -27,8 +27,7 @@
 //! check, the FEC analogue of `obs-diff --inject-ser-regression`.
 
 use colorbars_bench::{
-    cell, devices, json_enabled, json_line, run_pool, sweep_threads, AveragedMetrics, Reporter,
-    ResultRow, SEEDS,
+    cell, devices, run_pool, sweep_threads, AveragedMetrics, Reporter, ResultRow, SEEDS,
 };
 use colorbars_camera::{CaptureConfig, DeviceProfile};
 use colorbars_channel::OpticalChannel;
@@ -114,39 +113,6 @@ fn run_fec_seed(point: &FecPoint, seconds: f64, seed: u64) -> Option<LinkMetrics
     sim.run_random(seconds, seed ^ 0xABCD).ok()
 }
 
-/// Seed-average one point's metrics (the harness's accumulator is private
-/// to `run_grid`, so the FEC sweep folds its own means and spreads).
-fn average(samples: &[LinkMetrics]) -> Option<AveragedMetrics> {
-    if samples.is_empty() {
-        return None;
-    }
-    let n = samples.len() as f64;
-    let mean = |f: &dyn Fn(&LinkMetrics) -> f64| samples.iter().map(f).sum::<f64>() / n;
-    let std = |f: &dyn Fn(&LinkMetrics) -> f64, m: f64| {
-        if samples.len() < 2 {
-            0.0
-        } else {
-            (samples.iter().map(|s| (f(s) - m).powi(2)).sum::<f64>() / (n - 1.0))
-                .max(0.0)
-                .sqrt()
-        }
-    };
-    let ser = mean(&|m| m.ser);
-    let throughput = mean(&|m| m.throughput_bps);
-    let goodput = mean(&|m| m.goodput_bps);
-    Some(AveragedMetrics {
-        ser,
-        throughput_bps: throughput,
-        goodput_bps: goodput,
-        symbols_received_per_sec: mean(&|m| m.symbols_received_per_sec),
-        loss_ratio: mean(&|m| m.loss_ratio),
-        ser_std: std(&|m| m.ser, ser),
-        throughput_bps_std: std(&|m| m.throughput_bps, throughput),
-        goodput_bps_std: std(&|m| m.goodput_bps, goodput),
-        runs: samples.len(),
-    })
-}
-
 /// The depth sweep: every `(point, seed)` cell drains through one bounded
 /// worker pool, exactly like `run_grid`.
 fn sweep(smoke: bool) {
@@ -190,7 +156,7 @@ fn sweep(smoke: bool) {
     let outcomes = run_pool(jobs, sweep_threads());
     let averaged: Vec<Option<AveragedMetrics>> = outcomes
         .chunks(SEEDS.len())
-        .map(|chunk| average(&chunk.iter().flatten().cloned().collect::<Vec<_>>()))
+        .map(|chunk| AveragedMetrics::of(&chunk.iter().flatten().cloned().collect::<Vec<_>>()))
         .collect();
 
     // Depth-0 goodput per (device, order), the uplift denominators.
@@ -239,17 +205,13 @@ fn sweep(smoke: bool) {
                 }
             }
             if let Some(metrics) = m.clone() {
-                let result = ResultRow {
+                reporter.add(&ResultRow {
                     experiment: "ext_fec".into(),
                     device: p.device_key(),
                     order: p.order.points(),
                     rate_hz: RATE_HZ,
                     metrics,
-                };
-                reporter.add(&result);
-                if json_enabled() {
-                    eprintln!("{}", json_line(&result));
-                }
+                });
             }
             reporter.say(
                 [

@@ -31,8 +31,7 @@
 //! the equalizer analogue of `ext_fec --burst-negative`.
 
 use colorbars_bench::{
-    cell, devices, json_enabled, json_line, run_pool, sweep_threads, AveragedMetrics, Reporter,
-    ResultRow, SEEDS,
+    cell, devices, mean_std, run_pool, sweep_threads, AveragedMetrics, Reporter, ResultRow, SEEDS,
 };
 use colorbars_camera::{CaptureConfig, DeviceProfile};
 use colorbars_channel::OpticalChannel;
@@ -174,45 +173,19 @@ fn run_highorder_seed(point: &HighOrderPoint, seconds: f64, seed: u64) -> Option
 
 /// Seed-average one point, folding in the equalizer columns.
 fn average(samples: &[LinkMetrics]) -> Option<HighOrderAvg> {
-    if samples.is_empty() {
-        return None;
-    }
-    let n = samples.len() as f64;
-    let mean = |f: &dyn Fn(&LinkMetrics) -> f64| samples.iter().map(f).sum::<f64>() / n;
-    let std = |f: &dyn Fn(&LinkMetrics) -> f64, m: f64| {
-        if samples.len() < 2 {
-            0.0
-        } else {
-            (samples.iter().map(|s| (f(s) - m).powi(2)).sum::<f64>() / (n - 1.0))
-                .max(0.0)
-                .sqrt()
-        }
-    };
-    let sum = |f: &dyn Fn(&LinkMetrics) -> usize| samples.iter().map(f).sum::<usize>();
-    let ser = mean(&|m| m.ser);
-    let throughput = mean(&|m| m.throughput_bps);
-    let goodput = mean(&|m| m.goodput_bps);
+    let mean = |f: fn(&LinkMetrics) -> f64| mean_std(samples.iter().map(f)).0;
+    let sum = |f: fn(&LinkMetrics) -> usize| samples.iter().map(f).sum::<usize>();
     Some(HighOrderAvg {
-        avg: AveragedMetrics {
-            ser,
-            throughput_bps: throughput,
-            goodput_bps: goodput,
-            symbols_received_per_sec: mean(&|m| m.symbols_received_per_sec),
-            loss_ratio: mean(&|m| m.loss_ratio),
-            ser_std: std(&|m| m.ser, ser),
-            throughput_bps_std: std(&|m| m.throughput_bps, throughput),
-            goodput_bps_std: std(&|m| m.goodput_bps, goodput),
-            runs: samples.len(),
-        },
-        ser_bands: mean(&|m| m.ser_bands as f64),
-        ser_nn: mean(&|m| m.ser_nn),
-        eq_misses: sum(&|m| m.eq_misses),
-        eq_rescues: sum(&|m| m.eq_rescues),
-        channel_losses: sum(&|m| m.channel_losses),
-        eq_trained: sum(&|m| m.report.stats.eq_trained),
-        eq_fallbacks: sum(&|m| m.report.stats.eq_fallbacks),
-        calibrations: sum(&|m| m.report.stats.calibrations),
-        calibrations_failed: sum(&|m| m.report.stats.calibrations_failed),
+        avg: AveragedMetrics::of(samples)?,
+        ser_bands: mean(|m| m.ser_bands as f64),
+        ser_nn: mean(|m| m.ser_nn),
+        eq_misses: sum(|m| m.eq_misses),
+        eq_rescues: sum(|m| m.eq_rescues),
+        channel_losses: sum(|m| m.channel_losses),
+        eq_trained: sum(|m| m.report.stats.eq_trained),
+        eq_fallbacks: sum(|m| m.report.stats.eq_fallbacks),
+        calibrations: sum(|m| m.report.stats.calibrations),
+        calibrations_failed: sum(|m| m.report.stats.calibrations_failed),
     })
 }
 
@@ -329,17 +302,13 @@ fn sweep(smoke: bool) -> ExitCode {
                             }
                         }
                     }
-                    let result = ResultRow {
+                    reporter.add(&ResultRow {
                         experiment: "ext_highorder".into(),
                         device: p.device_key(),
                         order: p.order.points(),
                         rate_hz: RATE_HZ,
                         metrics: m.avg.clone(),
-                    };
-                    reporter.add(&result);
-                    if json_enabled() {
-                        eprintln!("{}", json_line(&result));
-                    }
+                    });
                     reporter.add_value(Value::object([
                         ("experiment", Value::from("ext_highorder_attr")),
                         ("device", Value::from(p.device_key().as_str())),

@@ -4,10 +4,7 @@
 //! Paper definition: no error correction; count received symbols excluding
 //! the white illumination symbols, times bits per symbol.
 
-use colorbars_bench::{
-    cell, devices, json_enabled, json_line, run_grid, GridPoint, Reporter, ResultRow, SweepMode,
-    RATES,
-};
+use colorbars_bench::{cell, devices, run_grid, GridPoint, Reporter, ResultRow, SweepMode, RATES};
 use colorbars_core::CskOrder;
 
 fn main() {
@@ -37,17 +34,13 @@ fn main() {
             for &rate in &RATES {
                 let m = results.next().expect("grid matches print order");
                 if let Some(metrics) = m.clone() {
-                    let result = ResultRow {
+                    reporter.add(&ResultRow {
                         experiment: "fig10".into(),
                         device: name.into(),
                         order: order.points(),
                         rate_hz: rate,
                         metrics,
-                    };
-                    reporter.add(&result);
-                    if json_enabled() {
-                        eprintln!("{}", json_line(&result));
-                    }
+                    });
                 }
                 row.push(cell(m.map(|m| m.throughput_bps), 0));
             }

@@ -6,10 +6,7 @@
 //! color symbols, measured after the receiver's first calibration packet).
 //! Each point averages several capture-phase seeds.
 
-use colorbars_bench::{
-    cell, devices, json_enabled, json_line, run_grid, GridPoint, Reporter, ResultRow, SweepMode,
-    RATES,
-};
+use colorbars_bench::{cell, devices, run_grid, GridPoint, Reporter, ResultRow, SweepMode, RATES};
 use colorbars_core::CskOrder;
 
 fn main() {
@@ -39,17 +36,13 @@ fn main() {
             for &rate in &RATES {
                 let m = results.next().expect("grid matches print order");
                 if let Some(metrics) = m.clone() {
-                    let result = ResultRow {
+                    reporter.add(&ResultRow {
                         experiment: "fig9".into(),
                         device: name.into(),
                         order: order.points(),
                         rate_hz: rate,
                         metrics,
-                    };
-                    reporter.add(&result);
-                    if json_enabled() {
-                        eprintln!("{}", json_line(&result));
-                    }
+                    });
                 }
                 row.push(cell(m.map(|m| m.ser), 4));
             }

@@ -41,7 +41,7 @@
 //! invalid/non-monotone scrape, or a missing flight dump; 2 — usage or
 //! I/O error.
 
-use colorbars_bench::{devices, Reporter, SEEDS};
+use colorbars_bench::{devices, mean_std, Reporter, SEEDS};
 use colorbars_camera::{Frame, FramePool};
 use colorbars_core::{
     CapturedRun, CskOrder, LinkMetrics, LinkSession, LinkSimulator, ReceiverReport, SessionConfig,
@@ -745,19 +745,4 @@ fn unlabeled_counter(snap: &LiveSnapshot, name: &str) -> u64 {
         .iter()
         .find(|c| c.id.name == name && c.id.labels.is_empty())
         .map_or(0, |c| c.value)
-}
-
-/// Mean and sample standard deviation (n − 1; zero below two samples).
-fn mean_std(values: impl Iterator<Item = f64>) -> (f64, f64) {
-    let values: Vec<f64> = values.collect();
-    let n = values.len() as f64;
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var.max(0.0).sqrt())
 }

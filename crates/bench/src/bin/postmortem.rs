@@ -296,7 +296,8 @@ fn print_ambiguous_bands(bands: &[BandRecord], link: &ReplayLink, bands_shown: u
     if ranked.is_empty() {
         return;
     }
-    ranked.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite margins"));
+    // A hostile dump's infinite a*/b* makes margins NaN; rank them anyway.
+    ranked.sort_by(|x, y| x.0.total_cmp(&y.0));
     println!(
         "  most ambiguous classifications ({} of {} data band(s)):",
         ranked.len().min(bands_shown),

@@ -84,44 +84,27 @@ pub struct AveragedMetrics {
 }
 
 impl AveragedMetrics {
-    fn accumulate(&mut self, m: &LinkMetrics) {
-        self.push(
-            m.ser,
-            m.throughput_bps,
-            m.goodput_bps,
-            m.symbols_received_per_sec,
-            m.loss_ratio,
-        );
-    }
-
-    /// While accumulating, the mean fields hold plain sums and the `*_std`
-    /// fields hold sums of squares; [`AveragedMetrics::finish`] converts
-    /// both in one pass.
-    fn push(&mut self, ser: f64, throughput: f64, goodput: f64, symbols: f64, loss: f64) {
-        self.ser += ser;
-        self.ser_std += ser * ser;
-        self.throughput_bps += throughput;
-        self.throughput_bps_std += throughput * throughput;
-        self.goodput_bps += goodput;
-        self.goodput_bps_std += goodput * goodput;
-        self.symbols_received_per_sec += symbols;
-        self.loss_ratio += loss;
-        self.runs += 1;
-    }
-
-    fn finish(mut self) -> AveragedMetrics {
-        if self.runs > 0 {
-            let n = self.runs as f64;
-            self.ser /= n;
-            self.throughput_bps /= n;
-            self.goodput_bps /= n;
-            self.symbols_received_per_sec /= n;
-            self.loss_ratio /= n;
-            self.ser_std = sample_std(self.ser_std, self.ser, n);
-            self.throughput_bps_std = sample_std(self.throughput_bps_std, self.throughput_bps, n);
-            self.goodput_bps_std = sample_std(self.goodput_bps_std, self.goodput_bps, n);
+    /// Average per-seed metrics: means, and the [`mean_std`] spread of the
+    /// headline metrics. `None` when no seed produced a result.
+    pub fn of(samples: &[LinkMetrics]) -> Option<AveragedMetrics> {
+        if samples.is_empty() {
+            return None;
         }
-        self
+        let stat = |f: fn(&LinkMetrics) -> f64| mean_std(samples.iter().map(f));
+        let (ser, ser_std) = stat(|m| m.ser);
+        let (throughput_bps, throughput_bps_std) = stat(|m| m.throughput_bps);
+        let (goodput_bps, goodput_bps_std) = stat(|m| m.goodput_bps);
+        Some(AveragedMetrics {
+            ser,
+            throughput_bps,
+            goodput_bps,
+            symbols_received_per_sec: stat(|m| m.symbols_received_per_sec).0,
+            loss_ratio: stat(|m| m.loss_ratio).0,
+            ser_std,
+            throughput_bps_std,
+            goodput_bps_std,
+            runs: samples.len(),
+        })
     }
 
     /// Serialize for the run report.
@@ -143,14 +126,21 @@ impl AveragedMetrics {
     }
 }
 
-/// Sample standard deviation from a sum of squares and the already-divided
-/// mean (n − 1 denominator; 0 below two samples). The difference is clamped
-/// at zero against floating-point cancellation.
-fn sample_std(sum_sq: f64, mean: f64, n: f64) -> f64 {
-    if n < 2.0 {
-        return 0.0;
+/// Mean and sample standard deviation, in two passes: the mean, then the
+/// squared deviations from it over n − 1. The spread is 0 below two
+/// samples; both are 0 for none.
+pub fn mean_std(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    let values: Vec<f64> = values.into_iter().collect();
+    if values.is_empty() {
+        return (0.0, 0.0);
     }
-    ((sum_sq - n * mean * mean) / (n - 1.0)).max(0.0).sqrt()
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    if values.len() < 2 {
+        return (mean, 0.0);
+    }
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
+    (mean, var.max(0.0).sqrt())
 }
 
 /// One operating point of the evaluation grid (device × order × rate).
@@ -186,21 +176,9 @@ pub fn run_grid(
         .flat_map(|p| SEEDS.iter().map(move |&seed| (p.clone(), seed)))
         .map(|(point, seed)| move || run_seed(&point, seconds, mode, seed))
         .collect();
-    let outcomes = run_pool(jobs, threads);
-    outcomes
+    run_pool(jobs, threads)
         .chunks(SEEDS.len())
-        .map(|chunk| {
-            let mut acc = AveragedMetrics::default();
-            for m in chunk.iter().flatten() {
-                acc.accumulate(m);
-            }
-            let out = acc.finish();
-            if out.runs == 0 {
-                None
-            } else {
-                Some(out)
-            }
-        })
+        .map(|chunk| AveragedMetrics::of(&chunk.iter().flatten().cloned().collect::<Vec<_>>()))
         .collect()
 }
 
@@ -303,17 +281,6 @@ impl ResultRow {
             ("metrics", self.metrics.to_value()),
         ])
     }
-}
-
-/// Serialize a result row as one JSON line (set `COLORBARS_JSON=1` in a
-/// bench bin to also emit machine-readable results).
-pub fn json_line(row: &ResultRow) -> String {
-    row.to_value().to_compact()
-}
-
-/// Whether bins should emit JSON lines alongside the human tables.
-pub fn json_enabled() -> bool {
-    std::env::var("COLORBARS_JSON").is_ok_and(|v| v == "1")
 }
 
 /// Directory run reports are written to (`COLORBARS_RESULTS_DIR`, default
@@ -477,23 +444,16 @@ mod tests {
 
     #[test]
     fn averaged_metrics_compute_seed_spread() {
-        let mut acc = AveragedMetrics::default();
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            acc.push(v, 10.0 * v, 100.0 * v, v, 0.0);
-        }
-        let m = acc.finish();
-        assert!((m.ser - 3.0).abs() < 1e-12);
-        // Sample std of 1..=5 is √2.5; the scaled series scale with it.
+        let (mean, std) = mean_std([1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert!((mean - 3.0).abs() < 1e-12);
+        // Sample std of 1..=5 is √2.5; a scaled series scales with it.
         let want = 2.5f64.sqrt();
-        assert!((m.ser_std - want).abs() < 1e-9, "ser_std {}", m.ser_std);
-        assert!((m.throughput_bps_std - 10.0 * want).abs() < 1e-8);
-        assert!((m.goodput_bps_std - 100.0 * want).abs() < 1e-7);
+        assert!((std - want).abs() < 1e-9, "std {std}");
+        let (_, scaled) = mean_std([1.0, 2.0, 3.0, 4.0, 5.0].map(|v| 100.0 * v));
+        assert!((scaled - 100.0 * want).abs() < 1e-7);
 
-        let mut one = AveragedMetrics::default();
-        one.push(0.5, 1.0, 2.0, 3.0, 0.1);
-        let m = one.finish();
-        assert_eq!(m.ser_std, 0.0, "a single run has no spread");
-        assert_eq!(m.runs, 1);
+        assert_eq!(mean_std([0.5]), (0.5, 0.0), "a single run has no spread");
+        assert_eq!(mean_std([]), (0.0, 0.0));
     }
 
     #[test]
@@ -533,24 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn result_rows_serialize() {
-        let row = ResultRow {
-            experiment: "fig9".into(),
-            device: "Nexus 5".into(),
-            order: 16,
-            rate_hz: 4000.0,
-            metrics: AveragedMetrics {
-                ser: 0.01,
-                runs: 5,
-                ..Default::default()
-            },
-        };
-        let line = json_line(&row);
-        assert!(line.contains("\"fig9\""));
-        assert!(line.contains("\"runs\":5"));
-    }
-
-    #[test]
     fn result_rows_convert_to_report_values() {
         let row = ResultRow {
             experiment: "fig10".into(),
@@ -567,6 +509,7 @@ mod tests {
         assert!(doc.contains("\"experiment\":\"fig10\""));
         assert!(doc.contains("\"order\":32"));
         assert!(doc.contains("\"throughput_bps\":1234.5"));
+        assert!(doc.contains("\"runs\":5"));
     }
 
     #[test]

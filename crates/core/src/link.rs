@@ -301,7 +301,7 @@ impl LinkSimulator {
     }
 }
 
-/// Seed-derived capture phase in `[0, frame_period)`: a splitmix64 hash of
+/// Seed-derived capture phase in `[0, frame_period)`: a SplitMix64 hash of
 /// the capture seed mapped onto one frame period, so different seeds sample
 /// different transmitter/camera clock offsets. Shared by the single-link
 /// simulator and the multi-transmitter scene harness so both sample the

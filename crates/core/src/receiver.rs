@@ -539,10 +539,6 @@ impl Receiver {
                         FailReason::DecoderDisabled => self.report.stats.packets_undecoded += 1,
                         FailReason::UnrecoverableBurst => self.report.stats.packets_burst_lost += 1,
                     }
-                    obs::event(
-                        "rx.packet.drop",
-                        [("reason", obs::Value::from(reason.as_str()))],
-                    );
                 }
                 ParsedPacket::Calibration { features } => {
                     let seq = self.depacketizer.constellation().calibration_sequence();

@@ -283,7 +283,9 @@ impl ReplayLink {
             .iter()
             .map(|&(i, ra, rb)| (i, ((a - ra).powi(2) + (b - rb).powi(2)).sqrt()))
             .collect();
-        d.sort_by(|x, y| x.1.partial_cmp(&y.1).expect("distances are finite"));
+        // A hostile dump can carry `1e999` (+inf) coordinates, whose
+        // differences are NaN: `total_cmp` orders those too.
+        d.sort_by(|x, y| x.1.total_cmp(&y.1));
         d
     }
 
@@ -466,5 +468,33 @@ mod tests {
         let ranked = link.nearest_references(a0, b0);
         assert_eq!(ranked.first().map(|r| r.0), Some(i0));
         assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn infinite_coordinates_rank_without_panicking() {
+        // A hostile dump's `1e999` parses as +inf, and inf − inf is NaN: a
+        // ranking must still come back, ordered by `total_cmp`.
+        let config = LinkConfig::paper_default(CskOrder::Csk4, 2000.0, 0.2312);
+        let mapper = crate::symbol::SymbolMapper::new(config.led, config.constellation());
+        let text =
+            context_json(&config, true, true, &ReferenceStore::ideal(&mapper), None).to_compact();
+        let start = text.find("\"references\":").expect("references recorded");
+        let end = start + text[start..].find("]]").expect("references close") + 2;
+        let hostile = format!(
+            "{}\"references\":[[0,1e999,0],[1,1e999,1e999],[2,-5,3],[3,4,-2]]{}",
+            &text[..start],
+            &text[end..]
+        );
+        let parsed = obs::Value::parse(&hostile).expect("valid json");
+        let link = ReplayLink::from_context(&parsed).expect("context parses");
+        let ranked = link.nearest_references(f64::INFINITY, 0.0);
+        let mut indices: Vec<usize> = ranked.iter().map(|r| r.0).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, [0, 1, 2, 3]);
+        assert!(
+            ranked.iter().any(|r| r.1.is_nan()),
+            "inf − inf reached the sort"
+        );
+        assert!(ranked.windows(2).all(|w| w[0].1.total_cmp(&w[1].1).is_le()));
     }
 }

@@ -1,5 +1,6 @@
 //! `Receiver::process_frame` splits each frame's time over nested stage
-//! spans, so a trace shows where a frame's decode went.
+//! spans, so a trace shows where a frame's decode went, and each span's
+//! timings land in the global registry's histogram of that name.
 //!
 //! A test binary of its own: it turns the global obs switch on, which must
 //! not leak into tests that decode frames on other threads.
@@ -31,25 +32,25 @@ fn process_frame_records_one_nested_span_per_stage() {
     for frame in &run.frames {
         rx.process_frame(frame);
     }
-    let spans = obs::span::summaries();
+    let histograms = obs::live::global().snapshot().histograms;
     obs::disable();
 
     let span = |name: &str| {
-        spans
+        histograms
             .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("no {name} span in {spans:?}"))
+            .find(|h| h.id.name == name && h.id.labels.is_empty())
+            .unwrap_or_else(|| panic!("no {name} histogram in {histograms:?}"))
     };
     let frame = span("rx.process_frame");
     assert_eq!(frame.count, run.frames.len() as u64);
-    let mut stages_ns = 0;
+    let mut stages_ms = 0.0;
     for stage in ["rx.row_signal", "rx.segment", "rx.classify", "rx.depacket"] {
         assert_eq!(span(stage).count, frame.count, "{stage}");
-        stages_ns += span(stage).total_ns;
+        stages_ms += span(stage).sum_ms;
     }
     assert!(
-        stages_ns <= frame.total_ns,
-        "stages ({stages_ns} ns) must nest inside process_frame ({} ns)",
-        frame.total_ns
+        stages_ms <= frame.sum_ms,
+        "stages ({stages_ms} ms) must nest inside process_frame ({} ms)",
+        frame.sum_ms
     );
 }

@@ -2,9 +2,9 @@
 //! mirror.
 //!
 //! Events are discrete, timestamped facts a run wants to remember for
-//! replay or diffing — a packet dropped with a reason, the per-seed metrics
-//! of a sweep point, a configuration rejected by validation. The ring
-//! buffer keeps the most recent `capacity` events in memory for the run
+//! replay or diffing that no counter already holds — the per-seed metrics
+//! of a sweep point, why an equalizer fell back, a channel change. The ring
+//! buffer keeps the most recent 16384 events in memory for the run
 //! report; setting `COLORBARS_OBS_JSONL=<path>` (or
 //! [`crate::ObsConfig::jsonl_path`]) additionally streams every event to a
 //! JSON-lines file as it happens, so even events the ring has dropped can
@@ -16,7 +16,8 @@ use std::io::Write as _;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-const DEFAULT_CAPACITY: usize = 16_384;
+/// Events the ring buffer retains; each one past it evicts the oldest.
+const CAPACITY: usize = 16_384;
 
 /// One structured event.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +47,6 @@ impl Event {
 struct Sink {
     epoch: Instant,
     ring: VecDeque<Event>,
-    capacity: usize,
     emitted: u64,
     dropped: u64,
     jsonl: Option<std::io::BufWriter<std::fs::File>>,
@@ -57,7 +57,6 @@ impl Sink {
         Sink {
             epoch: Instant::now(),
             ring: VecDeque::new(),
-            capacity: DEFAULT_CAPACITY,
             emitted: 0,
             dropped: 0,
             jsonl: None,
@@ -78,13 +77,9 @@ fn lock() -> std::sync::MutexGuard<'static, Sink> {
 
 /// Apply the sink-related parts of an [`crate::ObsConfig`].
 pub(crate) fn configure_sink(config: &crate::ObsConfig) {
-    let mut s = lock();
-    if let Some(cap) = config.event_capacity {
-        s.capacity = cap.max(1);
-    }
     if let Some(path) = &config.jsonl_path {
         match std::fs::File::create(path) {
-            Ok(file) => s.jsonl = Some(std::io::BufWriter::new(file)),
+            Ok(file) => lock().jsonl = Some(std::io::BufWriter::new(file)),
             Err(err) => eprintln!("colorbars-obs: cannot open JSONL sink {path}: {err}"),
         }
     }
@@ -135,7 +130,7 @@ pub fn event_fields(name: &str, fields: Value) {
     if sink_failed {
         s.jsonl = None;
     }
-    if s.ring.len() >= s.capacity {
+    if s.ring.len() >= CAPACITY {
         s.ring.pop_front();
         s.dropped += 1;
     }
@@ -198,25 +193,18 @@ mod tests {
     #[test]
     fn ring_buffer_drops_oldest() {
         let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig {
-            event_capacity: Some(4),
-            ..Default::default()
-        });
+        crate::init(crate::ObsConfig::default());
         crate::reset();
-        for i in 0..10u64 {
+        let n = CAPACITY as u64 + 6;
+        for i in 0..n {
             event("test.event.ring", [("i", Value::from(i))]);
         }
         let (emitted, dropped) = stats();
-        assert_eq!(emitted, 10);
+        assert_eq!(emitted, n);
         assert_eq!(dropped, 6);
         let evs = take_events();
-        assert_eq!(evs.len(), 4);
+        assert_eq!(evs.len(), CAPACITY);
         assert_eq!(evs[0].seq, 6, "oldest retained event");
-        // Restore the default capacity for other tests.
-        crate::init(crate::ObsConfig {
-            event_capacity: Some(super::DEFAULT_CAPACITY),
-            ..Default::default()
-        });
         crate::disable();
     }
 
@@ -245,28 +233,22 @@ mod tests {
     #[test]
     fn overflow_increments_dropped_exactly_at_the_boundary() {
         let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig {
-            event_capacity: Some(3),
-            ..Default::default()
-        });
+        crate::init(crate::ObsConfig::default());
         crate::reset();
         // Filling to exactly capacity drops nothing...
-        for i in 0..3u64 {
+        for i in 0..CAPACITY as u64 {
             event("test.event.boundary", [("i", Value::from(i))]);
         }
-        assert_eq!(stats(), (3, 0));
+        let full = CAPACITY as u64;
+        assert_eq!(stats(), (full, 0));
         // ...and each event past it drops exactly one.
-        event("test.event.boundary", [("i", Value::from(3u64))]);
-        assert_eq!(stats(), (4, 1));
-        event("test.event.boundary", [("i", Value::from(4u64))]);
-        assert_eq!(stats(), (5, 2));
+        event("test.event.boundary", [("i", Value::from(full))]);
+        assert_eq!(stats(), (full + 1, 1));
+        event("test.event.boundary", [("i", Value::from(full + 1))]);
+        assert_eq!(stats(), (full + 2, 2));
         let evs = take_events();
-        assert_eq!(evs.len(), 3);
+        assert_eq!(evs.len(), CAPACITY);
         assert_eq!(evs[0].seq, 2, "exactly the two oldest were evicted");
-        crate::init(crate::ObsConfig {
-            event_capacity: Some(super::DEFAULT_CAPACITY),
-            ..Default::default()
-        });
         crate::disable();
     }
 

@@ -1,13 +1,13 @@
 //! Per-packet journey provenance: correlation-ID records following every
 //! packet end-to-end through the pipeline.
 //!
-//! The span/counter registries answer *how much* was lost per stage; the
-//! journey ring answers *what happened to this packet*: which frames its
-//! symbols landed on, which bands the classifier produced, what the
-//! depacketizer's verdict was and why. Each record carries a process-unique
-//! correlation id plus a per-thread namespace (a session label such as
-//! `"s3"` or `"region1"`), so a fleet of concurrent [`crate::live`]
-//! sessions keeps its journeys separable.
+//! The registry's counters and span histograms answer *how much* was lost
+//! per stage and how long each stage took; the journey ring answers *what
+//! happened to this packet*: which frames its symbols landed on, which
+//! bands the classifier produced, what the depacketizer's verdict was and
+//! why. Each record carries a process-unique correlation id plus a
+//! per-thread namespace (a session label such as `"s3"`), so a fleet of
+//! concurrent [`crate::live`] sessions keeps its journeys separable.
 //!
 //! Journeys are **off by default** and cost nothing when off: every
 //! recording entry point checks [`is_active`] — one relaxed atomic load —

@@ -11,8 +11,9 @@
 //! Five pieces:
 //!
 //! * **Spans** ([`span!`], [`mod@span`]) — hierarchically named wall-clock
-//!   timers (`"rx.process_frame"`, `"camera.capture_frame"`). A thread-safe
-//!   registry aggregates count / total / min / max / p50 / p99 per name.
+//!   timers (`"rx.process_frame"`, `"camera.capture_frame"`), each
+//!   recording into the unlabeled latency histogram of its name on the
+//!   [`live::global`] registry: count / sum / min / max / p50 / p99.
 //! * **Counters** ([`counter!`]) — typed pipeline-stage accounting on the
 //!   process-wide [`live::global`] registry: bands segmented → classified
 //!   → calibrated → depacketized, packets ok / RS-failed / header-lost /
@@ -61,9 +62,10 @@ pub mod trace;
 
 pub use event::{event, event_fields, take_events, Event};
 pub use json::Value;
-pub use live::{CounterSample, GaugeSample, LiveSnapshot, Registry, SnapshotWriter};
+pub use live::{
+    CounterSample, GaugeSample, HistogramSample, LiveSnapshot, Registry, SnapshotWriter,
+};
 pub use report::RunReport;
-pub use span::SpanSummary;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -76,8 +78,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 pub struct ObsConfig {
     /// Mirror every event to this JSONL file (one JSON object per line).
     pub jsonl_path: Option<String>,
-    /// Ring-buffer capacity for retained events (`None` = default 16384).
-    pub event_capacity: Option<usize>,
     /// Record a span timeline and export it as Chrome/Perfetto trace JSON
     /// to this path on every [`flush`] (see [`mod@trace`]).
     pub trace_path: Option<String>,
@@ -103,7 +103,6 @@ impl ObsConfig {
             jsonl_path: std::env::var("COLORBARS_OBS_JSONL")
                 .ok()
                 .filter(|p| !p.is_empty()),
-            event_capacity: None,
             trace_path: std::env::var("COLORBARS_OBS_TRACE")
                 .ok()
                 .filter(|p| !p.is_empty()),
@@ -155,11 +154,11 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Clear all accumulated spans, global-registry instruments (its counter
-/// sources stay), buffered events, trace tracks, journey records, and
-/// flight-recorder triggers. The enabled/disabled state is unchanged.
+/// Clear the global registry's instruments (its counter sources stay),
+/// span histograms among them, and the buffered events, trace tracks,
+/// journey records, and flight-recorder triggers. The enabled/disabled
+/// state is unchanged.
 pub fn reset() {
-    span::reset();
     live::global().clear();
     event::reset();
     trace::reset();
@@ -177,16 +176,17 @@ pub fn flush() {
     flight::flush_to_configured();
 }
 
-/// A consistent point-in-time view of the spans, the global registry's
-/// unlabeled counters and gauges, and the event totals.
+/// A consistent point-in-time view of the global registry's unlabeled
+/// instruments and the event totals.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// Aggregated span timings, sorted by name.
-    pub spans: Vec<SpanSummary>,
     /// Unlabeled counters of [`live::global`], sorted by name.
     pub counters: Vec<CounterSample>,
     /// Unlabeled gauges of [`live::global`], sorted by name.
     pub gauges: Vec<GaugeSample>,
+    /// Unlabeled histograms of [`live::global`] — every [`span!`] timing
+    /// among them — sorted by name.
+    pub histograms: Vec<HistogramSample>,
     /// Events emitted since the last [`reset`] (including ones the ring
     /// buffer has since dropped).
     pub events_emitted: u64,
@@ -198,19 +198,14 @@ pub struct Snapshot {
 /// rates, histograms) belong to the live plane and are left out.
 pub fn snapshot() -> Snapshot {
     let (events_emitted, events_dropped) = event::stats();
-    let live = live::global().snapshot();
+    let mut live = live::global().snapshot();
+    live.counters.retain(|c| c.id.labels.is_empty());
+    live.gauges.retain(|g| g.id.labels.is_empty());
+    live.histograms.retain(|h| h.id.labels.is_empty());
     Snapshot {
-        spans: span::summaries(),
-        counters: live
-            .counters
-            .into_iter()
-            .filter(|c| c.id.labels.is_empty())
-            .collect(),
-        gauges: live
-            .gauges
-            .into_iter()
-            .filter(|g| g.id.labels.is_empty())
-            .collect(),
+        counters: live.counters,
+        gauges: live.gauges,
+        histograms: live.histograms,
         events_emitted,
         events_dropped,
     }
@@ -273,7 +268,7 @@ mod tests {
         let snap = snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
-        assert!(snap.spans.is_empty());
+        assert!(snap.histograms.is_empty());
         assert_eq!(snap.events_emitted, 0);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! This is the crate's one counter/gauge/histogram implementation. The
 //! process-wide [`global`] registry backs [`counter!`](crate::counter)
-//! and is what run reports, flight dumps and the gateway's scrapes read;
-//! a streaming gateway reads it *while* decode sessions are in flight,
-//! without stopping the writers. The plane:
+//! and [`span!`](crate::span!) and is what run reports, flight dumps and
+//! the gateway's scrapes read; a streaming gateway reads it *while*
+//! decode sessions are in flight, without stopping the writers. The plane:
 //!
 //! * [`Registry`] — a clonable handle store of named, labeled instruments.
 //!   Instrument handles ([`Counter`], [`Gauge`], [`WindowRate`],
@@ -21,7 +21,7 @@
 //!   session goes idle, not lifetime averages.
 //! * Time-bucketed latency histograms — log-spaced buckets (4 per octave,
 //!   ≤ ~19 % quantile error) with exact count/sum/min/max, for p50/p99
-//!   frame-to-bytes latency.
+//!   frame-to-bytes latency and per-stage span timings.
 //! * [`LiveSnapshot`] — a consistent point-in-time read of every
 //!   instrument, taken without blocking writers, serializable as JSON
 //!   ([`LiveSnapshot::to_json`]) or Prometheus text format
@@ -382,7 +382,7 @@ impl LatencyHistogram {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    fn sample(&self) -> HistSample {
+    fn sample(&self, id: MetricId) -> HistogramSample {
         let inner = &*self.0;
         let counts: Vec<u64> = inner
             .counts
@@ -409,7 +409,8 @@ impl LatencyHistogram {
             }
             max
         };
-        HistSample {
+        HistogramSample {
+            id,
             count,
             sum_ms: f64::from_bits(inner.sum_ms.load(Ordering::Relaxed)),
             min_ms: min,
@@ -418,16 +419,6 @@ impl LatencyHistogram {
             p99_ms: quantile(0.99),
         }
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HistSample {
-    count: u64,
-    sum_ms: f64,
-    min_ms: f64,
-    max_ms: f64,
-    p50_ms: f64,
-    p99_ms: f64,
 }
 
 // --- Registry -------------------------------------------------------------
@@ -595,18 +586,7 @@ impl Registry {
             .collect();
         let histograms = handles(&self.inner.histograms)
             .into_iter()
-            .map(|(id, h)| {
-                let s = h.sample();
-                HistogramSample {
-                    id,
-                    count: s.count,
-                    sum_ms: s.sum_ms,
-                    min_ms: s.min_ms,
-                    max_ms: s.max_ms,
-                    p50_ms: s.p50_ms,
-                    p99_ms: s.p99_ms,
-                }
-            })
+            .map(|(id, h)| h.sample(id))
             .collect();
 
         LiveSnapshot {
@@ -622,9 +602,10 @@ impl Registry {
 // --- The global registry --------------------------------------------------
 
 /// The process-wide registry. [`counter!`](crate::counter) writes its
-/// unlabeled counters, [`crate::snapshot`] reads them for run reports and
-/// flight dumps, and the gateway's sessions publish their labeled ledgers
-/// into it. It carries the journey and flight-recorder totals as sources.
+/// unlabeled counters and [`span!`](crate::span!) its unlabeled
+/// histograms, [`crate::snapshot`] reads them for run reports and flight
+/// dumps, and the gateway's sessions publish their labeled ledgers into
+/// it. It carries the journey and flight-recorder totals as sources.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -717,6 +698,23 @@ pub struct HistogramSample {
     pub p99_ms: f64,
 }
 
+impl HistogramSample {
+    /// Serialize as one JSON object — the shape of a live JSONL snapshot's
+    /// `histograms` entries and of a run report's `spans` entries.
+    pub fn to_json(&self) -> Value {
+        Value::object([
+            ("name", Value::from(self.id.name.as_str())),
+            ("labels", self.id.labels_json()),
+            ("count", Value::from(self.count)),
+            ("sum_ms", Value::from(self.sum_ms)),
+            ("min_ms", Value::from(self.min_ms)),
+            ("max_ms", Value::from(self.max_ms)),
+            ("p50_ms", Value::from(self.p50_ms)),
+            ("p99_ms", Value::from(self.p99_ms)),
+        ])
+    }
+}
+
 /// A consistent point-in-time view of a [`Registry`].
 #[derive(Debug, Clone)]
 pub struct LiveSnapshot {
@@ -790,18 +788,7 @@ impl LiveSnapshot {
                 Value::Array(
                     self.histograms
                         .iter()
-                        .map(|h| {
-                            Value::object([
-                                ("name", Value::from(h.id.name.as_str())),
-                                ("labels", h.id.labels_json()),
-                                ("count", Value::from(h.count)),
-                                ("sum_ms", Value::from(h.sum_ms)),
-                                ("min_ms", Value::from(h.min_ms)),
-                                ("max_ms", Value::from(h.max_ms)),
-                                ("p50_ms", Value::from(h.p50_ms)),
-                                ("p99_ms", Value::from(h.p99_ms)),
-                            ])
-                        })
+                        .map(HistogramSample::to_json)
                         .collect(),
                 ),
             ),

@@ -4,8 +4,8 @@
 //! to its stdout table. The file carries everything a later session needs
 //! to diff two runs or chase a regression: the experiment's result rows,
 //! the configuration and seeds it ran with, the full pipeline-stage counter
-//! set, aggregated span timings, and the buffered event stream. This is the
-//! `BENCH_*.json`-style perf trajectory the roadmap requires before any
+//! set, the span timing histograms, and the buffered event stream. This is
+//! the `BENCH_*.json`-style perf trajectory the roadmap requires before any
 //! optimization PR can prove its claims.
 //!
 //! ## Schema (version 1)
@@ -18,8 +18,8 @@
 //!   "config": { ... },              // free-form experiment parameters
 //!   "seeds": [7, 21, 63, 105, 177],
 //!   "rows": [ ... ],                // one object per printed table cell/row
-//!   "spans": [ {"name", "count", "total_ns", "mean_ns", "min_ns",
-//!               "max_ns", "p50_ns", "p99_ns"} ],
+//!   "spans": [ {"name", "labels", "count", "sum_ms", "min_ms",
+//!               "max_ms", "p50_ms", "p99_ms"} ],  // unlabeled histograms
 //!   "counters": { "rx.packets.ok": 123, ... },   // unlabeled, global registry
 //!   "gauges": { "bench.pool.threads": 2, ... },   // unlabeled, global registry
 //!   "events": [ {"seq", "t_ns", "name", "fields"} ],   // bounded
@@ -91,7 +91,7 @@ impl RunReport {
     }
 
     /// Assemble the full report document: rows + config + a snapshot of
-    /// the spans and the global registry + the buffered events (drained).
+    /// the global registry + the buffered events (drained).
     pub fn to_json(&self) -> Value {
         let snap = crate::snapshot();
         let mut events = crate::take_events();
@@ -111,7 +111,7 @@ impl RunReport {
             ("rows", Value::Array(self.rows.clone())),
             (
                 "spans",
-                Value::Array(snap.spans.iter().map(|s| s.to_json()).collect()),
+                Value::Array(snap.histograms.iter().map(|h| h.to_json()).collect()),
             ),
             (
                 "counters",
@@ -234,7 +234,7 @@ mod tests {
         let _guard = test_lock::hold();
         crate::init(crate::ObsConfig::default());
         crate::reset();
-        // Default ring capacity exceeds MAX_REPORT_EVENTS; the report must
+        // The ring's capacity exceeds MAX_REPORT_EVENTS; the report must
         // keep only the tail and account for the truncation.
         for i in 0..(MAX_REPORT_EVENTS as u64 + 10) {
             crate::event("test.report.flood", [("i", Value::from(i))]);

@@ -1,24 +1,17 @@
 //! Hierarchical timing spans.
 //!
 //! `let _s = obs::span!("rx.process_frame");` times the enclosing scope and
-//! records the duration into a global thread-safe registry keyed by the
-//! span's static name. Hierarchy is by naming convention (dotted paths),
-//! not by runtime nesting — aggregation stays O(1) per span and the
-//! reports stay stable across thread interleavings (seed sweeps run spans
-//! from several threads at once).
-//!
-//! Per-name aggregation keeps count / total / min / max exactly and p50 /
-//! p99 from a bounded reservoir (deterministic splitmix64 replacement, so
-//! identical runs report identical percentiles).
+//! records the duration into the unlabeled latency histogram of that name
+//! on the [`live::global`](crate::live::global) registry — the same
+//! instrument kind as `session.frame_latency_ms`: exact count / sum / min /
+//! max, log-bucket p50 / p99. Run reports, flight dumps and the gateway's
+//! scrapes read span timings from there, like every other metric.
+//! Hierarchy is by naming convention (dotted paths), not by runtime
+//! nesting — aggregation stays O(1) per span and the histograms stay
+//! stable across thread interleavings (seed sweeps run spans from several
+//! threads at once).
 
-use crate::json::Value;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Reservoir size for percentile estimation. 2048 samples bound the error
-/// on p99 to well under the run-to-run noise of a camera simulation.
-const RESERVOIR: usize = 2048;
 
 /// Time a scope: `let _guard = span!("name");`. The span ends (and its
 /// duration is recorded) when the guard drops. Resolves to a no-op guard
@@ -31,7 +24,7 @@ macro_rules! span {
 }
 
 /// RAII guard produced by [`span!`]. Records elapsed wall-clock time into
-/// the global registry on drop.
+/// the global registry's histogram `name` on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
@@ -57,165 +50,30 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start.take() {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            record_ns(self.name, ns);
+            let elapsed = start.elapsed();
+            crate::live::global()
+                .histogram_ms(self.name, &[])
+                .record(elapsed);
             // Timeline tracing keeps the individual occurrence (begin
             // timestamp + duration) on this thread's track; one relaxed
             // atomic when tracing is off.
+            let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
             crate::trace::record_span(self.name, start, ns);
         }
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct SpanStats {
-    count: u64,
-    total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    samples: Vec<u64>,
-}
-
-impl SpanStats {
-    fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        if self.samples.len() < RESERVOIR {
-            self.samples.push(ns);
-        } else {
-            // Deterministic reservoir sampling: replace a pseudo-random
-            // slot derived from the observation count (splitmix64), with
-            // the classic 1/count acceptance so the reservoir stays a
-            // uniform sample of the whole stream.
-            let h = splitmix64(self.count);
-            if (h % self.count) < RESERVOIR as u64 {
-                let slot = (splitmix64(h) % RESERVOIR as u64) as usize;
-                self.samples[slot] = ns;
-            }
-        }
-    }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn registry() -> &'static Mutex<HashMap<&'static str, SpanStats>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, SpanStats>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock() -> std::sync::MutexGuard<'static, HashMap<&'static str, SpanStats>> {
-    registry()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Record one observation for `name` directly (the [`span!`] guard calls
-/// this; exposed for already-measured durations).
-pub fn record_ns(name: &'static str, ns: u64) {
-    if !crate::is_enabled() {
-        return;
-    }
-    lock().entry(name).or_default().record(ns);
-}
-
-/// Clear the span registry.
-pub(crate) fn reset() {
-    lock().clear();
-}
-
-/// Aggregated timings for one span name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanSummary {
-    /// The span's dotted name.
-    pub name: String,
-    /// Number of recorded entries.
-    pub count: u64,
-    /// Sum of all durations, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest observed duration, nanoseconds.
-    pub min_ns: u64,
-    /// Longest observed duration, nanoseconds.
-    pub max_ns: u64,
-    /// Median duration (reservoir estimate), nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile duration (reservoir estimate), nanoseconds.
-    pub p99_ns: u64,
-}
-
-impl SpanSummary {
-    /// Mean duration in nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("name", Value::from(self.name.as_str())),
-            ("count", Value::from(self.count)),
-            ("total_ns", Value::from(self.total_ns)),
-            ("mean_ns", Value::from(self.mean_ns())),
-            ("min_ns", Value::from(self.min_ns)),
-            ("max_ns", Value::from(self.max_ns)),
-            ("p50_ns", Value::from(self.p50_ns)),
-            ("p99_ns", Value::from(self.p99_ns)),
-        ])
-    }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Snapshot every span's aggregate, sorted by name.
-pub fn summaries() -> Vec<SpanSummary> {
-    let mut out: Vec<SpanSummary> = lock()
-        .iter()
-        .map(|(name, s)| {
-            let mut sorted = s.samples.clone();
-            sorted.sort_unstable();
-            SpanSummary {
-                name: (*name).to_string(),
-                count: s.count,
-                total_ns: s.total_ns,
-                min_ns: s.min_ns,
-                max_ns: s.max_ns,
-                p50_ns: percentile(&sorted, 0.50),
-                p99_ns: percentile(&sorted, 0.99),
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::live::{global, HistogramSample};
     use crate::test_lock;
 
-    fn find(name: &str) -> Option<SpanSummary> {
-        summaries().into_iter().find(|s| s.name == name)
+    fn find(name: &str) -> Option<HistogramSample> {
+        global()
+            .snapshot()
+            .histograms
+            .into_iter()
+            .find(|h| h.id.name == name && h.id.labels.is_empty())
     }
 
     #[test]
@@ -228,49 +86,8 @@ mod tests {
         }
         let s = find("test.span.thrice").expect("span recorded");
         assert_eq!(s.count, 3);
-        assert!(s.total_ns >= s.min_ns);
-        assert!(s.max_ns >= s.min_ns);
-        crate::disable();
-    }
-
-    #[test]
-    fn direct_recording_aggregates_exactly() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        for ns in [10, 20, 30, 40, 1000] {
-            record_ns("test.span.exact", ns);
-        }
-        let s = find("test.span.exact").unwrap();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.total_ns, 1100);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 1000);
-        assert_eq!(s.p50_ns, 30);
-        assert_eq!(s.p99_ns, 1000);
-        crate::disable();
-    }
-
-    #[test]
-    fn reservoir_keeps_percentiles_after_overflow() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        // A uniform ramp of 10× the reservoir size: p50 should land near
-        // the middle of the range even after heavy replacement.
-        let n = (RESERVOIR * 10) as u64;
-        for i in 0..n {
-            record_ns("test.span.reservoir", i);
-        }
-        let s = find("test.span.reservoir").unwrap();
-        assert_eq!(s.count, n);
-        let mid = n as f64 / 2.0;
-        assert!(
-            (s.p50_ns as f64 - mid).abs() < mid * 0.25,
-            "p50 {} should approximate {}",
-            s.p50_ns,
-            mid
-        );
+        assert!(s.sum_ms >= s.min_ms);
+        assert!(s.max_ms >= s.min_ms);
         crate::disable();
     }
 
@@ -282,7 +99,6 @@ mod tests {
         {
             let _s = crate::span!("test.span.disabled");
         }
-        record_ns("test.span.disabled", 5);
         assert!(find("test.span.disabled").is_none());
     }
 
@@ -291,18 +107,23 @@ mod tests {
         let _guard = test_lock::hold();
         crate::init(crate::ObsConfig::default());
         crate::reset();
+        // Four threads ending spans, and writing known durations into the
+        // histogram a guard records into: no sample may be lost to a race.
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
+                    let hist = global().histogram_ms("test.span.threads", &[]);
                     for _ in 0..100 {
-                        record_ns("test.span.threads", 7);
+                        let _s = crate::span!("test.span.threads_guard");
+                        hist.record_ms(7.0);
                     }
                 });
             }
         });
+        assert_eq!(find("test.span.threads_guard").unwrap().count, 400);
         let s = find("test.span.threads").unwrap();
         assert_eq!(s.count, 400);
-        assert_eq!(s.total_ns, 2800);
+        assert_eq!(s.sum_ms, 2800.0);
         crate::disable();
     }
 }

@@ -1,13 +1,13 @@
 //! Timeline tracing: individual span begin/end timestamps on per-thread
 //! tracks, exported as Chrome/Perfetto `trace.json`.
 //!
-//! The span registry ([`mod@crate::span`]) aggregates — count/total/p50 per
-//! name — which answers *how much* but not *when*. This module records each
-//! span occurrence as a complete event (`ph: "X"`: begin timestamp +
-//! duration) into a bounded buffer owned by the recording thread, so a
-//! sweep-pool grid drain or a row-parallel capture renders as an actual
-//! timeline with one track per worker thread in `chrome://tracing` /
-//! [Perfetto](https://ui.perfetto.dev).
+//! A span's registry histogram ([`mod@crate::span`]) aggregates —
+//! count/sum/p50 per name — which answers *how much* but not *when*. This
+//! module records each span occurrence as a complete event (`ph: "X"`:
+//! begin timestamp + duration) into a bounded buffer owned by the
+//! recording thread, so a sweep-pool grid drain or a row-parallel capture
+//! renders as an actual timeline with one track per worker thread in
+//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
 //!
 //! Tracing is **off by default** and costs nothing when off: the
 //! [`crate::span!`] guard consults one extra relaxed atomic only when the

@@ -25,11 +25,6 @@
 //!   the bounded worker pool ([`colorbars_core::pool`]) — and merges the
 //!   per-region reports into [`MultiLinkMetrics`] (per-TX SER/goodput,
 //!   aggregate throughput, cross-talk error attribution).
-//! * [`stream`] — the live-feed counterpart of the multilink batch path:
-//!   [`SceneStream`] spawns one streaming [`colorbars_core::LinkSession`]
-//!   per detected region and crops each incoming composite frame into
-//!   per-region slices, keeping per-link decode state alive across frames
-//!   with per-region live telemetry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,9 +32,7 @@
 pub mod multilink;
 pub mod scene;
 pub mod segment;
-pub mod stream;
 
 pub use multilink::{MultiLinkMetrics, MultiLinkSimulator, SceneMode, TxOutcome};
 pub use scene::{Scene, SceneError, SceneLayout, SceneTransmitter};
 pub use segment::{segment_columns, ColumnRegion, ColumnSegmenterConfig};
-pub use stream::{SceneStream, SceneStreamOptions};
