@@ -9,10 +9,10 @@
 //!
 //! Each ablation reports the metric the design choice protects.
 
-use colorbars_bench::{Reporter, SEEDS};
-use colorbars_camera::{CameraRig, CaptureConfig, DeviceProfile};
+use colorbars_bench::{mean_std, run_point, Reporter, SweepMode, RAW_SECONDS, SEEDS};
+use colorbars_camera::{CaptureConfig, DeviceProfile};
 use colorbars_channel::OpticalChannel;
-use colorbars_core::{CskOrder, LinkConfig, LinkSimulator, Receiver, Transmitter};
+use colorbars_core::{CskOrder, LinkConfig, LinkSimulator, Symbol};
 use colorbars_obs::Value;
 
 fn main() {
@@ -23,7 +23,20 @@ fn main() {
     reporter.finish();
 }
 
-/// SER with vs without transmitter-assisted calibration.
+/// The paper's link for `device` at `cfg`, capturing single-threaded from
+/// a `seed`-derived phase, as the paper grid's runs do. (The capture does
+/// not depend on its thread count.)
+fn simulator(cfg: LinkConfig, device: &DeviceProfile, seed: u64) -> Option<LinkSimulator> {
+    let capture = CaptureConfig {
+        seed,
+        threads: 1,
+        ..CaptureConfig::default()
+    };
+    LinkSimulator::new(cfg, device.clone(), OpticalChannel::paper_setup(), capture).ok()
+}
+
+/// SER with vs without transmitter-assisted calibration. The "with" arm
+/// is Fig 9's cell, measured by the same [`run_point`].
 fn ablate_calibration(reporter: &mut Reporter) {
     reporter.header(
         "Ablation 1: transmitter-assisted calibration (SER, Nexus 5, 3 kHz)",
@@ -31,13 +44,10 @@ fn ablate_calibration(reporter: &mut Reporter) {
     );
     let device = DeviceProfile::nexus5();
     for order in [CskOrder::Csk8, CskOrder::Csk16, CskOrder::Csk32] {
-        let mut with = avg_ser(order, &device, true);
-        let without = avg_ser(order, &device, false);
-        // Guard the display against the no-calibration case having zero
-        // counted bands (SER needs calibrated bands unless disabled).
-        if with.is_nan() {
-            with = 0.0;
-        }
+        let with = run_point(order, 3000.0, &device, RAW_SECONDS, SweepMode::Raw)
+            .expect("Fig 9 measures every order at 3 kHz")
+            .ser;
+        let without = uncalibrated_ser(order, &device);
         reporter.add_value(Value::object([
             ("ablation", Value::from("calibration")),
             ("order", Value::from(order.points() as i64)),
@@ -51,63 +61,33 @@ fn ablate_calibration(reporter: &mut Reporter) {
     reporter.say("nearer a *wrong* reference — the paper's receiver-diversity problem.)");
 }
 
-fn avg_ser(order: CskOrder, device: &DeviceProfile, calibrated: bool) -> f64 {
-    let mut acc = 0.0;
-    let mut n = 0usize;
-    for &seed in &SEEDS {
-        let mut cfg = LinkConfig::paper_default(order, 3000.0, device.loss_ratio());
-        if !calibrated {
-            cfg.calibration_rate = 0.0;
-        }
-        let Ok(tx) = Transmitter::new(cfg.clone()) else {
-            continue;
-        };
-        let data: Vec<u8> = (0..tx.budget().k_bytes * 40)
-            .map(|i| (i * 31 + seed as usize) as u8)
-            .collect();
-        let tr = tx.transmit(&data);
-        let emitter = tx.schedule(&tr);
-        let mut rig = CameraRig::new(
-            device.clone(),
-            OpticalChannel::paper_setup(),
-            CaptureConfig {
-                seed,
-                ..CaptureConfig::default()
-            },
-        );
-        rig.settle_exposure(&emitter, 12);
-        let airtime = tr.duration(cfg.symbol_rate);
-        let frames = rig.capture_video(&emitter, 0.002, (airtime * device.fps) as usize);
-        let mut rx = Receiver::new(cfg.clone(), device.row_time()).unwrap();
-        for f in &frames {
-            rx.process_frame(f);
-        }
-        let report = rx.finish();
-        let (mut errs, mut tot) = (0usize, 0usize);
-        for b in &report.bands {
-            // Without calibration there are no "calibrated" bands; count all.
-            if calibrated && !b.calibrated {
-                continue;
-            }
-            if let Some(colorbars_core::Symbol::Color(t)) =
-                tr.symbol_at(b.timestamp, cfg.symbol_rate)
-            {
-                tot += 1;
-                if b.color_idx != t {
-                    errs += 1;
+/// Mean SER over [`SEEDS`] of Fig 9's raw run at 3 kHz with no
+/// calibration packets. No band is ever calibrated, so every color band
+/// is scored, not only those after the first calibration lock.
+fn uncalibrated_ser(order: CskOrder, device: &DeviceProfile) -> f64 {
+    let mut cfg = LinkConfig::paper_default(order, 3000.0, device.loss_ratio());
+    cfg.calibration_rate = 0.0;
+    let sers = SEEDS.iter().filter_map(|&seed| {
+        let sim = simulator(cfg.clone(), device, seed)?;
+        let run = sim.prepare_raw(RAW_SECONDS, seed ^ 0xABCD).ok()?;
+        let bands = sim.decode(&run, sim.receiver_raw().ok()?).report.bands;
+        // One entry per color band: whether it was misclassified.
+        let errors: Vec<bool> = bands
+            .iter()
+            .filter_map(|band| {
+                match run
+                    .transmission
+                    .symbol_at(band.timestamp, cfg.symbol_rate)?
+                {
+                    Symbol::Color(truth) => Some(band.color_idx != truth),
+                    _ => None,
                 }
-            }
-        }
-        if tot > 0 {
-            acc += errs as f64 / tot as f64;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        f64::NAN
-    } else {
-        acc / n as f64
-    }
+            })
+            .collect();
+        let wrong = errors.iter().filter(|&&wrong| wrong).count();
+        (!errors.is_empty()).then(|| wrong as f64 / errors.len() as f64)
+    });
+    mean_std(sers).0
 }
 
 /// Packet delivery with erasure decoding vs error-only decoding.
@@ -117,48 +97,35 @@ fn ablate_erasures(reporter: &mut Reporter) {
         &["mode", "packets ok", "rs failures", "delivery"],
     );
     let device = DeviceProfile::nexus5();
+    let cfg = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, device.loss_ratio());
+    let k_bytes = cfg
+        .packet_budget()
+        .expect("8-CSK 3 kHz is realizable")
+        .k_bytes;
+    let data: Vec<u8> = (0..k_bytes * 40).map(|i| (i * 17 + 3) as u8).collect();
     for (label, erasures) in [("erasures (paper)", true), ("errors only", false)] {
-        let (mut ok, mut fail, mut sent) = (0usize, 0usize, 0usize);
+        let (mut ok, mut fail, mut deliveries) = (0usize, 0usize, Vec::new());
         for &seed in &SEEDS {
-            let cfg = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, device.loss_ratio());
-            let tx = Transmitter::new(cfg.clone()).unwrap();
-            let data: Vec<u8> = (0..tx.budget().k_bytes * 40)
-                .map(|i| (i * 17 + 3) as u8)
-                .collect();
-            let tr = tx.transmit(&data);
-            let emitter = tx.schedule(&tr);
-            let mut rig = CameraRig::new(
-                device.clone(),
-                OpticalChannel::paper_setup(),
-                CaptureConfig {
-                    seed,
-                    ..CaptureConfig::default()
-                },
-            );
-            rig.settle_exposure(&emitter, 12);
-            let airtime = tr.duration(cfg.symbol_rate);
-            let frames = rig.capture_video(&emitter, 0.002, (airtime * device.fps) as usize);
-            let mut rx = Receiver::new(cfg.clone(), device.row_time()).unwrap();
+            let sim = simulator(cfg.clone(), &device, seed).expect("8-CSK 3 kHz is realizable");
+            let run = sim.prepare_data(&data).expect("link runs");
+            let mut rx = sim.receiver().expect("coded receiver");
             rx.set_erasures_enabled(erasures);
-            for f in &frames {
-                rx.process_frame(f);
-            }
-            let report = rx.finish();
-            ok += report.stats.packets_ok;
-            fail += report.stats.packets_rs_failed;
-            sent += tr.packets.iter().filter(|p| p.chunk.is_some()).count();
+            let m = sim.decode(&run, rx);
+            ok += m.report.stats.packets_ok;
+            fail += m.report.stats.packets_rs_failed;
+            deliveries.push(m.packet_delivery);
         }
+        // Every seed sends the same packets, so the mean per-seed delivery
+        // is the pooled one.
+        let delivery = mean_std(deliveries).0;
         reporter.add_value(Value::object([
             ("ablation", Value::from("erasures")),
             ("mode", Value::from(label)),
             ("packets_ok", Value::from(ok as i64)),
             ("rs_failures", Value::from(fail as i64)),
-            ("delivery", Value::from(ok as f64 / sent.max(1) as f64)),
+            ("delivery", Value::from(delivery)),
         ]));
-        reporter.say(format!(
-            "{label}\t{ok}\t{fail}\t{:.2}",
-            ok as f64 / sent.max(1) as f64
-        ));
+        reporter.say(format!("{label}\t{ok}\t{fail}\t{delivery:.2}"));
     }
     reporter.say("(Every packet loses a gap's worth of symbols; with their positions");
     reporter.say("known from the size header each costs one parity byte — as unknown");
@@ -181,15 +148,7 @@ fn ablate_frame_lock(reporter: &mut Reporter) {
         for &seed in &SEEDS {
             let mut cfg = LinkConfig::paper_default(CskOrder::Csk8, 2000.0, device.loss_ratio());
             cfg.packet_wire_override = over;
-            let Ok(sim) = LinkSimulator::new(
-                cfg,
-                device.clone(),
-                OpticalChannel::paper_setup(),
-                CaptureConfig {
-                    seed,
-                    ..CaptureConfig::default()
-                },
-            ) else {
+            let Some(sim) = simulator(cfg, &device, seed) else {
                 continue;
             };
             if let Ok(m) = sim.run_random(2.0, seed ^ 0x1234) {

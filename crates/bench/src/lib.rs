@@ -1,16 +1,20 @@
 //! # colorbars-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section 8 and the
+//! The binaries regenerate the paper's evaluation (Section 8 and the
 //! design-study figures), each printing the same rows/series the paper
-//! reports. See DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-//! for recorded paper-vs-measured results.
+//! reports. Section 8 draws on two sweeps of one operating-point grid, so
+//! two binaries run them once each and print every view: `raw_grid`
+//! (Table 1, Figs 9–10) and `coded_grid` (Fig 11 and the FSK/OOK baseline
+//! comparison). See DESIGN.md §3 for the experiment index and
+//! EXPERIMENTS.md for recorded paper-vs-measured results.
 //!
 //! Shared machinery lives here: the seed-averaged link sweep (experiments
 //! average over capture-phase seeds, since transmitter and camera clocks
-//! are unsynchronized), simple table formatting, the operating-point
-//! grid the paper uses (4/8/16/32-CSK × 1–4 kHz × Nexus 5/iPhone 5S), and
-//! the [`Reporter`] every bench binary uses to write a machine-readable
-//! `results/<experiment>.json` run report alongside its stdout table.
+//! are unsynchronized), the operating-point grid the paper uses
+//! ([`paper_grid`]: Nexus 5/iPhone 5S × 4/8/16/32-CSK × 1–4 kHz) and its
+//! per-device tables, and the [`Reporter`] every bench binary uses to write
+//! a machine-readable `results/<experiment>.json` run report alongside its
+//! stdout table.
 //!
 //! ## The sweep pool
 //!
@@ -41,6 +45,13 @@ pub const RATES: [f64; 4] = [1000.0, 2000.0, 3000.0, 4000.0];
 /// Capture-phase seeds each operating point is averaged over.
 pub const SEEDS: [u64; 5] = [7, 21, 63, 105, 177];
 
+/// Airtime of each uncoded run of the paper grid, seconds (Table 1,
+/// Figs 9–10).
+pub const RAW_SECONDS: f64 = 1.5;
+
+/// Airtime of each coded run of the paper grid, seconds (Fig 11).
+pub const CODED_SECONDS: f64 = 2.0;
+
 /// The two evaluation devices.
 pub fn devices() -> [(&'static str, DeviceProfile); 2] {
     [
@@ -61,7 +72,7 @@ pub enum SweepMode {
 
 /// Seed-averaged metrics at one operating point, with the per-seed spread
 /// of the headline metrics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AveragedMetrics {
     /// Mean symbol error rate.
     pub ser: f64,
@@ -152,6 +163,32 @@ pub struct GridPoint {
     pub order: CskOrder,
     /// Symbol rate, Hz.
     pub rate_hz: f64,
+}
+
+impl std::fmt::Display for GridPoint {
+    /// `Nexus 5 32CSK @ 4 kHz`, as footers name a cell.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let khz = self.rate_hz / 1000.0;
+        write!(f, "{} {} @ {khz} kHz", self.device.name, self.order)
+    }
+}
+
+/// The paper's evaluation grid in print order: device-major (as
+/// [`devices`]), then [`CskOrder::ALL`], then [`RATES`].
+pub fn paper_grid() -> Vec<GridPoint> {
+    let mut points = Vec::new();
+    for (_, device) in devices() {
+        for order in CskOrder::ALL {
+            for rate_hz in RATES {
+                points.push(GridPoint {
+                    device: device.clone(),
+                    order,
+                    rate_hz,
+                });
+            }
+        }
+    }
+    points
 }
 
 /// Run every `(point, seed)` cell of the grid through one bounded worker
@@ -249,16 +286,10 @@ pub fn run_point(
         .flatten()
 }
 
-/// Print a table header in the harness's uniform style.
-pub fn print_header(title: &str, columns: &[&str]) {
-    println!("\n=== {title} ===");
-    println!("{}", columns.join("\t"));
-}
-
 /// One labeled result row for machine-readable output.
 #[derive(Debug, Clone)]
 pub struct ResultRow {
-    /// Experiment id (e.g. "fig9").
+    /// Experiment id (e.g. "raw_grid").
     pub experiment: String,
     /// Device name.
     pub device: String,
@@ -388,6 +419,78 @@ pub fn cell(v: Option<f64>, digits: usize) -> String {
     }
 }
 
+/// One measured cell of the paper grid: the operating point and its seed
+/// average (`None` where no seed produced a result).
+pub type GridCell = (GridPoint, Option<AveragedMetrics>);
+
+/// Cells per device in [`paper_grid`]: one per order × rate.
+const DEVICE_CELLS: usize = CskOrder::ALL.len() * RATES.len();
+
+/// Run [`paper_grid`] once through [`run_grid`] and record one
+/// [`ResultRow`] per measured cell, tagged with the report's experiment.
+/// Every table a binary prints of the sweep is a view of these cells.
+pub fn measure_paper_grid(reporter: &mut Reporter, seconds: f64, mode: SweepMode) -> Vec<GridCell> {
+    let points = paper_grid();
+    let results = run_grid(&points, seconds, mode);
+    for (point, metrics) in points.iter().zip(&results) {
+        if let Some(metrics) = metrics {
+            let row = ResultRow {
+                experiment: reporter.report.experiment().to_string(),
+                device: point.device.name.to_string(),
+                order: point.order.points(),
+                rate_hz: point.rate_hz,
+                metrics: metrics.clone(),
+            };
+            reporter.add(&row);
+        }
+    }
+    points.into_iter().zip(results).collect()
+}
+
+/// Print one table per device of a [`measure_paper_grid`] sweep in the
+/// paper's figure layout: a row per order, a column per rate, each cell
+/// `value` to `digits` decimals (`n/a` where the point has no result).
+pub fn print_grid_tables(
+    reporter: &mut Reporter,
+    grid: &[GridCell],
+    figure: &str,
+    quantity: &str,
+    value: fn(&AveragedMetrics) -> f64,
+    digits: usize,
+) {
+    for device in grid.chunks(DEVICE_CELLS) {
+        let name = device[0].0.device.name;
+        reporter.header(
+            &format!("{figure} ({name}): {quantity} vs symbol frequency"),
+            &["order", "1 kHz", "2 kHz", "3 kHz", "4 kHz"],
+        );
+        for row in device.chunks(RATES.len()) {
+            let cells = row.iter().map(|(_, m)| cell(m.as_ref().map(value), digits));
+            let line: Vec<String> = std::iter::once(row[0].0.order.to_string())
+                .chain(cells)
+                .collect();
+            reporter.say(line.join("\t"));
+        }
+    }
+}
+
+/// Each device's largest measured cell of `value` in a
+/// [`measure_paper_grid`] sweep: the measured counterpart a footer prints
+/// beside a paper "peak" claim.
+pub fn device_peaks(
+    grid: &[GridCell],
+    value: fn(&AveragedMetrics) -> f64,
+) -> Vec<(&GridPoint, &AveragedMetrics)> {
+    grid.chunks(DEVICE_CELLS)
+        .filter_map(|device| {
+            device
+                .iter()
+                .filter_map(|(point, m)| Some((point, m.as_ref()?)))
+                .max_by(|a, b| value(a.1).total_cmp(&value(b.1)))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,6 +510,35 @@ mod tests {
         assert_eq!(RATES, [1000.0, 2000.0, 3000.0, 4000.0]);
         assert_eq!(devices()[0].0, "Nexus 5");
         assert_eq!(devices()[1].0, "iPhone 5S");
+    }
+
+    #[test]
+    fn paper_grid_is_device_major_and_peaks_skip_missing_cells() {
+        let points = paper_grid();
+        assert_eq!(points.len(), 2 * DEVICE_CELLS);
+        assert_eq!(points[5].to_string(), "Nexus 5 8CSK @ 2 kHz");
+        assert_eq!(points[DEVICE_CELLS].to_string(), "iPhone 5S 4CSK @ 1 kHz");
+        // Goodput rises along the grid; each device's last cell is missing.
+        let grid: Vec<GridCell> = points
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let last = i % DEVICE_CELLS == DEVICE_CELLS - 1;
+                let m = AveragedMetrics {
+                    goodput_bps: i as f64,
+                    ..Default::default()
+                };
+                (p, (!last).then_some(m))
+            })
+            .collect();
+        let peaks: Vec<String> = device_peaks(&grid, |m| m.goodput_bps)
+            .into_iter()
+            .map(|(p, m)| format!("{p} {}", m.goodput_bps))
+            .collect();
+        assert_eq!(
+            peaks,
+            ["Nexus 5 32CSK @ 3 kHz 14", "iPhone 5S 32CSK @ 3 kHz 30"]
+        );
     }
 
     #[test]
@@ -430,6 +562,34 @@ mod tests {
         assert_eq!(run_pool(one, 16), vec![7]);
         let empty: Vec<fn() -> i32> = Vec::new();
         assert!(run_pool(empty, 8).is_empty());
+    }
+
+    /// A cell is the same number whichever grid measures it: a run is
+    /// seeded by its point and seed, never by its job index or the worker
+    /// that drains it. Ablation 1 reads Fig 9's cell through `run_point`
+    /// on this invariant.
+    #[test]
+    fn grid_cell_does_not_depend_on_its_grid() {
+        let _guard = sweep_lock();
+        let [(_, nexus), (_, iphone)] = devices();
+        let point = |device: &DeviceProfile, order, rate_hz| GridPoint {
+            device: device.clone(),
+            order,
+            rate_hz,
+        };
+        let points = [
+            point(&iphone, CskOrder::Csk16, 4000.0),
+            point(&nexus, CskOrder::Csk8, 3000.0),
+            point(&iphone, CskOrder::Csk4, 2000.0),
+        ];
+        for threads in ["1", "2"] {
+            std::env::set_var("COLORBARS_SWEEP_THREADS", threads);
+            let in_grid = run_grid(&points, 0.3, SweepMode::Raw).swap_remove(1);
+            let alone = run_point(CskOrder::Csk8, 3000.0, &nexus, 0.3, SweepMode::Raw);
+            assert_eq!(alone.as_ref().map(|m| m.runs), Some(SEEDS.len()));
+            assert_eq!(in_grid, alone, "{threads} sweep threads");
+        }
+        std::env::remove_var("COLORBARS_SWEEP_THREADS");
     }
 
     #[test]

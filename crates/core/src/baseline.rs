@@ -14,7 +14,7 @@
 //!   limitation CSK removes by carrying `log2(M)` bits in a *single* band.
 //!
 //! Both are implemented against the same `LedEmitter`/`CameraRig`
-//! substrate as ColorBars, so the `baseline_comparison` bench compares all
+//! substrate as ColorBars, so the `coded_grid` bench compares all
 //! three under identical physics.
 
 use crate::segmentation::row_signal;

@@ -13,7 +13,7 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "experiment": "fig9_ser",
+//!   "experiment": "raw_grid",
 //!   "created_unix_ms": 1754512345678,
 //!   "config": { ... },              // free-form experiment parameters
 //!   "seeds": [7, 21, 63, 105, 177],

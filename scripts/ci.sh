@@ -121,4 +121,43 @@ cargo run --release -p colorbars-bench --bin postmortem -- \
 cargo run --release -p colorbars-bench --bin doctor -- \
     --flight "$CI_TMP/results/flight/gateway.fdr.json"
 
+echo "==> results gate (deterministic bins reprint their committed results/*.txt)"
+# Every committed transcript must be what this tree prints. gateway is not
+# gated: its latencies vary from run to run.
+RESULTS_BINS="raw_grid coded_grid ablations fig1_constellations fig3b_flicker
+    fig3c_bandwidth fig6_diversity fig8b_lab_variance ext_constellation_opt
+    ext_distance_sweep ext_fec ext_gray_mapping ext_highorder ext_multi_tx"
+for bin in $RESULTS_BINS; do
+    COLORBARS_RESULTS_DIR="$CI_TMP/fresh" \
+        cargo run --release -q -p colorbars-bench --bin "$bin" > /dev/null
+done
+# $1: a directory of transcripts to hold the fresh ones against.
+results_match() {
+    local status=0
+    for bin in $RESULTS_BINS; do
+        diff -u "$1/$bin.txt" "$CI_TMP/fresh/$bin.txt" || status=1
+    done
+    return "$status"
+}
+results_match results
+
+echo "==> results gate drill (one edited Fig 9 digit must fail the comparison)"
+# Bump the last digit of Fig 9's first 4CSK row in a copy of results/.
+cp -r results "$CI_TMP/edited"
+awk '/^=== Fig 9 / { fig9 = 1 }
+     fig9 && /^4CSK\t/ && !done {
+         d = substr($0, length($0))
+         $0 = substr($0, 1, length($0) - 1) (d == "9" ? "0" : d + 1)
+         done = 1
+     }
+     { print }' results/raw_grid.txt > "$CI_TMP/edited/raw_grid.txt"
+if cmp -s results/raw_grid.txt "$CI_TMP/edited/raw_grid.txt"; then
+    echo "ERROR: results gate drill edited nothing" >&2
+    exit 1
+fi
+if results_match "$CI_TMP/edited" > /dev/null; then
+    echo "ERROR: results gate failed to fail on an edited Fig 9 cell" >&2
+    exit 1
+fi
+
 echo "CI passed."
