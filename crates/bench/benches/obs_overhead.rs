@@ -8,8 +8,7 @@
 //! same tiny simulation:
 //!
 //! * `disabled` — obs never initialised (the default for library users),
-//! * `enabled`  — spans/counters/events recorded into the in-memory
-//!   registries (no JSONL mirror),
+//! * `enabled`  — spans/counters recorded into the in-memory registry,
 //! * `enabled+trace` — as `enabled`, with the per-thread span timeline
 //!   buffers recording too (a trace destination is configured),
 //!

@@ -13,24 +13,20 @@
 //! doctor <report.json> [--trace <trace.json>] [--min-tracks N]
 //!        [--fec-results <path>]
 //! doctor --live <live.jsonl> [--threshold X]
-//! doctor --flight <dump.fdr.json>
 //! ```
 //!
 //! The gap-loss advisory mines a recorded `ext_fec` sweep for the best
 //! interleave depth; `--fec-results` points it at a non-default sweep
-//! report (default `results/ext_fec.json`). `--flight` cross-checks a
-//! flight-recorder dump's journey ring against its packet-ledger counters
-//! (`colorbars_obs::doctor::cross_check_journeys`) — the same agreement
-//! `postmortem --replay` enforces.
+//! report (default `results/ext_fec.json`). A flight dump's journey/ledger
+//! agreement is `postmortem --replay`'s check.
 //!
 //! Exit codes: 0 — diagnosis consistent (and trace valid, when given; no
-//! fleet outliers, when `--live`; journeys ↔ ledger agree, when
-//! `--flight`); 1 — an invariant violated (attributed losses don't sum to
-//! totals, the trace is malformed / has fewer tracks than `--min-tracks`,
-//! a live session diverges from the fleet, or the dump's journey counts
-//! disagree with its ledger); 2 — usage or I/O error.
+//! fleet outliers, when `--live`); 1 — an invariant violated (attributed
+//! losses don't sum to totals, the trace is malformed / has fewer tracks
+//! than `--min-tracks`, or a live session diverges from the fleet); 2 —
+//! usage or I/O error.
 
-use colorbars_obs::doctor::{cross_check_journeys, review_live_jsonl, Doctor};
+use colorbars_obs::doctor::{review_live_jsonl, Doctor};
 use colorbars_obs::Value;
 use std::process::ExitCode;
 
@@ -55,7 +51,6 @@ fn main() -> ExitCode {
                  [--fec-results <path>]"
             );
             eprintln!("       doctor --live <live.jsonl> [--threshold X]");
-            eprintln!("       doctor --flight <dump.fdr.json>");
             ExitCode::from(2)
         }
     }
@@ -65,7 +60,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut report_path: Option<&str> = None;
     let mut trace_path: Option<&str> = None;
     let mut live_path: Option<&str> = None;
-    let mut flight_path: Option<&str> = None;
     let mut fec_results: Option<&str> = None;
     let mut min_tracks: usize = 1;
     let mut threshold = DEFAULT_LIVE_THRESHOLD;
@@ -77,9 +71,6 @@ fn run(args: &[String]) -> Result<bool, String> {
             }
             "--live" => {
                 live_path = Some(it.next().ok_or("--live needs a path")?);
-            }
-            "--flight" => {
-                flight_path = Some(it.next().ok_or("--flight needs a path")?);
             }
             "--fec-results" => {
                 fec_results = Some(it.next().ok_or("--fec-results needs a path")?);
@@ -110,16 +101,10 @@ fn run(args: &[String]) -> Result<bool, String> {
     }
 
     if let Some(live_path) = live_path {
-        if report_path.is_some() || trace_path.is_some() || flight_path.is_some() {
+        if report_path.is_some() || trace_path.is_some() {
             return Err("--live reviews a snapshot stream on its own".to_string());
         }
         return review_live(live_path, threshold);
-    }
-    if let Some(flight_path) = flight_path {
-        if report_path.is_some() || trace_path.is_some() {
-            return Err("--flight reviews a flight dump on its own".to_string());
-        }
-        return review_flight(flight_path);
     }
     let report_path = report_path.ok_or("no run report given")?;
 
@@ -168,17 +153,6 @@ fn review_live(path: &str, threshold: f64) -> Result<bool, String> {
     let review = review_live_jsonl(&body, threshold)?;
     print!("{}", review.render_text());
     let healthy = review.flagged().is_empty();
-    println!("doctor: {}", if healthy { "ok" } else { "UNHEALTHY" });
-    Ok(healthy)
-}
-
-/// `--flight` mode: cross-check a flight dump's journey ring against its
-/// packet-ledger counter snapshot.
-fn review_flight(path: &str) -> Result<bool, String> {
-    let dump = parse_file(path)?;
-    let check = cross_check_journeys(&dump);
-    print!("{}", check.render_text());
-    let healthy = check.is_consistent();
     println!("doctor: {}", if healthy { "ok" } else { "UNHEALTHY" });
     Ok(healthy)
 }

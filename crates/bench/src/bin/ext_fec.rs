@@ -242,7 +242,7 @@ fn sweep(smoke: bool) {
         reporter.say("parity spends 1 byte per declared-erasure byte instead of the paper's 2,");
         reporter.say("and deinterleaving spreads each inter-frame burst across the group.)");
     } else {
-        reporter.say("(No interleaved point produced a result — see sweep.seed_failed events.)");
+        reporter.say("(No interleaved point produced a result.)");
     }
     reporter.finish();
 }

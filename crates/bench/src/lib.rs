@@ -219,51 +219,18 @@ pub fn run_grid(
         .collect()
 }
 
-/// One seed of one operating point: a full link simulation plus the
-/// per-seed observability events. Returns `None` when the point is
-/// unrealizable or the run fails.
+/// One seed of one operating point: a full link simulation. Returns `None`
+/// when the point is unrealizable or the run fails.
 fn run_seed(point: &GridPoint, seconds: f64, mode: SweepMode, seed: u64) -> Option<LinkMetrics> {
     let _span = obs::span!("bench.seed_run");
     obs::counter!("bench.seed_runs");
-    let fields = [
-        ("seed", Value::from(seed)),
-        ("order", Value::from(point.order.points())),
-        ("rate_hz", Value::from(point.rate_hz)),
-        ("device", Value::from(point.device.name)),
-    ];
-    let Ok(sim) =
-        LinkSimulator::paper_setup(point.order, point.rate_hz, point.device.clone(), seed)
-    else {
-        obs::event("sweep.seed_skipped", fields);
-        return None;
-    };
+    let sim =
+        LinkSimulator::paper_setup(point.order, point.rate_hz, point.device.clone(), seed).ok()?;
     let result = match mode {
         SweepMode::Raw => sim.run_raw(seconds, seed ^ 0xABCD),
         SweepMode::Coded => sim.run_random(seconds, seed ^ 0xABCD),
     };
-    match result {
-        Ok(m) => {
-            // Per-seed metrics go to the event sink instead of being
-            // discarded in the average: a run report can show the seed
-            // spread behind every table cell.
-            let mut with_metrics = fields.to_vec();
-            with_metrics.extend([
-                ("ser", Value::from(m.ser)),
-                ("throughput_bps", Value::from(m.throughput_bps)),
-                ("goodput_bps", Value::from(m.goodput_bps)),
-                ("loss_ratio", Value::from(m.loss_ratio)),
-                ("packet_delivery", Value::from(m.packet_delivery)),
-            ]);
-            obs::event("sweep.seed_metrics", with_metrics);
-            Some(m)
-        }
-        Err(e) => {
-            let mut with_reason = fields.to_vec();
-            with_reason.push(("reason", Value::from(e.kind())));
-            obs::event("sweep.seed_failed", with_reason);
-            None
-        }
-    }
+    result.ok()
 }
 
 /// Run one operating point, averaged over [`SEEDS`], through the same
@@ -323,9 +290,7 @@ pub fn results_dir() -> String {
 /// The per-binary run reporter: turns on the observability layer, collects
 /// result rows while the experiment prints its stdout table, and on
 /// [`Reporter::finish`] writes `results/<experiment>.json` carrying the
-/// rows plus every span timing, stage counter, and buffered event of the
-/// run (including the per-seed `sweep.seed_metrics` events of
-/// [`run_point`]).
+/// rows plus every span timing and stage counter of the run.
 #[derive(Debug)]
 pub struct Reporter {
     report: obs::RunReport,
@@ -333,9 +298,8 @@ pub struct Reporter {
 }
 
 impl Reporter {
-    /// Start a report for `experiment` and enable observability (honoring
-    /// `COLORBARS_OBS_JSONL` for an event mirror). Metrics accumulated by
-    /// earlier runs in the process are cleared.
+    /// Start a report for `experiment` and enable observability. Metrics
+    /// accumulated by earlier runs in the process are cleared.
     pub fn new(experiment: &str) -> Reporter {
         obs::init(obs::ObsConfig::from_env());
         obs::reset();
@@ -495,8 +459,9 @@ pub fn device_peaks(
 mod tests {
     use super::*;
 
-    /// The obs event sink is global: tests that drive `run_point` (which
-    /// emits events whenever a sibling test has enabled obs) must not
+    /// The obs registry and the `COLORBARS_*` environment are process-wide:
+    /// tests that drive `run_point` (which counts into the registry whenever
+    /// a sibling test has enabled obs) or set those variables must not
     /// interleave.
     fn sweep_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
@@ -724,22 +689,5 @@ mod tests {
         assert!(diagnosis.dominant().is_some());
         obs::disable();
         obs::reset();
-    }
-
-    #[test]
-    fn run_point_logs_per_seed_metrics_to_event_sink() {
-        let _guard = sweep_lock();
-        obs::init(obs::ObsConfig::default());
-        obs::reset();
-        let (_, dev) = &devices()[0];
-        let m =
-            run_point(CskOrder::Csk8, 3000.0, dev, 0.2, SweepMode::Raw).expect("realizable point");
-        let events = obs::take_events();
-        let per_seed = events
-            .iter()
-            .filter(|e| e.name == "sweep.seed_metrics")
-            .count();
-        assert_eq!(per_seed, m.runs, "one metrics event per successful seed");
-        obs::disable();
     }
 }

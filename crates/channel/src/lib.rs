@@ -87,19 +87,11 @@ impl OpticalChannel {
 
     /// Replace the ambient light (channel condition change mid-experiment).
     pub fn set_ambient(&mut self, ambient: AmbientLight) {
-        colorbars_obs::event(
-            "channel.ambient_changed",
-            [("luma", colorbars_obs::Value::from(ambient.irradiance().y))],
-        );
         self.ambient = ambient;
     }
 
     /// Replace the distance (movement of the receiver).
     pub fn set_distance(&mut self, meters: f64) {
-        colorbars_obs::event(
-            "channel.distance_changed",
-            [("meters", colorbars_obs::Value::from(meters))],
-        );
         self.path.set_distance(meters);
     }
 

@@ -64,11 +64,6 @@ impl LinearRgb {
         )
     }
 
-    /// Maximum component.
-    pub fn max_component(self) -> f64 {
-        self.r.max(self.g).max(self.b)
-    }
-
     /// Minimum component.
     pub fn min_component(self) -> f64 {
         self.r.min(self.g).min(self.b)

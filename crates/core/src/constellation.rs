@@ -33,12 +33,6 @@ pub enum CskOrder {
     Csk32,
     /// 64 points, 6 bits/symbol (beyond-paper extension, DESIGN.md §15).
     Csk64,
-    /// 128 points, 7 bits/symbol (beyond-paper extension).
-    Csk128,
-    /// 256 points, 8 bits/symbol (beyond-paper extension).
-    Csk256,
-    /// 512 points, 9 bits/symbol (beyond-paper extension).
-    Csk512,
 }
 
 impl CskOrder {
@@ -50,9 +44,6 @@ impl CskOrder {
             CskOrder::Csk16 => 16,
             CskOrder::Csk32 => 32,
             CskOrder::Csk64 => 64,
-            CskOrder::Csk128 => 128,
-            CskOrder::Csk256 => 256,
-            CskOrder::Csk512 => 512,
         }
     }
 
@@ -64,9 +55,6 @@ impl CskOrder {
             CskOrder::Csk16 => 4,
             CskOrder::Csk32 => 5,
             CskOrder::Csk64 => 6,
-            CskOrder::Csk128 => 7,
-            CskOrder::Csk256 => 8,
-            CskOrder::Csk512 => 9,
         }
     }
 
@@ -80,15 +68,12 @@ impl CskOrder {
 
     /// Every supported order including the beyond-paper high-order
     /// extension (DESIGN.md §15), ascending.
-    pub const EXTENDED: [CskOrder; 8] = [
+    pub const EXTENDED: [CskOrder; 5] = [
         CskOrder::Csk4,
         CskOrder::Csk8,
         CskOrder::Csk16,
         CskOrder::Csk32,
         CskOrder::Csk64,
-        CskOrder::Csk128,
-        CskOrder::Csk256,
-        CskOrder::Csk512,
     ];
 }
 
@@ -131,7 +116,7 @@ impl Constellation {
             CskOrder::Csk8 => to_points(seed_8(), &gamut),
             CskOrder::Csk16 => to_points(seed_16(), &gamut),
             CskOrder::Csk32 => to_points(seed_32(), &gamut),
-            _ => seed_dense(order.points(), &gamut),
+            CskOrder::Csk64 => seed_dense(order.points(), &gamut),
         };
         refine_max_min(&mut points, &gamut, order);
         Constellation {
@@ -578,22 +563,17 @@ fn to_points(bary: Vec<Barycentric>, gamut: &GamutTriangle) -> Vec<Chromaticity>
     bary.into_iter().map(|w| gamut.point(w)).collect()
 }
 
-/// Dense seed for the high-order extension (M ∈ {64, 128, 256, 512}):
-/// deterministic farthest-point selection over a fixed barycentric
-/// candidate lattice. The first pick is the red vertex, then each pick
-/// maximizes the minimum distance to everything already selected (ties
-/// broken by lattice order), tracked with a running min-distance array so
-/// selection is O(M·C). No RNG anywhere, so construction is reproducible
-/// across runs and platforms.
+/// Dense seed for the high-order extension (64-CSK): deterministic
+/// farthest-point selection over a fixed barycentric candidate lattice.
+/// The first pick is the red vertex, then each pick maximizes the minimum
+/// distance to everything already selected (ties broken by lattice order),
+/// tracked with a running min-distance array so selection is O(M·C). No
+/// RNG anywhere, so construction is reproducible across runs and
+/// platforms.
 fn seed_dense(m: usize, gamut: &GamutTriangle) -> Vec<Chromaticity> {
-    // A lattice of order n has (n+1)(n+2)/2 sites; pick n so the candidate
-    // pool comfortably oversamples the target count (≈3–7× M).
-    let n = match m {
-        64 => 20,
-        128 => 28,
-        256 => 40,
-        _ => 56,
-    };
+    // A lattice of order n has (n+1)(n+2)/2 sites: n = 20 gives 231
+    // candidates, oversampling 64 points ≈3.6×.
+    let n = 20;
     let mut candidates = Vec::with_capacity((n + 1) * (n + 2) / 2);
     for i in 0..=n {
         for j in 0..=(n - i) {

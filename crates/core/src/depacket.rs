@@ -108,8 +108,7 @@ pub enum FailReason {
 
 impl FailReason {
     /// Stable machine-readable identifier, used as the obs counter suffix
-    /// (`rx.packets.<reason>`) and event field for per-stage drop
-    /// accounting.
+    /// (`rx.packets.<reason>`) for per-stage drop accounting.
     pub fn as_str(&self) -> &'static str {
         match self {
             FailReason::BadHeader => "header_lost",

@@ -63,8 +63,7 @@ pub enum LinkError {
 }
 
 impl LinkError {
-    /// Stable machine-readable identifier for the error cause (used as the
-    /// `reason` field of `link.error` obs events).
+    /// Stable machine-readable identifier for the error cause.
     pub fn kind(&self) -> &'static str {
         match self {
             LinkError::UnsupportedSymbolRate { .. } => "unsupported_symbol_rate",

@@ -106,16 +106,7 @@ impl LinkSimulator {
         // Keep the plan honest: the configured loss ratio should match the
         // receiver actually in use.
         config.loss_ratio = device.loss_ratio();
-        if let Err(e) = config.validate() {
-            obs::event(
-                "link.error",
-                [
-                    ("reason", obs::Value::from(e.kind())),
-                    ("detail", obs::Value::from(e.to_string())),
-                ],
-            );
-            return Err(e);
-        }
+        config.validate()?;
         Ok(LinkSimulator {
             config,
             device,

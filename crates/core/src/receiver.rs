@@ -406,16 +406,6 @@ impl Receiver {
         self.report
     }
 
-    /// Convenience: process a recorded clip and return the report — the
-    /// paper's iPhone flow, which captured video on the device and ran the
-    /// decoding procedure offline.
-    pub fn process_video(mut self, frames: &[Frame]) -> ReceiverReport {
-        for f in frames {
-            self.process_frame(f);
-        }
-        self.finish()
-    }
-
     fn classify_bands(&self, frame: &Frame, bands: &[Band]) -> Vec<ClassifiedBand> {
         bands
             .iter()
@@ -467,10 +457,9 @@ impl Receiver {
                 self.equalizer = eq;
                 self.report.stats.eq_trained += 1;
             }
-            Err(e) => {
+            Err(_) => {
                 self.equalizer = None;
                 self.report.stats.eq_fallbacks += 1;
-                obs::event("rx.eq.fallback", [("reason", obs::Value::from(e.kind()))]);
             }
         }
     }

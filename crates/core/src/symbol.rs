@@ -24,8 +24,8 @@ pub enum Symbol {
     /// White illumination symbol (`w`).
     White,
     /// Constellation color symbol carrying `log2(M)` bits. The index is
-    /// `u16` because the high-order extension (DESIGN.md §15) goes to
-    /// 512-CSK.
+    /// `u16`, wider than the 64-point ladder needs (DESIGN.md §15 says
+    /// why).
     Color(u16),
 }
 

@@ -10,7 +10,7 @@
 //! `ext_distance_sweep` bench.
 
 use crate::tri_led::TriLed;
-use colorbars_color::{Chromaticity, Xyz};
+use colorbars_color::Xyz;
 
 /// An array of `count` identical tri-LEDs driven in lockstep.
 ///
@@ -84,11 +84,6 @@ impl TriLedArray {
     /// The array's gamut (same as the element's: chromaticity is unchanged).
     pub fn gamut(&self) -> colorbars_color::GamutTriangle {
         self.element.gamut()
-    }
-
-    /// Array chromaticity at full drive (invariant in the element count).
-    pub fn white_chromaticity(&self) -> Chromaticity {
-        self.full_drive_white().chromaticity()
     }
 }
 

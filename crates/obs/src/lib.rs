@@ -8,7 +8,7 @@
 //! aggregates, and so every bench binary leaves a machine-readable
 //! `results/<experiment>.json` trajectory behind for perf regression work.
 //!
-//! Five pieces:
+//! Four pieces:
 //!
 //! * **Spans** ([`span!`], [`mod@span`]) — hierarchically named wall-clock
 //!   timers (`"rx.process_frame"`, `"camera.capture_frame"`), each
@@ -18,9 +18,6 @@
 //!   process-wide [`live::global`] registry: bands segmented → classified
 //!   → calibrated → depacketized, packets ok / RS-failed / header-lost /
 //!   overrun, and per-stage drop reasons.
-//! * **Events** ([`fn@event`]) — a structured sink (bounded ring buffer plus
-//!   an optional JSONL writer) so a run can be replayed or diffed, e.g. the
-//!   per-seed metrics of a seed-averaged sweep.
 //! * **Run reports** ([`RunReport`]) — a serializer every bench binary uses
 //!   to write `results/<experiment>.json`: result rows + stage counters +
 //!   gauges + span timings + config + seeds, alongside the existing stdout
@@ -51,7 +48,6 @@
 
 pub mod diff;
 pub mod doctor;
-pub mod event;
 pub mod flight;
 pub mod journey;
 pub mod json;
@@ -60,7 +56,6 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use event::{event, event_fields, take_events, Event};
 pub use json::Value;
 pub use live::{
     CounterSample, GaugeSample, HistogramSample, LiveSnapshot, Registry, SnapshotWriter,
@@ -76,8 +71,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Configuration for the observability layer.
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
-    /// Mirror every event to this JSONL file (one JSON object per line).
-    pub jsonl_path: Option<String>,
     /// Record a span timeline and export it as Chrome/Perfetto trace JSON
     /// to this path on every [`flush`] (see [`mod@trace`]).
     pub trace_path: Option<String>,
@@ -93,16 +86,12 @@ pub struct ObsConfig {
 
 impl ObsConfig {
     /// Read the configuration from the environment:
-    /// `COLORBARS_OBS_JSONL=<path>` enables the JSONL event mirror,
     /// `COLORBARS_OBS_TRACE=<path>` enables the span timeline trace,
     /// `COLORBARS_OBS_JOURNEY=1` enables journey provenance, and
     /// `COLORBARS_OBS_FLIGHT=<dir>` arms the failure flight recorder
     /// (`COLORBARS_OBS_FLIGHT_RUN` names the dump, default `"run"`).
     pub fn from_env() -> ObsConfig {
         ObsConfig {
-            jsonl_path: std::env::var("COLORBARS_OBS_JSONL")
-                .ok()
-                .filter(|p| !p.is_empty()),
             trace_path: std::env::var("COLORBARS_OBS_TRACE")
                 .ok()
                 .filter(|p| !p.is_empty()),
@@ -126,14 +115,12 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enable recording with the given configuration. Idempotent; re-initialising
-/// replaces the event sink configuration but keeps accumulated metrics
-/// (call [`reset`] for a clean slate).
+/// Enable recording with the given configuration. Idempotent;
+/// re-initialising keeps accumulated metrics (call [`reset`] for a clean
+/// slate).
 pub fn init(config: ObsConfig) {
-    event::configure_sink(&config);
-    // Like the JSONL sink, an absent trace path keeps any previously
-    // configured trace destination; an unwritable one warns and leaves
-    // tracing off.
+    // An absent trace path keeps any previously configured trace
+    // destination; an unwritable one warns and leaves tracing off.
     if let Some(path) = &config.trace_path {
         trace::configure(Some(path));
     }
@@ -148,36 +135,33 @@ pub fn init(config: ObsConfig) {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Disable recording. Already-accumulated metrics and events are kept and
-/// remain snapshottable.
+/// Disable recording. Already-accumulated metrics are kept and remain
+/// snapshottable.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
 /// Clear the global registry's instruments (its counter sources stay),
-/// span histograms among them, and the buffered events, trace tracks,
-/// journey records, and flight-recorder triggers. The enabled/disabled
-/// state is unchanged.
+/// span histograms among them, and the trace tracks, journey records, and
+/// flight-recorder triggers. The enabled/disabled state is unchanged.
 pub fn reset() {
     live::global().clear();
-    event::reset();
     trace::reset();
     journey::reset();
     flight::reset();
 }
 
-/// Flush every configured sink: the JSONL event mirror, the Chrome trace
-/// file when tracing is active, and the flight-recorder dump when armed
-/// and at least one failure trigger fired. Harnesses call this at end of
-/// run; it is safe to call repeatedly.
+/// Flush every configured sink: the Chrome trace file when tracing is
+/// active, and the flight-recorder dump when armed and at least one
+/// failure trigger fired. Harnesses call this at end of run; it is safe to
+/// call repeatedly.
 pub fn flush() {
-    event::flush();
     trace::flush_to_configured();
     flight::flush_to_configured();
 }
 
 /// A consistent point-in-time view of the global registry's unlabeled
-/// instruments and the event totals.
+/// instruments.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Unlabeled counters of [`live::global`], sorted by name.
@@ -187,17 +171,11 @@ pub struct Snapshot {
     /// Unlabeled histograms of [`live::global`] — every [`span!`] timing
     /// among them — sorted by name.
     pub histograms: Vec<HistogramSample>,
-    /// Events emitted since the last [`reset`] (including ones the ring
-    /// buffer has since dropped).
-    pub events_emitted: u64,
-    /// Events dropped by the bounded ring buffer.
-    pub events_dropped: u64,
 }
 
 /// Take a consistent snapshot. Labeled instruments (per-session ledgers,
 /// rates, histograms) belong to the live plane and are left out.
 pub fn snapshot() -> Snapshot {
-    let (events_emitted, events_dropped) = event::stats();
     let mut live = live::global().snapshot();
     live.counters.retain(|c| c.id.labels.is_empty());
     live.gauges.retain(|g| g.id.labels.is_empty());
@@ -206,8 +184,6 @@ pub fn snapshot() -> Snapshot {
         counters: live.counters,
         gauges: live.gauges,
         histograms: live.histograms,
-        events_emitted,
-        events_dropped,
     }
 }
 
@@ -251,7 +227,6 @@ mod tests {
             .counters
             .iter()
             .all(|c| c.id.name != "test.lib.snapshot"));
-        assert_eq!(snap.events_emitted, 0);
         disable();
     }
 
@@ -264,11 +239,9 @@ mod tests {
         {
             let _span = crate::span!("test.lib.noop_span");
         }
-        event("test.lib.noop_event", [("k", Value::Null)]);
         let snap = snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
-        assert_eq!(snap.events_emitted, 0);
     }
 }

@@ -28,8 +28,8 @@
 //!   ([`LiveSnapshot::render_prometheus`]).
 //! * [`SnapshotWriter`] — a periodic JSONL sink (`COLORBARS_OBS_LIVE`
 //!   path, `COLORBARS_OBS_LIVE_INTERVAL_MS` cadence) that degrades
-//!   gracefully exactly like the event sink: an unwritable path warns once
-//!   and disables itself, never failing the run.
+//!   gracefully: an unwritable path warns once and disables itself, never
+//!   failing the run.
 //! * [`validate_exposition`] — a strict parser for the Prometheus text
 //!   format, used by CI to prove scrapes are well-formed and counters are
 //!   monotone across scrapes.
@@ -1150,9 +1150,9 @@ pub const OBS_LIVE_INTERVAL_ENV: &str = "COLORBARS_OBS_LIVE_INTERVAL_MS";
 /// absent or unparsable.
 pub const DEFAULT_SNAPSHOT_INTERVAL_MS: u64 = 1000;
 
-/// Writes one JSON snapshot line per interval to a file, mirroring the
-/// event sink's graceful degradation: an unopenable or unwritable path
-/// warns on stderr once and disables the writer, never failing the run.
+/// Writes one JSON snapshot line per interval to a file. An unopenable or
+/// unwritable path warns on stderr once and disables the writer, never
+/// failing the run.
 #[derive(Debug)]
 pub struct SnapshotWriter {
     interval: Duration,

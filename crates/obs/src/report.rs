@@ -4,15 +4,15 @@
 //! to its stdout table. The file carries everything a later session needs
 //! to diff two runs or chase a regression: the experiment's result rows,
 //! the configuration and seeds it ran with, the full pipeline-stage counter
-//! set, the span timing histograms, and the buffered event stream. This is
-//! the `BENCH_*.json`-style perf trajectory the roadmap requires before any
-//! optimization PR can prove its claims.
+//! set, and the span timing histograms. This is the `BENCH_*.json`-style
+//! perf trajectory the roadmap requires before any optimization PR can
+//! prove its claims.
 //!
-//! ## Schema (version 1)
+//! ## Schema (version 2)
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "experiment": "raw_grid",
 //!   "created_unix_ms": 1754512345678,
 //!   "config": { ... },              // free-form experiment parameters
@@ -21,10 +21,7 @@
 //!   "spans": [ {"name", "labels", "count", "sum_ms", "min_ms",
 //!               "max_ms", "p50_ms", "p99_ms"} ],  // unlabeled histograms
 //!   "counters": { "rx.packets.ok": 123, ... },   // unlabeled, global registry
-//!   "gauges": { "bench.pool.threads": 2, ... },   // unlabeled, global registry
-//!   "events": [ {"seq", "t_ns", "name", "fields"} ],   // bounded
-//!   "events_emitted": 1234,
-//!   "events_dropped": 0
+//!   "gauges": { "bench.pool.threads": 2, ... }    // unlabeled, global registry
 //! }
 //! ```
 
@@ -33,11 +30,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Current report schema version.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Events retained inline in the report file. The JSONL sink (see
-/// [`crate::event`]) has no such bound; the report keeps its tail.
-const MAX_REPORT_EVENTS: usize = 4096;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// A run report under construction.
 #[derive(Debug, Clone)]
@@ -91,14 +84,9 @@ impl RunReport {
     }
 
     /// Assemble the full report document: rows + config + a snapshot of
-    /// the global registry + the buffered events (drained).
+    /// the global registry.
     pub fn to_json(&self) -> Value {
         let snap = crate::snapshot();
-        let mut events = crate::take_events();
-        let truncated = events.len().saturating_sub(MAX_REPORT_EVENTS);
-        if truncated > 0 {
-            events.drain(..truncated);
-        }
         Value::object([
             ("schema_version", Value::from(SCHEMA_VERSION)),
             ("experiment", Value::from(self.experiment.as_str())),
@@ -129,15 +117,6 @@ impl RunReport {
                         .map(|g| (g.id.name.as_str(), Value::from(g.value))),
                 ),
             ),
-            (
-                "events",
-                Value::Array(events.iter().map(Event::to_json).collect()),
-            ),
-            ("events_emitted", Value::from(snap.events_emitted)),
-            (
-                "events_dropped",
-                Value::from(snap.events_dropped + truncated as u64),
-            ),
         ])
     }
 
@@ -153,8 +132,6 @@ impl RunReport {
         Ok(path)
     }
 }
-
-use crate::event::Event;
 
 /// A parsed run report's `"counters"` member, by name.
 pub fn counters(report: &Value) -> Result<BTreeMap<String, u64>, String> {
@@ -184,6 +161,7 @@ fn unix_ms() -> u64 {
 mod tests {
     use super::*;
     use crate::test_lock;
+    use std::collections::BTreeSet;
 
     #[test]
     fn report_includes_rows_config_and_registries() {
@@ -191,7 +169,6 @@ mod tests {
         crate::init(crate::ObsConfig::default());
         crate::reset();
         crate::counter!("test.report.counter", 5);
-        crate::event("test.report.event", [("seed", Value::from(7u64))]);
         {
             let _s = crate::span!("test.report.span");
         }
@@ -203,10 +180,9 @@ mod tests {
         assert_eq!(report.len(), 1);
 
         let doc = report.to_json().to_pretty();
-        assert!(doc.contains("\"schema_version\": 1"));
+        assert!(doc.contains("\"schema_version\": 2"));
         assert!(doc.contains("\"experiment\": \"unit_report\""));
         assert!(doc.contains("\"test.report.counter\": 5"));
-        assert!(doc.contains("\"test.report.event\""));
         assert!(doc.contains("\"test.report.span\""));
         assert!(doc.contains("\"rate_hz\": 3000"));
         assert!(doc.contains("\"ser\": 0.01"));
@@ -230,24 +206,26 @@ mod tests {
     }
 
     #[test]
-    fn report_event_tail_is_bounded() {
-        let _guard = test_lock::hold();
-        crate::init(crate::ObsConfig::default());
-        crate::reset();
-        // The ring's capacity exceeds MAX_REPORT_EVENTS; the report must
-        // keep only the tail and account for the truncation.
-        for i in 0..(MAX_REPORT_EVENTS as u64 + 10) {
-            crate::event("test.report.flood", [("i", Value::from(i))]);
-        }
-        let report = RunReport::new("flood");
-        let doc = report.to_json();
-        let Value::Object(map) = &doc else {
-            panic!("report is an object")
-        };
-        let Value::Array(events) = &map["events"] else {
-            panic!("events is an array")
-        };
-        assert_eq!(events.len(), MAX_REPORT_EVENTS);
-        crate::disable();
+    fn report_keys_are_exactly_the_documented_schema() {
+        let doc = RunReport::new("schema").to_json();
+        let keys: BTreeSet<&str> = doc
+            .as_object()
+            .expect("report is an object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        let documented = BTreeSet::from([
+            "schema_version",
+            "experiment",
+            "created_unix_ms",
+            "config",
+            "seeds",
+            "rows",
+            "spans",
+            "counters",
+            "gauges",
+        ]);
+        assert_eq!(keys, documented);
+        assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(2));
     }
 }

@@ -105,11 +105,6 @@ impl ReedSolomon {
         self.n - self.k
     }
 
-    /// Maximum number of correctable unknown-location errors `⌊(n−k)/2⌋`.
-    pub fn max_errors(&self) -> usize {
-        (self.n - self.k) / 2
-    }
-
     /// Encode `k` data bytes into an `n`-byte systematic codeword.
     ///
     /// Errors with the actual length if `data.len() != k`.

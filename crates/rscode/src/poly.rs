@@ -30,16 +30,6 @@ impl Poly {
         Poly(bytes.iter().map(|&b| Gf256(b)).collect())
     }
 
-    /// Monomial `c·x^degree`.
-    pub fn monomial(c: Gf256, degree: usize) -> Poly {
-        if c.is_zero() {
-            return Poly::zero();
-        }
-        let mut v = vec![Gf256::ZERO; degree + 1];
-        v[0] = c;
-        Poly(v)
-    }
-
     /// Degree of the polynomial (`None` for the zero polynomial).
     pub fn degree(&self) -> Option<usize> {
         let lead = self.0.iter().position(|c| !c.is_zero())?;

@@ -88,7 +88,6 @@ pub struct MultiLinkSimulator {
     layout: SceneLayout,
     background: AmbientLight,
     capture: CaptureConfig,
-    segmenter: ColumnSegmenterConfig,
     decode_threads: usize,
 }
 
@@ -123,7 +122,6 @@ impl MultiLinkSimulator {
             layout,
             background: AmbientLight::dim_indoor(),
             capture,
-            segmenter: ColumnSegmenterConfig::default(),
             decode_threads: colorbars_core::sweep_threads(),
         })
     }
@@ -168,11 +166,6 @@ impl MultiLinkSimulator {
     /// (default: [`colorbars_core::sweep_threads`]).
     pub fn set_decode_threads(&mut self, threads: usize) {
         self.decode_threads = threads.max(1);
-    }
-
-    /// Override the column segmenter tuning.
-    pub fn set_segmenter(&mut self, cfg: ColumnSegmenterConfig) {
-        self.segmenter = cfg;
     }
 
     /// Override the guard-gap background light (default: dim indoor).
@@ -224,7 +217,7 @@ impl MultiLinkSimulator {
         obs::counter!("scene.frames", frames.len());
 
         // --- Receive side: locate the transmitters, one receiver each.
-        let regions = segment_columns(&frames, &self.segmenter);
+        let regions = segment_columns(&frames, &ColumnSegmenterConfig::default());
         let (assigned, unmatched_regions) = assign_regions(&scene, &regions);
 
         let mut work = Vec::new();
@@ -314,18 +307,6 @@ impl MultiLinkSimulator {
         let total_crosstalk: usize = per_tx.iter().map(|o| o.crosstalk_errors).sum();
         obs::counter!("scene.ser_errors", total_errors);
         obs::counter!("scene.crosstalk_bands", total_crosstalk);
-        obs::event(
-            "scene.run_complete",
-            [
-                ("transmitters", obs::Value::from(n)),
-                ("detected", obs::Value::from(detected)),
-                (
-                    "aggregate_throughput_bps",
-                    obs::Value::from(aggregate_throughput_bps),
-                ),
-                ("mean_ser", obs::Value::from(mean_ser)),
-            ],
-        );
         Ok(MultiLinkMetrics {
             per_tx,
             aggregate_throughput_bps,

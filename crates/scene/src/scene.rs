@@ -19,7 +19,6 @@ use colorbars_camera::SceneRadiance;
 use colorbars_channel::{AmbientLight, BlurKernel, OpticalChannel};
 use colorbars_color::Xyz;
 use colorbars_led::LedEmitter;
-use colorbars_obs as obs;
 
 /// One transmitter of a scene: an emitter behind its own optical channel.
 #[derive(Debug, Clone)]
@@ -149,14 +148,6 @@ impl Scene {
             });
             col += layout.cols_per_tx;
         }
-        obs::event(
-            "scene.composed",
-            [
-                ("transmitters", obs::Value::from(txs.len())),
-                ("width_cols", obs::Value::from(col)),
-                ("bleed", obs::Value::from(layout.bleed)),
-            ],
-        );
         Ok(Scene {
             txs,
             regions,

@@ -108,8 +108,7 @@ echo "==> flight-recorder round trip (injected failure -> dump -> deterministic 
 # the batch reference decode, so triggers fire and a dump is written; the
 # gateway itself exits nonzero if no dump appears. postmortem --replay then
 # re-runs every recorded decode from the dump alone and requires
-# byte-identical verdicts plus journey/ledger count agreement, and
-# doctor --flight re-checks the same ledger agreement independently.
+# byte-identical verdicts plus journey/ledger count agreement.
 COLORBARS_RESULTS_DIR="$CI_TMP/results" \
     cargo run --release -p colorbars-bench --bin gateway -- --smoke --flight
 test -f "$CI_TMP/results/flight/gateway.fdr.json" || {
@@ -118,8 +117,6 @@ test -f "$CI_TMP/results/flight/gateway.fdr.json" || {
 }
 cargo run --release -p colorbars-bench --bin postmortem -- \
     "$CI_TMP/results/flight/gateway.fdr.json" --replay
-cargo run --release -p colorbars-bench --bin doctor -- \
-    --flight "$CI_TMP/results/flight/gateway.fdr.json"
 
 echo "==> results gate (deterministic bins reprint their committed results/*.txt)"
 # Every committed transcript must be what this tree prints. gateway is not

@@ -13,8 +13,8 @@
 //! * [`flicker`] — human flicker-perception model (Bloch's law).
 //! * [`core`] — the ColorBars system itself: constellations, packets,
 //!   transmitter, receiver, calibration, and the end-to-end link simulator.
-//! * [`obs`] — observability: timing spans, pipeline-stage counters,
-//!   structured events, and machine-readable run reports.
+//! * [`obs`] — observability: timing spans, pipeline-stage counters, the
+//!   live telemetry registry, and machine-readable run reports.
 //! * [`scene`] — multi-transmitter spatial scenes: column-span composition,
 //!   receive-side segmentation, and parallel multi-link decode.
 //!
