@@ -6,11 +6,13 @@
 //! bench harness: it times each component with `Instant`, compares the
 //! optimized path against the retained reference path where one exists
 //! (prefix-sum vs walking emitter integration, threshold-table vs `powf`
-//! gamma encode, profile vs per-pixel vignetting, row-parallel vs serial
-//! capture, pooled vs fresh frame buffers), and prints one JSON object. `--smoke` shrinks every
+//! gamma encode, profile vs per-pixel vignetting, lane-kernel vs libm
+//! Box–Muller normals, row-parallel vs serial capture, pooled vs fresh
+//! frame buffers), and prints one JSON object. `--smoke` shrinks every
 //! repetition count so CI can run it in seconds.
 
 use colorbars_bench::{run_point, SweepMode};
+use colorbars_camera::sensor::{fill_normals, gaussian_pair_reference};
 use colorbars_camera::{
     AutoExposure, CameraRig, CaptureConfig, DeviceProfile, ExposureSettings, FramePool, Vignette,
 };
@@ -19,6 +21,8 @@ use colorbars_color::{LinearRgb, Srgb, SrgbQuantizer};
 use colorbars_core::CskOrder;
 use colorbars_led::{DriveLevels, LedEmitter, ScheduledColor, TriLed};
 use colorbars_obs::Value;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Instant;
 
 /// Median-of-runs wall time for `f`, in seconds.
@@ -130,6 +134,28 @@ fn main() {
     fields.push(("vignette_profiles_s", Value::from(fast)));
     fields.push(("vignette_factor_s", Value::from(slow)));
     fields.push(("vignette_speedup", Value::from(slow / fast)));
+
+    // Sensor noise: one Nexus 5 frame's normals, drawn row by row through
+    // the lane kernels as the capture draws them, and through the libm
+    // transform in the same pair order.
+    let mut plane = vec![0.0f64; h * w];
+    let fast = time(reps, || {
+        let mut rng = StdRng::seed_from_u64(1);
+        for row in plane.chunks_mut(w) {
+            fill_normals(&mut rng, row);
+        }
+        std::hint::black_box(&plane);
+    });
+    let slow = time(reps, || {
+        let mut rng = StdRng::seed_from_u64(1);
+        for pair in plane.chunks_exact_mut(2) {
+            (pair[0], pair[1]) = gaussian_pair_reference(&mut rng);
+        }
+        std::hint::black_box(&plane);
+    });
+    fields.push(("normals_s", Value::from(fast)));
+    fields.push(("normals_reference_s", Value::from(slow)));
+    fields.push(("normals_speedup", Value::from(slow / fast)));
 
     // Full frame at Nexus 5 row count, serial and with auto threads.
     let rig = |threads: usize| {

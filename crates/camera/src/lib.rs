@@ -11,7 +11,8 @@
 //!   inter-frame loss ratio), color response (hence receiver diversity) and
 //!   noise floor. Profiles are fit to the paper's published numbers.
 //! * [`sensor`] — the photosite model: exposure integration, shot noise,
-//!   read noise, ISO gain, full-well clipping.
+//!   read noise, ISO gain, full-well clipping, and the Box–Muller lanes
+//!   that draw the noise.
 //! * [`bayer`] — the color filter array: mosaic sampling and bilinear
 //!   demosaicing (Section 6.1's source of per-device color differences).
 //! * [`vignette`] — radial lens falloff: the non-uniform brightness of the

@@ -52,6 +52,9 @@
 //!   exposes every photosite in place — the RNG never appears inside the
 //!   per-pixel loop, and the draw order (pairs in sequence, odd row tail
 //!   discards the sine branch) is exactly the scalar spare-keeping order.
+//!   `fill_normals` transforms eight Box–Muller pairs per step through the
+//!   sensor module's own `ln` and `sin_cos` kernels, with no libm call
+//!   (see [`crate::sensor`]).
 //! * **Zero allocations at steady state.** Raw planes, row-irradiance
 //!   scratch and the stored pixel buffer all cycle through a
 //!   [`FramePool`], and the column-run map lives in the rig; a captured

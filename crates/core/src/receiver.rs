@@ -363,7 +363,7 @@ impl Receiver {
         // classifying (sudden ambient changes move the dark floor).
         if let Some(darkest) = bands
             .iter()
-            .min_by(|a, b| a.feature.l.partial_cmp(&b.feature.l).unwrap())
+            .min_by(|a, b| a.feature.l.total_cmp(&b.feature.l))
         {
             let brightest = bands
                 .iter()

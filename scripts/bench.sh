@@ -7,7 +7,8 @@
 # The probe (`perf_probe`) times each optimized component against its
 # retained reference path — prefix-sum vs walking emitter integration,
 # threshold-table vs powf gamma encode, profile vs per-pixel vignetting,
-# row-parallel vs serial capture, steady-state frame-pool pressure — plus
+# lane-kernel vs libm Box–Muller normals, row-parallel vs serial capture,
+# steady-state frame-pool pressure — plus
 # one full sweep operating point. Full runs append
 # `{timestamp, git_rev, probe}` (plus `note` when BENCH_NOTE is set) to
 # BENCH_2.json so the speedup trajectory across commits stays reviewable.
