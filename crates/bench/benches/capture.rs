@@ -1,8 +1,8 @@
 //! Criterion benches for the fast capture path: prefix-sum emitter
-//! integration, row-parallel frame rendering, and one full operating
-//! point. `scripts/bench.sh` records the same quantities with a plain
-//! wall-clock probe (`perf_probe`) into `BENCH_2.json`; these benches are
-//! the statistically careful version for local iteration.
+//! integration and one full operating point. `scripts/bench.sh` records
+//! the same quantities, and a full frame capture, with a plain wall-clock
+//! probe (`perf_probe`) into `BENCH_2.json`; these benches are the
+//! statistically careful version for local iteration.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -57,42 +57,6 @@ fn emitter_integrate(c: &mut Criterion) {
     g.finish();
 }
 
-fn capture_frame(c: &mut Criterion) {
-    use colorbars_camera::{
-        AutoExposure, CameraRig, CaptureConfig, DeviceProfile, ExposureSettings,
-    };
-    use colorbars_channel::OpticalChannel;
-
-    let emitter = long_schedule();
-    let rig_with_threads = |threads: usize| {
-        let mut rig = CameraRig::new(
-            DeviceProfile::nexus5(),
-            OpticalChannel::paper_setup(),
-            CaptureConfig {
-                threads,
-                ..CaptureConfig::default()
-            },
-        );
-        rig.set_exposure_controller(AutoExposure::locked(ExposureSettings {
-            exposure: 60e-6,
-            iso: 200.0,
-        }));
-        rig
-    };
-
-    let mut g = c.benchmark_group("capture");
-    g.sample_size(20);
-    let mut serial = rig_with_threads(1);
-    g.bench_function("capture_frame_nexus5_threads1", |b| {
-        b.iter(|| serial.capture_frame(black_box(&emitter), 0.02))
-    });
-    let mut auto = rig_with_threads(0);
-    g.bench_function("capture_frame_nexus5_threads_auto", |b| {
-        b.iter(|| auto.capture_frame(black_box(&emitter), 0.02))
-    });
-    g.finish();
-}
-
 fn operating_point(c: &mut Criterion) {
     use colorbars_bench::{run_point, SweepMode};
     use colorbars_camera::DeviceProfile;
@@ -115,5 +79,5 @@ fn operating_point(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, emitter_integrate, capture_frame, operating_point);
+criterion_group!(benches, emitter_integrate, operating_point);
 criterion_main!(benches);

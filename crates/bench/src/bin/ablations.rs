@@ -23,13 +23,11 @@ fn main() {
     reporter.finish();
 }
 
-/// The paper's link for `device` at `cfg`, capturing single-threaded from
-/// a `seed`-derived phase, as the paper grid's runs do. (The capture does
-/// not depend on its thread count.)
+/// The paper's link for `device` at `cfg`, capturing from a `seed`-derived
+/// phase, as the paper grid's runs do.
 fn simulator(cfg: LinkConfig, device: &DeviceProfile, seed: u64) -> Option<LinkSimulator> {
     let capture = CaptureConfig {
         seed,
-        threads: 1,
         ..CaptureConfig::default()
     };
     LinkSimulator::new(cfg, device.clone(), OpticalChannel::paper_setup(), capture).ok()

@@ -75,7 +75,6 @@ fn goodput_at(device: &DeviceProfile, distance_m: f64, elements: usize) -> f64 {
     let goodputs = [7u64, 21, 63].into_iter().filter_map(|seed| {
         let capture = CaptureConfig {
             seed,
-            threads: 1,
             ..CaptureConfig::default()
         };
         let sim = LinkSimulator::new(cfg.clone(), device.clone(), channel.clone(), capture).ok()?;

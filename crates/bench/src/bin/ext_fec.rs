@@ -96,11 +96,8 @@ fn run_fec_seed(point: &FecPoint, seconds: f64, seed: u64) -> Option<LinkMetrics
     if point.depth > 0 {
         config = config.with_fec(point.depth);
     }
-    // Mirror `LinkSimulator::paper_setup`: the sweep pool is the only
-    // source of concurrency, so each capture runs single-threaded.
     let capture = CaptureConfig {
         seed,
-        threads: 1,
         ..CaptureConfig::default()
     };
     let sim = LinkSimulator::new(

@@ -155,11 +155,8 @@ fn main() -> ExitCode {
 fn run_highorder_seed(point: &HighOrderPoint, seconds: f64, seed: u64) -> Option<LinkMetrics> {
     let config = LinkConfig::paper_default(point.order, RATE_HZ, point.device.loss_ratio())
         .with_equalizer(point.classifier);
-    // Mirror `LinkSimulator::paper_setup`: the sweep pool is the only
-    // source of concurrency, so each capture runs single-threaded.
     let capture = CaptureConfig {
         seed,
-        threads: 1,
         ..CaptureConfig::default()
     };
     let sim = LinkSimulator::new(

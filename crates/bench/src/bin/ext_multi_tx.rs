@@ -4,14 +4,17 @@
 //! Goes beyond the paper (one LED filling the ROI): 1–4 transmitters are
 //! composed side by side on the image plane with guard gaps, the receiver
 //! segments the columns by temporal variance, and one decoder runs per
-//! detected region (fanned out through the shared worker pool). Reported
-//! per cell: per-TX SER/goodput, cross-talk error attribution, and the
-//! aggregate throughput, which should scale with transmitter count since
-//! the links are spatially multiplexed.
+//! detected region. Every (device, order, transmitter count, seed) run is
+//! independent, so the runs fan out through the sweep pool and each cell
+//! averages its successful seeds. Reported per cell: per-TX SER/goodput,
+//! cross-talk error attribution, and the aggregate throughput, which
+//! should scale with transmitter count since the links are spatially
+//! multiplexed.
 //!
 //! `--smoke` runs a single reduced cell set for CI.
 
-use colorbars_bench::{cell, devices, Reporter};
+use colorbars_bench::{cell, devices, run_pool, sweep_threads, Reporter};
+use colorbars_camera::DeviceProfile;
 use colorbars_core::CskOrder;
 use colorbars_obs::Value;
 use colorbars_scene::{MultiLinkMetrics, MultiLinkSimulator, SceneMode};
@@ -57,7 +60,20 @@ fn main() {
         ),
     ]));
 
-    for (name, device) in &device_list {
+    // Jobs in print order: device, order, transmitter count, then seed.
+    let mut jobs = Vec::new();
+    for (_, device) in &device_list {
+        for &order in orders {
+            for &tx_count in tx_counts {
+                for &seed in seeds {
+                    jobs.push(move || run_seed(device, order, tx_count, seconds, seed));
+                }
+            }
+        }
+    }
+    let mut outcomes = run_pool(jobs, sweep_threads()).into_iter();
+
+    for (name, _) in &device_list {
         reporter.header(
             &format!("Ext ({name}): aggregate throughput (bps) vs transmitters, {RATE_HZ} Hz"),
             &["order", "1 TX", "2 TX", "3 TX", "4 TX"],
@@ -65,25 +81,8 @@ fn main() {
         for &order in orders {
             let mut row = vec![format!("{order}")];
             for &tx_count in tx_counts {
-                let mut runs: Vec<MultiLinkMetrics> = Vec::new();
-                for &seed in seeds {
-                    let sim = match MultiLinkSimulator::paper_setup(
-                        order,
-                        RATE_HZ,
-                        device.clone(),
-                        tx_count,
-                        seed,
-                    ) {
-                        Ok(sim) => sim,
-                        // Unrealizable operating point (RS budget): the
-                        // whole cell is n/a, like the single-link sweeps.
-                        Err(_) => break,
-                    };
-                    match sim.run(SceneMode::Coded, seconds, seed) {
-                        Ok(m) => runs.push(m),
-                        Err(_) => break,
-                    }
-                }
+                let runs: Vec<MultiLinkMetrics> =
+                    outcomes.by_ref().take(seeds.len()).flatten().collect();
                 if runs.is_empty() {
                     row.push(cell(None, 0));
                     continue;
@@ -122,6 +121,22 @@ fn main() {
     reporter.say("with transmitter count while per-TX rates stay near the single-link");
     reporter.say("figure; crosstalk_errors attributes residual SER to neighbors.)");
     reporter.finish();
+}
+
+/// One seed of one cell: a full coded scene run. `None` when the operating
+/// point is unrealizable (RS budget) or the run fails; a cell with no
+/// successful seed prints n/a, like the single-link sweeps.
+fn run_seed(
+    device: &DeviceProfile,
+    order: CskOrder,
+    tx_count: usize,
+    seconds: f64,
+    seed: u64,
+) -> Option<MultiLinkMetrics> {
+    MultiLinkSimulator::paper_setup(order, RATE_HZ, device.clone(), tx_count, seed)
+        .ok()?
+        .run(SceneMode::Coded, seconds, seed)
+        .ok()
 }
 
 /// Per-transmitter detail averaged over the seed runs (every run has the

@@ -7,8 +7,8 @@
 //! optimized path against the retained reference path where one exists
 //! (prefix-sum vs walking emitter integration, threshold-table vs `powf`
 //! gamma encode, profile vs per-pixel vignetting, lane-kernel vs libm
-//! Box–Muller normals, row-parallel vs serial capture, pooled vs fresh
-//! frame buffers), and prints one JSON object. `--smoke` shrinks every
+//! Box–Muller normals, pooled vs fresh frame buffers), times one full
+//! frame capture, and prints one JSON object. `--smoke` shrinks every
 //! repetition count so CI can run it in seconds.
 
 use colorbars_bench::{run_point, SweepMode};
@@ -157,42 +157,31 @@ fn main() {
     fields.push(("normals_reference_s", Value::from(slow)));
     fields.push(("normals_speedup", Value::from(slow / fast)));
 
-    // Full frame at Nexus 5 row count, serial and with auto threads.
-    let rig = |threads: usize| {
-        let mut rig = CameraRig::new(
-            DeviceProfile::nexus5(),
-            OpticalChannel::paper_setup(),
-            CaptureConfig {
-                threads,
-                ..CaptureConfig::default()
-            },
-        );
-        rig.set_exposure_controller(AutoExposure::locked(ExposureSettings {
-            exposure: 60e-6,
-            iso: 200.0,
-        }));
-        rig
-    };
-    let mut serial = rig(1);
-    let serial_s = time(reps, || {
-        std::hint::black_box(serial.capture_frame(&emitter, 0.02));
+    // Full frame at Nexus 5 row count. Every capture runs on its caller's
+    // thread; the field keeps its name so the BENCH_2.json trajectory
+    // stays comparable.
+    let mut rig = CameraRig::new(
+        DeviceProfile::nexus5(),
+        OpticalChannel::paper_setup(),
+        CaptureConfig::default(),
+    );
+    rig.set_exposure_controller(AutoExposure::locked(ExposureSettings {
+        exposure: 60e-6,
+        iso: 200.0,
+    }));
+    let capture_s = time(reps, || {
+        std::hint::black_box(rig.capture_frame(&emitter, 0.02));
     });
-    let mut auto = rig(0);
-    let auto_s = time(reps, || {
-        std::hint::black_box(auto.capture_frame(&emitter, 0.02));
-    });
-    fields.push(("capture_frame_threads1_s", Value::from(serial_s)));
-    fields.push(("capture_frame_auto_s", Value::from(auto_s)));
-    fields.push(("capture_thread_speedup", Value::from(serial_s / auto_s)));
+    fields.push(("capture_frame_threads1_s", Value::from(capture_s)));
 
-    // Steady-state pool pressure: the capture loops above warmed the global
+    // Steady-state pool pressure: the capture loop above warmed the global
     // arena, so further captures must recycle every buffer — any miss here
     // is a per-frame allocation the zero-allocation pipeline failed to
     // eliminate.
     let pool = FramePool::global();
     let (hits0, misses0) = (pool.hits(), pool.misses());
     for _ in 0..reps.max(2) {
-        std::hint::black_box(serial.capture_frame(&emitter, 0.02));
+        std::hint::black_box(rig.capture_frame(&emitter, 0.02));
     }
     fields.push(("pool_hits_steady", Value::from(pool.hits() - hits0)));
     fields.push(("pool_misses_steady", Value::from(pool.misses() - misses0)));

@@ -21,10 +21,10 @@
 //! Every `(device, order, rate, seed)` cell of an experiment's grid is an
 //! independent full link simulation, so the harness flattens the whole
 //! grid into one job list and drains it through a single bounded worker
-//! pool ([`run_grid`] / [`run_pool`]) sized to the machine. Each
-//! simulation captures single-threaded (`LinkSimulator::paper_setup` pins
-//! the camera's thread count to 1), which makes the pool width the *only*
-//! source of concurrency — grid × seed fan-out can never oversubscribe.
+//! pool ([`run_grid`] / [`run_pool`]) sized to the machine. A link run
+//! captures and decodes on the thread that runs it, so the pool width is
+//! the *only* source of concurrency — grid × seed fan-out can never
+//! oversubscribe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,11 +33,7 @@ use colorbars_camera::DeviceProfile;
 use colorbars_core::{CskOrder, LinkMetrics, LinkSimulator};
 use colorbars_obs as obs;
 use colorbars_obs::Value;
-
-// The bounded pool primitive moved into `colorbars-core` (the scene
-// decoder drains per-region receiver jobs through the same pool); the
-// bench-facing names are unchanged.
-pub use colorbars_core::pool::{run_pool, sweep_threads};
+use std::sync::Mutex;
 
 /// The symbol rates of the paper's sweeps (Hz).
 pub const RATES: [f64; 4] = [1000.0, 2000.0, 3000.0, 4000.0];
@@ -152,6 +148,62 @@ pub fn mean_std(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
     }
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
     (mean, var.max(0.0).sqrt())
+}
+
+/// Width of the sweep pool: `COLORBARS_SWEEP_THREADS` when set to a
+/// positive integer, else one worker per available core.
+pub fn sweep_threads() -> usize {
+    std::env::var("COLORBARS_SWEEP_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
+/// Drain `jobs` through at most `threads` scoped workers and return the
+/// results in job order. One shared queue feeds the workers, so long jobs
+/// never leave idle threads behind a fixed pre-partition. `threads <= 1`
+/// runs everything inline with no spawns.
+pub fn run_pool<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let n = jobs.len();
+    let threads = threads.clamp(1, n.max(1));
+    if threads <= 1 {
+        return jobs.into_iter().map(|job| job()).collect();
+    }
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let results = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|scope| {
+        for worker in 0..threads {
+            let queue = &queue;
+            let results = &results;
+            scope.spawn(move || {
+                // Name this worker's track so the span timeline groups its
+                // jobs under a stable label (no-op unless tracing).
+                obs::trace::register_thread(&format!("pool-worker-{worker}"));
+                loop {
+                    // Take the job while holding the lock, run it after.
+                    let next = queue.lock().expect("pool queue poisoned").next();
+                    let Some((i, job)) = next else { break };
+                    let out = job();
+                    results
+                        .lock()
+                        .expect("pool results poisoned")
+                        .push((i, out));
+                }
+            });
+        }
+    });
+    let mut results = results.into_inner().expect("pool results poisoned");
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, out)| out).collect()
 }
 
 /// One operating point of the evaluation grid (device × order × rate).
@@ -303,8 +355,8 @@ impl Reporter {
     pub fn new(experiment: &str) -> Reporter {
         obs::init(obs::ObsConfig::from_env());
         obs::reset();
-        // Name the harness thread's timeline track; worker threads register
-        // themselves at the pool/capture entry points.
+        // Name the harness thread's timeline track; pool workers register
+        // their own.
         obs::trace::register_thread("main");
         let mut report = obs::RunReport::new(experiment);
         report.set_seeds(SEEDS);

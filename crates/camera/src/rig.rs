@@ -30,13 +30,13 @@
 //! the `*_scene` entry points capture any scene. There is one photosite
 //! loop, in `f64`, and it is built for speed without changing a stored byte:
 //!
-//! * **Row parallelism.** Rows are independent under the rolling shutter;
-//!   [`CaptureConfig::threads`] spreads both the irradiance integration and
-//!   the photosite loop across scoped worker threads. Sensor noise comes
-//!   from *per-row counter-derived RNG streams* (seeded by a splitmix64 mix
-//!   of `(seed, frame_index, row)`), so the output is bit-identical for
-//!   every thread count — determinism is a function of the seed, not the
-//!   schedule.
+//! * **Per-row noise streams.** Rows are independent under the rolling
+//!   shutter, and each row draws its sensor noise from its own
+//!   *counter-derived RNG stream* (seeded by a splitmix64 mix of
+//!   `(seed, frame_index, row)`), so a row's bytes are a function of the
+//!   seed, the frame and the row alone. A capture runs on its caller's
+//!   thread; independent link runs are what run in parallel, one level up
+//!   in the bench's sweep pool.
 //! * **Hoisted per-pixel constants.** The radial vignetting factor
 //!   decomposes into cached row + column profiles
 //!   ([`Vignette::profiles`]), gamma encoding uses the exact
@@ -64,14 +64,14 @@
 
 use crate::bayer::{demosaic_bilinear_with, CfaChannel};
 use crate::device::DeviceProfile;
-use crate::exposure::AutoExposure;
+use crate::exposure::{AutoExposure, ExposureSettings};
 use crate::frame::{Frame, FrameMeta};
 use crate::pool::FramePool;
 use crate::scene::{SceneRadiance, UniformScene};
 use crate::sensor::fill_normals;
 use crate::vignette::Vignette;
 use colorbars_channel::OpticalChannel;
-use colorbars_color::{LinearRgb, SrgbQuantizer};
+use colorbars_color::{LinearRgb, SrgbQuantizer, Xyz};
 use colorbars_led::LedEmitter;
 use colorbars_obs as obs;
 use rand::rngs::StdRng;
@@ -92,11 +92,9 @@ pub struct CaptureConfig {
     /// encoders do — relevant to the paper's iPhone flow, which recorded
     /// video and decoded offline. Halves chroma resolution in both axes.
     pub chroma_subsample: bool,
-    /// Worker threads for row-parallel capture. `0` means one per
-    /// available core; harnesses that already parallelize *across*
-    /// captures (the bench sweep pool) pin this to 1 so nested parallelism
-    /// cannot oversubscribe the machine. Thread count never changes the
-    /// captured bytes.
+    /// Ignored: every capture runs on its caller's thread. The field is
+    /// kept only because the `linkbench` benchmark's sources still name
+    /// it, and goes when they next change.
     pub threads: usize,
 }
 
@@ -107,7 +105,7 @@ impl Default for CaptureConfig {
             vignette: Vignette::typical(),
             seed: 0xC01_0B52,
             chroma_subsample: false,
-            threads: 0,
+            threads: 1,
         }
     }
 }
@@ -218,7 +216,7 @@ impl CameraRig {
     /// Capture a single frame beginning at `start_time`.
     ///
     /// The frame's bytes depend only on the configuration (seed included)
-    /// and the capture history — never on [`CaptureConfig::threads`].
+    /// and the capture history.
     pub fn capture_frame(&mut self, emitter: &LedEmitter, start_time: f64) -> Frame {
         let scene = UniformScene::new(emitter, &self.channel);
         self.camera.capture_frame(&scene, start_time)
@@ -313,26 +311,22 @@ impl Camera {
         let settings = self.ae.settings();
         let row_time = self.device.row_time();
         let frame_index = self.frames_captured;
-        let threads = self.resolve_threads(rows);
         let regions = scene.region_count();
         assert!(regions >= 1, "a scene must have at least one region");
         self.map_column_runs(scene, width, regions);
 
         // Step 1: per-(row, region) mean irradiance over each row's
-        // exposure window, region-major (`light[k * rows + r]`). Rows are
-        // independent — row-parallel; regions are few. Scratch buffers come
-        // from the frame pool; every element is overwritten, so reuse needs
-        // no clearing.
+        // exposure window, region-major (`light[k * rows + r]`). Scratch
+        // buffers come from the frame pool; every element is overwritten,
+        // so reuse needs no clearing.
         let mut light = self.pool.take_row_light(regions * rows);
         {
             let _stage = obs::span!("camera.rows_integrate");
             for (k, region) in light.chunks_mut(rows).enumerate() {
-                par_row_chunks(region, 1, threads, |first, chunk| {
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        let t0 = start_time + (first + i) as f64 * row_time;
-                        *out = scene.region_mean(k, t0, t0 + settings.exposure);
-                    }
-                });
+                for (r, out) in region.iter_mut().enumerate() {
+                    let t0 = start_time + r as f64 * row_time;
+                    *out = scene.region_mean(k, t0, t0 + settings.exposure);
+                }
             }
         }
 
@@ -349,68 +343,12 @@ impl Camera {
         // Step 3: per-photosite capture. The device sees the scene through
         // its own color transform; noise applies per photosite in the
         // mosaic domain; demosaic reconstructs RGB; gamma+quantize stores.
-        // Each row draws its noise from its own RNG stream keyed on
-        // (seed, frame, row), so the bytes are identical at every thread
-        // count. Vignetting uses the cached row/column profiles.
-        let m = self.device.xyz_to_linear_srgb();
         self.ensure_vig_cache(rows, width);
-        let seed = self.config.seed;
-        let device = &self.device;
-        let (vrows, vcols) = (&self.vig.vrows[..], &self.vig.vcols[..]);
-        let runs = &self.runs[..];
-        // The mosaic channel depends only on (row % 2, col % 2); hoist the
-        // CFA dispatch into a parity table so the photosite loop indexes
-        // instead of matching per pixel.
-        let cfa_parity = {
-            let idx = |r: usize, c: usize| -> usize {
-                match device.cfa.channel_at(r, c) {
-                    CfaChannel::R => 0,
-                    CfaChannel::G => 1,
-                    CfaChannel::B => 2,
-                }
-            };
-            [[idx(0, 0), idx(0, 1)], [idx(1, 0), idx(1, 1)]]
-        };
         let mut pixels: Vec<[u8; 3]> = self.pool.take_pixels(rows * width);
         let mut raw = self.pool.take_raw_f64(rows * width);
         {
             let _stage = obs::span!("camera.mosaic");
-            par_row_chunks(&mut raw, width, threads, |first, chunk| {
-                for (i, row_raw) in chunk.chunks_mut(width).enumerate() {
-                    let r = first + i;
-                    // The row's normals land in its raw plane first and are
-                    // exposed in place below.
-                    let mut rng = StdRng::seed_from_u64(row_stream_seed(seed, frame_index, r));
-                    fill_normals(&mut rng, row_raw);
-                    let cfa_row = &cfa_parity[r & 1];
-                    let vrow = vrows[r];
-                    for run in runs {
-                        // ISP gamut mapping: scene colors more saturated
-                        // than the output space are desaturated toward
-                        // neutral, not hard-clipped (hard clipping would
-                        // collapse distinct saturated colors).
-                        let rgb =
-                            LinearRgb::from_vec3(m.mul_vec(light[run.region * rows + r].to_vec3()))
-                                .compress_into_gamut();
-                        let channels = [rgb.r, rgb.g, rgb.b];
-                        // Only the mosaic-selected channel is scaled by the
-                        // vignette factor — the other two never leave the
-                        // sensor.
-                        let mosaic = [channels[cfa_row[0]], channels[cfa_row[1]]];
-                        let cols = run.start..run.end;
-                        let photosites = row_raw[cols.clone()].iter_mut().zip(&vcols[cols.clone()]);
-                        for (c, (out, vcol)) in cols.zip(photosites) {
-                            let sample = (mosaic[c & 1] * (vrow + vcol)).max(0.0);
-                            *out = device.sensor.expose_with_noise(
-                                sample,
-                                settings.exposure,
-                                settings.iso,
-                                *out,
-                            );
-                        }
-                    }
-                }
-            });
+            self.expose_mosaic(&mut raw, light, frame_index, settings);
         }
         // Demosaic and gamma encoding fuse into one streaming pass — the
         // full-RGB plane never materializes.
@@ -436,6 +374,72 @@ impl Camera {
         };
         self.frames_captured += 1;
         Frame::new_pooled(width, rows, pixels, meta, self.pool.clone())
+    }
+
+    /// The photosite loop of step 3 over a `rows × width` raw plane. Each
+    /// row draws its normals from its own RNG stream keyed on (seed, frame,
+    /// row) into the plane, then exposes every photosite of each column run
+    /// in place; vignetting uses the cached row/column profiles. `raw`
+    /// comes in as a parameter of its own: written inline in
+    /// `capture_frame`, this loop made `linkbench`'s `capture_frame_ms`
+    /// about 15% slower, presumably because the optimizer could no longer
+    /// tell that stores into the plane alias nothing the loop reads.
+    fn expose_mosaic(
+        &self,
+        raw: &mut [f64],
+        light: &[Xyz],
+        frame_index: usize,
+        settings: ExposureSettings,
+    ) {
+        let rows = self.device.rows;
+        let width = self.config.roi_width;
+        let m = self.device.xyz_to_linear_srgb();
+        let device = &self.device;
+        let (vrows, vcols) = (&self.vig.vrows[..], &self.vig.vcols[..]);
+        // The mosaic channel depends only on (row % 2, col % 2); hoist the
+        // CFA dispatch into a parity table so the photosite loop indexes
+        // instead of matching per pixel.
+        let cfa_parity = {
+            let idx = |r: usize, c: usize| -> usize {
+                match device.cfa.channel_at(r, c) {
+                    CfaChannel::R => 0,
+                    CfaChannel::G => 1,
+                    CfaChannel::B => 2,
+                }
+            };
+            [[idx(0, 0), idx(0, 1)], [idx(1, 0), idx(1, 1)]]
+        };
+        for (r, row_raw) in raw.chunks_mut(width).enumerate() {
+            // The row's normals land in its raw plane first and are
+            // exposed in place below.
+            let mut rng = StdRng::seed_from_u64(row_stream_seed(self.config.seed, frame_index, r));
+            fill_normals(&mut rng, row_raw);
+            let cfa_row = &cfa_parity[r & 1];
+            let vrow = vrows[r];
+            for run in &self.runs {
+                // ISP gamut mapping: scene colors more saturated than the
+                // output space are desaturated toward neutral, not
+                // hard-clipped (hard clipping would collapse distinct
+                // saturated colors).
+                let rgb = LinearRgb::from_vec3(m.mul_vec(light[run.region * rows + r].to_vec3()))
+                    .compress_into_gamut();
+                let channels = [rgb.r, rgb.g, rgb.b];
+                // Only the mosaic-selected channel is scaled by the vignette
+                // factor — the other two never leave the sensor.
+                let mosaic = [channels[cfa_row[0]], channels[cfa_row[1]]];
+                let cols = run.start..run.end;
+                let photosites = row_raw[cols.clone()].iter_mut().zip(&vcols[cols.clone()]);
+                for (c, (out, vcol)) in cols.zip(photosites) {
+                    let sample = (mosaic[c & 1] * (vrow + vcol)).max(0.0);
+                    *out = device.sensor.expose_with_noise(
+                        sample,
+                        settings.exposure,
+                        settings.iso,
+                        *out,
+                    );
+                }
+            }
+        }
     }
 
     /// Rebuild the ROI's column-run map for `scene` into the reused
@@ -475,53 +479,11 @@ impl Camera {
             vcols,
         };
     }
-
-    /// Resolve the configured thread count: `0` → one per available core,
-    /// always clamped to `[1, rows]` so tiny frames never spawn idle
-    /// workers.
-    fn resolve_threads(&self, rows: usize) -> usize {
-        let configured = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        configured.clamp(1, rows.max(1))
-    }
-}
-
-/// Split `data` (a `row_len`-strided row-major buffer) into contiguous row
-/// chunks and run `f(first_row, chunk)` on each, across `threads` scoped
-/// workers. With `threads == 1` the closure runs inline — no spawn cost on
-/// the already-parallelized sweep path.
-fn par_row_chunks<T, F>(data: &mut [T], row_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let rows = data.len() / row_len.max(1);
-    if threads <= 1 || rows <= 1 {
-        f(0, data);
-        return;
-    }
-    let rows_per = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (k, chunk) in data.chunks_mut(rows_per * row_len).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                // Short-lived capture workers still get a named timeline
-                // track (no-op unless tracing is active).
-                obs::trace::register_thread(&format!("row-worker-{k}"));
-                f(k * rows_per, chunk)
-            });
-        }
-    });
 }
 
 /// Seed for the per-row noise stream: a chained splitmix64 finalizer over
-/// `(seed, frame, row)`. Distinct inputs land in well-separated streams, and
-/// the derivation is pure arithmetic — no shared RNG to serialize rows.
+/// `(seed, frame, row)`. Distinct inputs land in well-separated streams, so
+/// no row's noise depends on another row's draws.
 fn row_stream_seed(seed: u64, frame: usize, row: usize) -> u64 {
     fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -716,38 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_bytes_are_independent_of_thread_count() {
-        // Per-row RNG streams make the thread count a pure scheduling
-        // choice: every count must produce byte-identical frames, including
-        // counts that don't divide the row count and counts above it.
-        let e = constant_emitter(DriveLevels::new(0.4, 0.6, 0.3), 1.0);
-        let capture = |threads: usize| {
-            let cfg = CaptureConfig {
-                roi_width: 8,
-                vignette: Vignette::typical(),
-                seed: 99,
-                threads,
-                ..Default::default()
-            };
-            let mut rig = CameraRig::new(test_device(67), OpticalChannel::ideal(), cfg);
-            rig.set_exposure_controller(AutoExposure::locked(crate::exposure::ExposureSettings {
-                exposure: 40e-6,
-                iso: 400.0,
-            }));
-            // Two frames, so frame_index enters the stream derivation too.
-            rig.capture_video(&e, 0.0, 2)
-        };
-        let reference = capture(1);
-        for threads in [2, 3, 5, 128] {
-            assert_eq!(
-                capture(threads),
-                reference,
-                "threads={threads} changed the captured bytes"
-            );
-        }
-    }
-
-    #[test]
     fn scene_regions_partition_the_frame() {
         // A two-region scene: left half red emitter, right half dark. The
         // column partition must be visible in the stored pixels.
@@ -826,7 +756,6 @@ mod tests {
                 roi_width: 8,
                 vignette: Vignette::none(),
                 seed,
-                threads: 1,
                 ..Default::default()
             };
             let mut rig = CameraRig::new(test_device(32), OpticalChannel::ideal(), cfg);

@@ -30,9 +30,9 @@ use colorbars_led::LedEmitter;
 ///
 /// Implementors describe a static spatial layout (regions never move
 /// during a capture) with time-varying radiance per region. All methods
-/// must be pure with respect to time so that row-parallel capture can
-/// evaluate them concurrently.
-pub trait SceneRadiance: Sync {
+/// must be pure with respect to time: the rig evaluates every row's window
+/// afresh for each frame, and exposure settling re-captures from `t = 0`.
+pub trait SceneRadiance {
     /// Number of distinct radiance regions (≥ 1).
     fn region_count(&self) -> usize;
 

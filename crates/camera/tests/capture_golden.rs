@@ -1,13 +1,12 @@
 //! Golden digests of captured frame bytes.
 //!
 //! The rig's other tests compare captures of one build with each other
-//! (across thread counts and seeds), and the obs-diff gates compare
+//! (across seeds and entry points), and the obs-diff gates compare
 //! SER/goodput bands and counters — neither pins what a capture stores.
 //! These digests do: each case settles auto-exposure, captures a short
 //! video and hashes every stored byte with FNV-1a. A change to the capture
 //! loop that moves a single byte (noise draw order, float evaluation order,
-//! blur, demosaic, gamma, 4:2:0) fails here. Every case runs at one and
-//! three worker threads, which must agree.
+//! blur, demosaic, gamma, 4:2:0) fails here.
 
 use colorbars_camera::{CameraRig, CaptureConfig, DeviceProfile, Frame, SceneRadiance};
 use colorbars_channel::{AmbientLight, BlurKernel, OpticalChannel, PathLoss};
@@ -64,23 +63,22 @@ fn symbol_emitter(offset: u64) -> LedEmitter {
     LedEmitter::new(TriLed::typical(), 200_000.0, &schedule)
 }
 
-fn config(threads: usize, chroma_subsample: bool, roi_width: usize) -> CaptureConfig {
+fn config(chroma_subsample: bool, roi_width: usize) -> CaptureConfig {
     CaptureConfig {
         roi_width,
         seed: 0x601D,
         chroma_subsample,
-        threads,
         ..Default::default()
     }
 }
 
 /// Settle auto-exposure on one emitter, then capture three video frames.
-fn single_emitter(device: &DeviceProfile, threads: usize, chroma_subsample: bool) -> u64 {
+fn single_emitter(device: &DeviceProfile, chroma_subsample: bool) -> u64 {
     let emitter = symbol_emitter(0);
     let mut rig = CameraRig::new(
         device.clone(),
         OpticalChannel::paper_setup(),
-        config(threads, chroma_subsample, 24),
+        config(chroma_subsample, 24),
     );
     rig.settle_exposure(&emitter, 12);
     digest(&rig.capture_video(&emitter, 0.002, 3))
@@ -93,13 +91,8 @@ fn nexus5_single_emitter_bytes_are_pinned() {
         (false, 0xf13a_ba62_81fa_8da4),
         (true, 0x7ad4_6ffe_92b9_836d),
     ] {
-        for threads in [1, 3] {
-            let got = single_emitter(&device, threads, chroma);
-            assert_eq!(
-                got, want,
-                "Nexus 5, 4:2:0 {chroma}, threads {threads}: digest {got:#018x}"
-            );
-        }
+        let got = single_emitter(&device, chroma);
+        assert_eq!(got, want, "Nexus 5, 4:2:0 {chroma}: digest {got:#018x}");
     }
 }
 
@@ -110,13 +103,8 @@ fn iphone5s_single_emitter_bytes_are_pinned() {
         (false, 0x6870_0366_b89b_6cea),
         (true, 0x82ab_936a_2df7_46db),
     ] {
-        for threads in [1, 3] {
-            let got = single_emitter(&device, threads, chroma);
-            assert_eq!(
-                got, want,
-                "iPhone 5S, 4:2:0 {chroma}, threads {threads}: digest {got:#018x}"
-            );
-        }
+        let got = single_emitter(&device, chroma);
+        assert_eq!(got, want, "iPhone 5S, 4:2:0 {chroma}: digest {got:#018x}");
     }
 }
 
@@ -180,18 +168,16 @@ fn three_region_scene_bytes_are_pinned() {
         (false, 0xae9c_448a_4065_8de5),
         (true, 0xf62a_bff5_d765_ed38),
     ] {
-        for threads in [1, 3] {
-            let mut rig = CameraRig::new(
-                DeviceProfile::iphone5s(),
-                OpticalChannel::paper_setup(),
-                config(threads, chroma, 67),
-            );
-            rig.settle_exposure_scene(&scene, 12);
-            let got = digest(&rig.capture_video_scene(&scene, 0.002, 2));
-            assert_eq!(
-                got, want,
-                "three-region scene, 4:2:0 {chroma}, threads {threads}: digest {got:#018x}"
-            );
-        }
+        let mut rig = CameraRig::new(
+            DeviceProfile::iphone5s(),
+            OpticalChannel::paper_setup(),
+            config(chroma, 67),
+        );
+        rig.settle_exposure_scene(&scene, 12);
+        let got = digest(&rig.capture_video_scene(&scene, 0.002, 2));
+        assert_eq!(
+            got, want,
+            "three-region scene, 4:2:0 {chroma}: digest {got:#018x}"
+        );
     }
 }

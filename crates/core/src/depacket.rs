@@ -645,25 +645,6 @@ impl Depacketizer {
         decode.packet
     }
 
-    /// Rebuild a packet's RS codeword bytes and byte-level erasure list
-    /// from its body. See [`reconstruct_codeword`].
-    fn reconstruct_codeword(
-        &self,
-        body: &[ObservedBand],
-        hdr_len: usize,
-        expected_len: usize,
-        n: usize,
-    ) -> (Vec<u8>, Vec<usize>) {
-        reconstruct_codeword(
-            &self.constellation,
-            self.white_ratio,
-            body,
-            hdr_len,
-            expected_len,
-            n,
-        )
-    }
-
     /// One interleaved data packet: parse the size + group-position header,
     /// reconstruct the packet's wire-byte segment with declared erasures,
     /// and stash it in the group assembler. A position wrap (a new group
@@ -679,19 +660,13 @@ impl Depacketizer {
 
         // Without the shared FEC config (or in raw mode) the interleaved
         // framing cannot be decoded: report reception statistics only.
-        if self.fec.is_none() || self.code.is_none() {
+        let (Some(fec), Some(code)) = (self.fec.as_mut(), self.code.as_ref()) else {
             return vec![ParsedPacket::DataFailed {
                 reason: FailReason::DecoderDisabled,
                 data_symbols_received: body_symbols,
             }];
-        }
-        let n = self.code.as_ref().expect("checked above").n();
-        let depth = self
-            .fec
-            .as_ref()
-            .expect("checked above")
-            .interleaver
-            .depth();
+        };
+        let depth = fec.interleaver.depth();
         let use_erasures = self.use_erasures;
 
         // Parse the header. A gap through it, an unparsable field, or a
@@ -723,7 +698,7 @@ impl Depacketizer {
         let placeable = parsed
             .filter(|&(expected_len, pos)| pos < depth && body.len() - hdr_len <= expected_len);
         let Some((expected_len, pos)) = placeable else {
-            self.fec.as_mut().expect("checked above").orphan_symbols += body_symbols;
+            fec.orphan_symbols += body_symbols;
             if obs::journey::is_active() {
                 let id = obs::journey::record(obs::journey::JourneyRecord {
                     id: 0,
@@ -746,7 +721,14 @@ impl Depacketizer {
             return Vec::new();
         };
 
-        let (bytes, erased) = self.reconstruct_codeword(body, hdr_len, expected_len, n);
+        let (bytes, erased) = reconstruct_codeword(
+            &self.constellation,
+            self.white_ratio,
+            body,
+            hdr_len,
+            expected_len,
+            code.n(),
+        );
         let journey_id = if obs::journey::is_active() {
             obs::journey::record(obs::journey::JourneyRecord {
                 id: 0,
@@ -765,7 +747,6 @@ impl Depacketizer {
         } else {
             0
         };
-        let fec = self.fec.as_mut().expect("checked above");
         let mut out = Vec::new();
         if fec.last_pos.is_some_and(|last| pos <= last) {
             // Position wrapped (or regressed): the previous group is as
@@ -835,8 +816,9 @@ pub fn decode_data_body(
             Label::Off => crate::symbol::Symbol::Off,
         })
         .collect();
-    let expected_len = decode_size(constellation.order(), &header_syms);
-    if expected_len.is_none() || header_spans_gap {
+    let Some(expected_len) =
+        decode_size(constellation.order(), &header_syms).filter(|_| !header_spans_gap)
+    else {
         return DataDecode {
             packet: ParsedPacket::DataFailed {
                 reason: FailReason::BadHeader,
@@ -844,8 +826,7 @@ pub fn decode_data_body(
             },
             erasures: Vec::new(),
         };
-    }
-    let expected_len = expected_len.expect("checked above");
+    };
 
     let payload = &body[sf_len..];
     let data_symbols_received = payload.iter().filter(|b| !b.label.is_white()).count();
@@ -1663,5 +1644,48 @@ mod tests {
         let batch = run(&mut de2, std::slice::from_ref(&all));
         assert_eq!(streamed, batch);
         assert!(!data_chunks_of(&streamed).is_empty());
+    }
+
+    /// A receiver built without the shared interleaver cannot place
+    /// interleaved segments: every data packet of an interleaved
+    /// transmission comes back `DecoderDisabled`, carrying the count of
+    /// data symbols its body delivered after the header.
+    #[test]
+    fn interleaved_packets_without_an_interleaver_report_decoder_disabled() {
+        let depth = 4;
+        let cfg = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, 0.3727).with_fec(depth);
+        let tx = Transmitter::new(cfg.clone()).unwrap();
+        let mut de = Depacketizer::new(
+            tx.constellation().clone(),
+            Some(tx.budget().code()),
+            cfg.white_ratio(),
+            cfg.loss_ratio * cfg.symbol_rate / cfg.frame_rate,
+            crate::transmitter::cal_copies(&cfg),
+        );
+        let k = tx.budget().k_bytes;
+        let data: Vec<u8> = (0..depth * k).map(|i| (i % 251) as u8).collect();
+        let tr = tx.transmit(&data);
+        let header =
+            crate::packet::IL_FLAG.len() + size_field_len(CskOrder::Csk8) + GROUP_POS_DIGITS;
+        let want: Vec<ParsedPacket> = tr
+            .packets
+            .iter()
+            .filter(|p| p.kind == PacketKind::Data)
+            .map(|p| ParsedPacket::DataFailed {
+                reason: FailReason::DecoderDisabled,
+                data_symbols_received: tr.symbols[p.start + header..p.end]
+                    .iter()
+                    .filter(|s| !s.is_white())
+                    .count(),
+            })
+            .collect();
+        assert_eq!(want.len(), depth);
+        let splits: Vec<usize> = (1..tr.symbols.len() / 40).map(|i| i * 40).collect();
+        let got: Vec<ParsedPacket> = run(&mut de, &observe(&tr.symbols, &splits, &[]))
+            .into_iter()
+            .filter(|p| !matches!(p, ParsedPacket::Calibration { .. }))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(de.fec_groups(), 0);
     }
 }

@@ -45,7 +45,6 @@ pub mod error;
 pub mod illumination;
 pub mod link;
 pub mod packet;
-pub mod pool;
 pub mod receiver;
 pub mod replay;
 pub mod segmentation;
@@ -62,7 +61,6 @@ pub use error::LinkError;
 pub use illumination::{is_white_position, WhiteRatioTable};
 pub use link::{compute_metrics, start_phase, CapturedRun, LinkMetrics, LinkSimulator};
 pub use packet::{Packet, PacketKind};
-pub use pool::{run_pool, sweep_threads};
 pub use receiver::{Receiver, ReceiverReport};
 pub use replay::ReplayLink;
 pub use session::{LinkSession, SessionConfig, DEFAULT_QUEUE_CAPACITY};

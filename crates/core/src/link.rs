@@ -123,12 +123,8 @@ impl LinkSimulator {
         seed: u64,
     ) -> Result<LinkSimulator, LinkError> {
         let config = LinkConfig::paper_default(order, symbol_rate, device.loss_ratio());
-        // Sweep harnesses parallelize across operating points (the bench
-        // worker pool), so each simulator captures single-threaded — nested
-        // row parallelism would oversubscribe the machine.
         let capture = CaptureConfig {
             seed,
-            threads: 1,
             ..CaptureConfig::default()
         };
         LinkSimulator::new(config, device, OpticalChannel::paper_setup(), capture)

@@ -334,7 +334,6 @@ mod tests {
             roi_width: 8,
             vignette: Vignette::none(),
             seed,
-            threads: 1,
             ..Default::default()
         };
         let config = LinkConfig::paper_default(CskOrder::Csk8, rate, device.loss_ratio());
@@ -374,7 +373,6 @@ mod tests {
             roi_width: 8,
             vignette: Vignette::none(),
             seed,
-            threads: 1,
             ..Default::default()
         };
         let config =

@@ -19,7 +19,6 @@ fn session_workers_namespace_their_journeys() {
         roi_width: 8,
         vignette: Vignette::none(),
         seed: 7,
-        threads: 1,
         ..Default::default()
     };
     let config = LinkConfig::paper_default(CskOrder::Csk8, 1000.0, device.loss_ratio());

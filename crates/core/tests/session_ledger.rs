@@ -25,7 +25,6 @@ fn ledger_sim() -> LinkSimulator {
         roi_width: 8,
         vignette: Vignette::none(),
         seed: 177,
-        threads: 1,
         ..Default::default()
     };
     let config = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, device.loss_ratio())

@@ -18,7 +18,6 @@ fn process_frame_records_one_nested_span_per_stage() {
         roi_width: 8,
         vignette: Vignette::none(),
         seed: 7,
-        threads: 1,
         ..Default::default()
     };
     let config = LinkConfig::paper_default(CskOrder::Csk8, 1000.0, device.loss_ratio());

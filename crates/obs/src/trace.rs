@@ -5,9 +5,9 @@
 //! count/sum/p50 per name — which answers *how much* but not *when*. This
 //! module records each span occurrence as a complete event (`ph: "X"`:
 //! begin timestamp + duration) into a bounded buffer owned by the
-//! recording thread, so a sweep-pool grid drain or a row-parallel capture
-//! renders as an actual timeline with one track per worker thread in
-//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
+//! recording thread, so a sweep-pool grid drain renders as an actual
+//! timeline with one track per worker thread in `chrome://tracing` /
+//! [Perfetto](https://ui.perfetto.dev).
 //!
 //! Tracing is **off by default** and costs nothing when off: the
 //! [`crate::span!`] guard consults one extra relaxed atomic only when the
@@ -18,8 +18,8 @@
 //!
 //! Buffers are bounded two ways: [`TRACK_CAPACITY`] events per thread
 //! (excess increments the track's drop counter) and [`MAX_TRACKS`] tracks
-//! per process (short-lived capture workers each get their own track;
-//! beyond the cap their events are counted as dropped, not recorded).
+//! per process (every recording thread gets its own track; beyond the cap
+//! a new thread's events are counted as dropped, not recorded).
 
 use crate::json::Value;
 use std::cell::RefCell;
@@ -30,8 +30,8 @@ use std::time::Instant;
 /// Maximum recorded events per thread track.
 pub const TRACK_CAPACITY: usize = 65_536;
 
-/// Maximum thread tracks per process (row-parallel capture spawns
-/// short-lived scoped workers every frame; each is its own track).
+/// Maximum thread tracks per process (each recording thread — sweep-pool
+/// worker, session worker — is its own track).
 pub const MAX_TRACKS: usize = 512;
 
 /// One recorded span occurrence (a Chrome `"X"` complete event).

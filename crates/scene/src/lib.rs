@@ -21,8 +21,7 @@
 //!   span, without knowledge of the layout.
 //! * [`multilink`] — [`MultiLinkSimulator`] runs the whole chain: N
 //!   transmitters → scene capture → column segmentation → one
-//!   [`colorbars_core::Receiver`] per detected region, fanned out through
-//!   the bounded worker pool ([`colorbars_core::pool`]) — and merges the
+//!   [`colorbars_core::Receiver`] per detected region — and merges the
 //!   per-region reports into [`MultiLinkMetrics`] (per-TX SER/goodput,
 //!   aggregate throughput, cross-talk error attribution).
 

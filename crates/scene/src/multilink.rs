@@ -8,9 +8,8 @@
 //!    [`colorbars_camera::CameraRig`] captures the composite with the full
 //!    sensor model (`capture_video_scene`).
 //! 3. The receive side segments the columns ([`segment_columns`]) with no
-//!    knowledge of the layout, instantiates one [`Receiver`] per detected
-//!    region, and fans the per-region decodes out through the bounded
-//!    worker pool ([`colorbars_core::pool`]).
+//!    knowledge of the layout and decodes each detected region with its
+//!    own [`Receiver`], one region after another on the caller's thread.
 //! 4. Each region's report is scored against its transmitter's ground
 //!    truth with the exact single-link semantics
 //!    ([`colorbars_core::compute_metrics`]), then merged into
@@ -88,7 +87,6 @@ pub struct MultiLinkSimulator {
     layout: SceneLayout,
     background: AmbientLight,
     capture: CaptureConfig,
-    decode_threads: usize,
 }
 
 impl MultiLinkSimulator {
@@ -122,14 +120,12 @@ impl MultiLinkSimulator {
             layout,
             background: AmbientLight::dim_indoor(),
             capture,
-            decode_threads: colorbars_core::sweep_threads(),
         })
     }
 
     /// The paper's bench setup extended to `tx_count` transmitters: every
     /// transmitter behind its own copy of the paper's optical channel, the
-    /// default layout, row-parallel capture (the multi-TX bench runs its
-    /// cells sequentially, so the capture may use the whole machine).
+    /// default layout, and the default capture at `seed`.
     pub fn paper_setup(
         order: CskOrder,
         symbol_rate: f64,
@@ -140,7 +136,6 @@ impl MultiLinkSimulator {
         let config = LinkConfig::paper_default(order, symbol_rate, device.loss_ratio());
         let capture = CaptureConfig {
             seed,
-            threads: 0,
             ..CaptureConfig::default()
         };
         MultiLinkSimulator::new(
@@ -160,12 +155,6 @@ impl MultiLinkSimulator {
     /// Number of transmitters in the scene.
     pub fn tx_count(&self) -> usize {
         self.channels.len()
-    }
-
-    /// Override the worker count for the per-region decode fan-out
-    /// (default: [`colorbars_core::sweep_threads`]).
-    pub fn set_decode_threads(&mut self, threads: usize) {
-        self.decode_threads = threads.max(1);
     }
 
     /// Override the guard-gap background light (default: dim indoor).
@@ -220,30 +209,20 @@ impl MultiLinkSimulator {
         let regions = segment_columns(&frames, &ColumnSegmenterConfig::default());
         let (assigned, unmatched_regions) = assign_regions(&scene, &regions);
 
-        let mut work = Vec::new();
+        let mut reports = Vec::new();
         for (k, region) in assigned.iter().enumerate() {
             let Some(region) = *region else { continue };
-            let rx = match mode {
+            let mut rx = match mode {
                 SceneMode::Raw => Receiver::new_raw(self.config.clone(), self.device.row_time())?,
                 SceneMode::Coded => Receiver::new(self.config.clone(), self.device.row_time())?,
             };
-            work.push((k, region, rx));
+            let _decode = obs::span!("scene.region_decode");
+            for f in &frames {
+                let cropped = f.crop_columns(region.col_start, region.col_end);
+                rx.process_frame(&cropped);
+            }
+            reports.push((k, rx.finish()));
         }
-        let frames_ref = &frames;
-        let jobs: Vec<_> = work
-            .into_iter()
-            .map(|(k, region, mut rx)| {
-                move || {
-                    let _decode = obs::span!("scene.region_decode");
-                    for f in frames_ref {
-                        let cropped = f.crop_columns(region.col_start, region.col_end);
-                        rx.process_frame(&cropped);
-                    }
-                    (k, rx.finish())
-                }
-            })
-            .collect();
-        let reports = colorbars_core::run_pool(jobs, self.decode_threads);
 
         // --- Score every link with the single-link semantics.
         let mut per_tx: Vec<TxOutcome> = (0..n)
@@ -517,7 +496,6 @@ mod tests {
         let capture = CaptureConfig {
             vignette: Vignette::none(),
             seed: 42,
-            threads: 1,
             ..Default::default()
         };
         let layout = SceneLayout {
@@ -534,7 +512,6 @@ mod tests {
         )
         .unwrap();
         sim.set_background(AmbientLight::none());
-        sim.set_decode_threads(2);
         let m = sim.run(SceneMode::Raw, 0.08, 7).unwrap();
         assert_eq!(m.per_tx.len(), 2);
         assert_eq!(m.detected, 2, "both transmitters located: {:?}", m.per_tx);

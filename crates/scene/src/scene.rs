@@ -382,8 +382,7 @@ mod tests {
     fn one_region_scene_is_byte_identical_to_classic_capture() {
         // The single-transmitter equivalence guarantee, via the real Scene
         // type: zero guard columns, zero bleed, one transmitter spanning
-        // the whole ROI must reproduce CameraRig::capture_video exactly,
-        // at every thread count.
+        // the whole ROI must reproduce CameraRig::capture_video exactly.
         let led = TriLed::typical();
         let red = led.solve_drive(led.gamut().red, 0.08).unwrap();
         let green = led.solve_drive(led.gamut().green, 0.08).unwrap();
@@ -420,23 +419,17 @@ mod tests {
         .unwrap();
         assert_eq!(scene.region_count(), 1);
 
-        let capture = |threads: usize| CaptureConfig {
+        let capture = CaptureConfig {
             roi_width: 8,
             seed: 4242,
-            threads,
             ..Default::default()
         };
-        let mut classic = CameraRig::new(device.clone(), channel.clone(), capture(1));
+        let mut classic = CameraRig::new(device.clone(), channel.clone(), capture);
         classic.settle_exposure(&e, 4);
         let reference = classic.capture_video(&e, 0.0, 2);
-        for threads in [1, 2, 3, 128] {
-            let mut rig = CameraRig::new(device.clone(), channel.clone(), capture(threads));
-            rig.settle_exposure_scene(&scene, 4);
-            let frames = rig.capture_video_scene(&scene, 0.0, 2);
-            assert_eq!(
-                frames, reference,
-                "one-region Scene diverged at threads={threads}"
-            );
-        }
+        let mut rig = CameraRig::new(device, channel, capture);
+        rig.settle_exposure_scene(&scene, 4);
+        let frames = rig.capture_video_scene(&scene, 0.0, 2);
+        assert_eq!(frames, reference, "one-region Scene diverged");
     }
 }

@@ -31,8 +31,20 @@ echo "==> scripts/bench.sh --smoke"
 
 echo "==> ext_multi_tx --smoke (multi-transmitter scene end to end)"
 # Redirected so the smoke run cannot clobber the recorded results/ artifact.
-COLORBARS_RESULTS_DIR="$CI_TMP/results" \
+# Two pool workers, so the smoke's two runs go in parallel on any host.
+COLORBARS_RESULTS_DIR="$CI_TMP/results" COLORBARS_SWEEP_THREADS=2 \
     cargo run --release -p colorbars-bench --bin ext_multi_tx -- --smoke
+
+echo "==> ext_multi_tx --smoke at one pool worker (pool width cannot change the output)"
+COLORBARS_RESULTS_DIR="$CI_TMP/serial" COLORBARS_SWEEP_THREADS=1 \
+    cargo run --release -p colorbars-bench --bin ext_multi_tx -- --smoke
+diff -u "$CI_TMP/results/ext_multi_tx.txt" "$CI_TMP/serial/ext_multi_tx.txt"
+python3 - "$CI_TMP/results/ext_multi_tx.json" "$CI_TMP/serial/ext_multi_tx.json" <<'PY'
+import json, sys
+parallel, serial = (json.load(open(path))["rows"] for path in sys.argv[1:])
+if parallel != serial:
+    sys.exit("ERROR: ext_multi_tx rows depend on the sweep pool's width")
+PY
 
 echo "==> ext_fec --smoke (cross-packet interleaved RS end to end)"
 COLORBARS_RESULTS_DIR="$CI_TMP/results" \

@@ -19,7 +19,6 @@ fn run_64csk(kind: EqualizerKind, seed: u64) -> LinkMetrics {
         OpticalChannel::paper_setup(),
         CaptureConfig {
             seed,
-            threads: 1,
             ..CaptureConfig::default()
         },
     )

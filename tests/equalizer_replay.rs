@@ -42,7 +42,6 @@ fn flight_dump_rebuilds_equalizer_and_replays_byte_identically() {
         OpticalChannel::paper_setup(),
         CaptureConfig {
             seed: 105,
-            threads: 1,
             ..CaptureConfig::default()
         },
     )
