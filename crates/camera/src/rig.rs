@@ -30,13 +30,21 @@
 //! the `*_scene` entry points capture any scene. There is one photosite
 //! loop, in `f64`, and it is built for speed without changing a stored byte:
 //!
-//! * **Per-row noise streams.** Rows are independent under the rolling
-//!   shutter, and each row draws its sensor noise from its own
-//!   *counter-derived RNG stream* (seeded by a splitmix64 mix of
-//!   `(seed, frame_index, row)`), so a row's bytes are a function of the
-//!   seed, the frame and the row alone. A capture runs on its caller's
-//!   thread; independent link runs are what run in parallel, one level up
-//!   in the bench's sweep pool.
+//! * **Per-row noise streams, drawn eight rows at a time.** Rows are
+//!   independent under the rolling shutter, and each row draws its sensor
+//!   noise from its own *counter-derived RNG stream* (seeded by a
+//!   splitmix64 mix of `(seed, frame_index, row)`), so a row's bytes are a
+//!   function of the seed, the frame and the row alone. Independent streams
+//!   also let [`fill_row_normals`] advance eight rows' generators in
+//!   lockstep lanes, each lane drawing exactly its own row's sequence. A
+//!   capture runs on its caller's thread; independent link runs are what
+//!   run in parallel, one level up in the bench's sweep pool.
+//! * **Row windows walked, not searched.** Row `r + 1`'s exposure window
+//!   starts one `row_time` after row `r`'s, so each region's row means come
+//!   from one [`SceneRadiance::region_rows`] call, which for an emitter
+//!   walks the schedule's boundary slots on from the previous row's instead
+//!   of binary-searching them per row
+//!   ([`colorbars_led::LedEmitter::row_means`]).
 //! * **Hoisted per-pixel constants.** The radial vignetting factor
 //!   decomposes into cached row + column profiles
 //!   ([`Vignette::profiles`]), gamma encoding uses the exact
@@ -47,14 +55,14 @@
 //!   uniform scene.
 //! * **One noise draw per photosite, drawn ahead of the loop.** Shot and
 //!   read noise combine into a single Gaussian with `σ = sqrt(electrons +
-//!   read²)` ([`crate::sensor::SensorModel::expose_with_noise`]). Each row
-//!   first fills its raw plane with normals from [`fill_normals`], then
-//!   exposes every photosite in place — the RNG never appears inside the
-//!   per-pixel loop, and the draw order (pairs in sequence, odd row tail
-//!   discards the sine branch) is exactly the scalar spare-keeping order.
-//!   `fill_normals` transforms eight Box–Muller pairs per step through the
-//!   sensor module's own `ln` and `sin_cos` kernels, with no libm call
-//!   (see [`crate::sensor`]).
+//!   read²)` ([`crate::sensor::SensorModel::expose_with_noise`]). The
+//!   frame's raw plane is first filled with normals by
+//!   [`fill_row_normals`], then every photosite is exposed in place — the
+//!   RNG never appears inside the per-pixel loop, and each row's draw order
+//!   (pairs in sequence, odd row tail discards the sine branch) is exactly
+//!   the scalar spare-keeping order. The normals come from eight
+//!   Box–Muller pairs per step through the sensor module's own `ln` and
+//!   `sin_cos` kernels, with no libm call (see [`crate::sensor`]).
 //! * **Zero allocations at steady state.** Raw planes, row-irradiance
 //!   scratch and the stored pixel buffer all cycle through a
 //!   [`FramePool`], and the column-run map lives in the rig; a captured
@@ -68,14 +76,12 @@ use crate::exposure::{AutoExposure, ExposureSettings};
 use crate::frame::{Frame, FrameMeta};
 use crate::pool::FramePool;
 use crate::scene::{SceneRadiance, UniformScene};
-use crate::sensor::fill_normals;
+use crate::sensor::fill_row_normals;
 use crate::vignette::Vignette;
 use colorbars_channel::OpticalChannel;
 use colorbars_color::{LinearRgb, SrgbQuantizer, Xyz};
 use colorbars_led::LedEmitter;
 use colorbars_obs as obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Capture configuration independent of the device profile.
 #[derive(Debug, Clone, Copy)]
@@ -323,10 +329,7 @@ impl Camera {
         {
             let _stage = obs::span!("camera.rows_integrate");
             for (k, region) in light.chunks_mut(rows).enumerate() {
-                for (r, out) in region.iter_mut().enumerate() {
-                    let t0 = start_time + r as f64 * row_time;
-                    *out = scene.region_mean(k, t0, t0 + settings.exposure);
-                }
+                scene.region_rows(k, start_time, row_time, settings.exposure, region);
             }
         }
 
@@ -377,9 +380,11 @@ impl Camera {
     }
 
     /// The photosite loop of step 3 over a `rows × width` raw plane. Each
-    /// row draws its normals from its own RNG stream keyed on (seed, frame,
-    /// row) into the plane, then exposes every photosite of each column run
-    /// in place; vignetting uses the cached row/column profiles. `raw`
+    /// row's normals come from its own RNG stream keyed on (seed, frame,
+    /// row), drawn for the whole plane eight rows at a time by
+    /// [`fill_row_normals`]; then every photosite of each row's column runs
+    /// is exposed in place, with vignetting from the cached row/column
+    /// profiles. `raw`
     /// comes in as a parameter of its own: written inline in
     /// `capture_frame`, this loop made `linkbench`'s `capture_frame_ms`
     /// about 15% slower, presumably because the optimizer could no longer
@@ -409,11 +414,11 @@ impl Camera {
             };
             [[idx(0, 0), idx(0, 1)], [idx(1, 0), idx(1, 1)]]
         };
+        // The normals land in the raw plane first and are exposed in place
+        // below.
+        let seed = self.config.seed;
+        fill_row_normals(raw, width, |r| row_stream_seed(seed, frame_index, r));
         for (r, row_raw) in raw.chunks_mut(width).enumerate() {
-            // The row's normals land in its raw plane first and are
-            // exposed in place below.
-            let mut rng = StdRng::seed_from_u64(row_stream_seed(self.config.seed, frame_index, r));
-            fill_normals(&mut rng, row_raw);
             let cfa_row = &cfa_parity[r & 1];
             let vrow = vrows[r];
             for run in &self.runs {
@@ -695,11 +700,19 @@ mod tests {
             fn region_of_column(&self, col: usize, width: usize) -> usize {
                 usize::from(col >= width / 2)
             }
-            fn region_mean(&self, region: usize, t0: f64, t1: f64) -> Xyz {
+            fn region_rows(
+                &self,
+                region: usize,
+                start: f64,
+                row_time: f64,
+                exposure: f64,
+                out: &mut [Xyz],
+            ) {
                 if region == 0 {
-                    self.channel.received_mean(&self.emitter, t0, t1)
+                    self.channel
+                        .received_rows(&self.emitter, start, row_time, exposure, out);
                 } else {
-                    Xyz::BLACK
+                    out.fill(Xyz::BLACK);
                 }
             }
             fn region_blur(&self, region: usize) -> &BlurKernel {
@@ -784,6 +797,38 @@ mod tests {
             for frame in 0..4usize {
                 for row in 0..64usize {
                     assert!(seen.insert(row_stream_seed(seed, frame, row)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_lanes_draw_every_rows_own_stream() {
+        // The plane `expose_mosaic` fills equals each row filled from its
+        // own `StdRng`, for every width up to 33 (odd widths drop a last
+        // sine), row counts on both sides of the eight-row groups up to
+        // both phones' frames, and several seeds and frames.
+        use crate::sensor::fill_normals;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (seed, frame) in [(1u64, 0usize), (0xC01_0B52, 1), (99, 17), (u64::MAX, 4096)] {
+            for rows in [1usize, 7, 8, 9, 17, 1920, 3264] {
+                for width in 1..=33usize {
+                    let row_seed = |r| row_stream_seed(seed, frame, r);
+                    let mut lanes = vec![0.0f64; rows * width];
+                    fill_row_normals(&mut lanes, width, row_seed);
+                    let mut per_row = vec![0.0f64; rows * width];
+                    for (r, row) in per_row.chunks_mut(width).enumerate() {
+                        fill_normals(&mut StdRng::seed_from_u64(row_seed(r)), row);
+                    }
+                    let differ = lanes
+                        .iter()
+                        .zip(&per_row)
+                        .position(|(a, b)| a.to_bits() != b.to_bits());
+                    assert_eq!(
+                        differ, None,
+                        "seed {seed} frame {frame}: {rows} rows of {width}"
+                    );
                 }
             }
         }

@@ -12,9 +12,9 @@
 //! [`SceneRadiance`] is the substrate contract and the only thing the
 //! rig's capture loop renders: the rig asks the scene how many distinct
 //! radiance regions exist, which region each ROI column belongs to, the
-//! mean irradiance of a region over an exposure window, and the row-axis
-//! blur kernel to apply to that region's band structure, then samples
-//! per-(row, region).
+//! mean irradiance of a region over every row's exposure window, and the
+//! row-axis blur kernel to apply to that region's band structure, then
+//! samples per-(row, region).
 //!
 //! [`UniformScene`] adapts the single emitter + channel pair to a
 //! one-region scene. It is the single-emitter capture path:
@@ -42,10 +42,13 @@ pub trait SceneRadiance {
     /// `col < width`.
     fn region_of_column(&self, col: usize, width: usize) -> usize;
 
-    /// Mean light arriving at the sensor plane over `[t0, t1]` within
-    /// `region` — the same quantity as
-    /// [`OpticalChannel::received_mean`] for a uniform emitter.
-    fn region_mean(&self, region: usize, t0: f64, t1: f64) -> Xyz;
+    /// Mean light arriving at the sensor plane within `region` over each
+    /// row's exposure window: `out[r]` covers `[t0, t0 + exposure]` with
+    /// `t0 = start + r·row_time` — for a uniform emitter, the quantity
+    /// [`OpticalChannel::received_rows`] fills. The rows' windows are
+    /// evenly spaced, so an emitter-backed region can walk its schedule
+    /// from one row to the next instead of searching it per row.
+    fn region_rows(&self, region: usize, start: f64, row_time: f64, exposure: f64, out: &mut [Xyz]);
 
     /// The row-axis PSF blur to apply to `region`'s scanline signal.
     fn region_blur(&self, region: usize) -> &BlurKernel;
@@ -54,8 +57,8 @@ pub trait SceneRadiance {
 /// The trivial one-region scene: a single emitter behind a single optical
 /// channel filling every column — the classic ColorBars geometry expressed
 /// through the scene interface, and what the rig's single-emitter entry
-/// points capture. Its region integrates `channel.received_mean(emitter,
-/// ..)` once per row and blurs with the channel's kernel.
+/// points capture. Its region fills `channel.received_rows(emitter, ..)`
+/// and blurs with the channel's kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformScene<'a> {
     emitter: &'a LedEmitter,
@@ -88,8 +91,16 @@ impl SceneRadiance for UniformScene<'_> {
         0
     }
 
-    fn region_mean(&self, _region: usize, t0: f64, t1: f64) -> Xyz {
-        self.channel.received_mean(self.emitter, t0, t1)
+    fn region_rows(
+        &self,
+        _region: usize,
+        start: f64,
+        row_time: f64,
+        exposure: f64,
+        out: &mut [Xyz],
+    ) {
+        self.channel
+            .received_rows(self.emitter, start, row_time, exposure, out);
     }
 
     fn region_blur(&self, _region: usize) -> &BlurKernel {
@@ -129,12 +140,23 @@ mod tests {
         let e = emitter();
         let ch = OpticalChannel::paper_setup();
         let scene = UniformScene::new(&e, &ch);
-        for &(t0, t1) in &[(0.0, 40e-6), (0.0031, 0.0032), (0.0095, 0.0105)] {
-            let via_scene = scene.region_mean(0, t0, t1);
-            let direct = ch.received_mean(&e, t0, t1);
-            // Bitwise, not approximate: single-emitter captures render
-            // exactly this region.
-            assert_eq!(via_scene.to_vec3().0, direct.to_vec3().0);
+        // Rows that straddle slot edges, run off the schedule's end, and
+        // begin before it.
+        for &(start, row_time, exposure) in &[
+            (0.0, 1e-5, 40e-6),
+            (0.0031, 2e-6, 1e-4),
+            (0.0095, 3e-5, 1e-3),
+            (-2e-4, 7e-5, 6e-5),
+        ] {
+            let mut via_scene = [Xyz::BLACK; 40];
+            scene.region_rows(0, start, row_time, exposure, &mut via_scene);
+            for (r, got) in via_scene.iter().enumerate() {
+                let t0 = start + r as f64 * row_time;
+                let direct = ch.received_mean(&e, t0, t0 + exposure);
+                // Bitwise, not approximate: single-emitter captures render
+                // exactly this region.
+                assert_eq!(got.to_vec3().0, direct.to_vec3().0, "row {r}");
+            }
         }
         assert_eq!(scene.region_blur(0).taps(), ch.blur().taps());
     }

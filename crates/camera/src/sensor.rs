@@ -25,8 +25,24 @@
 //! [`gaussian_pair`] applies the same kernels one pair at a time, and
 //! [`gaussian_pair_reference`] keeps the libm transform for tests and
 //! `perf_probe`.
+//!
+//! ## Rows in lanes
+//!
+//! The capture gives every row its own RNG stream, and a row's stream
+//! drains serially: each draw depends on the one before. [`fill_row_normals`]
+//! fills a whole raw plane by running eight rows' streams side by side
+//! instead. Lane `j` of a step is row `j` of a group of eight, and holds
+//! that row's xoshiro256++ state, so one step advances eight independent
+//! generators with the same vector instructions, and the uniforms it yields
+//! go straight into the Box–Muller lanes. Each lane draws exactly the
+//! sequence [`fill_normals`] would draw from that row's `StdRng`, so the
+//! plane is bit-identical to filling it row by row. The lanes stay in step
+//! only while no lane has to redraw a `u1` of 0, which happens once in 2⁵³
+//! draws; a group that meets one, and the last `rows % 8` rows, are filled
+//! row by row through [`fill_normals`].
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
 
 /// Physical and electrical parameters of one sensor design.
@@ -57,7 +73,7 @@ impl SensorModel {
     /// independent Gaussians, so their sum is one Gaussian with
     /// `σ = sqrt(electrons + read_noise_e²)` — a single draw per photosite
     /// instead of two. The capture loop draws a row's normals ahead with
-    /// [`fill_normals`] and hands them in here.
+    /// [`fill_row_normals`] and hands them in here.
     pub fn expose_with_noise(&self, luminance: f64, exposure_s: f64, iso: f64, normal: f64) -> f64 {
         let electrons =
             (luminance.max(0.0) * exposure_s * self.sensitivity).min(self.full_well_e * 4.0); // photodiode itself saturates
@@ -99,10 +115,11 @@ pub fn gaussian_pair_reference<R: Rng>(rng: &mut R) -> (f64, f64) {
 /// loop that calls [`gaussian_pair`] and keeps the spare for the next
 /// sample: pairs land in order, and an odd-length tail takes the cosine
 /// branch of a final pair whose sine branch is discarded — precisely what
-/// the spare-keeping photosite loop did at end of row. The capture loop
-/// fills each row's raw plane in one call; filling it in even-width chunks
-/// instead would draw the same sequence (only the last chunk of a row can
-/// be odd), so every captured byte is independent of the chunking.
+/// the spare-keeping photosite loop did at end of row. This is the
+/// definition of one row's noise: [`fill_row_normals`] reproduces it for
+/// every row of a plane, and falls back to it for the rows its lanes do not
+/// cover. Filling a row in even-width chunks instead would draw the same
+/// sequence (only the last chunk of a row can be odd).
 ///
 /// Each step draws up to eight pairs of uniforms in sequence, then
 /// transforms all eight lanes at once; a short last step pads its unused
@@ -123,7 +140,136 @@ pub fn fill_normals<R: Rng>(rng: &mut R, out: &mut [f64]) {
     }
 }
 
-/// Box–Muller pairs per [`fill_normals`] step.
+/// Fill a raw plane of `width`-column rows with standard normals: row `r`
+/// gets exactly what [`fill_normals`] writes when it draws from
+/// `StdRng::seed_from_u64(row_seed(r))`. Groups of eight rows draw in
+/// lanes (see the module docs); the last `rows % 8` rows, and any group in
+/// which a lane draws `u1 = 0`, are filled row by row.
+pub fn fill_row_normals(raw: &mut [f64], width: usize, row_seed: impl Fn(usize) -> u64) {
+    fill_rows_with(
+        raw,
+        width,
+        |first| RowStreams::seed_from_u64(std::array::from_fn(|j| row_seed(first + j))),
+        |row| StdRng::seed_from_u64(row_seed(row)),
+    );
+}
+
+/// [`fill_row_normals`] over any stream source: `lanes(first)` yields the
+/// eight streams of rows `first..first + 8`, and `row_rng(r)` row `r`'s
+/// stream alone, for the rows the lanes do not fill. The two must draw the
+/// same sequences.
+fn fill_rows_with<S: LaneStreams, R: Rng>(
+    raw: &mut [f64],
+    width: usize,
+    lanes: impl Fn(usize) -> S,
+    row_rng: impl Fn(usize) -> R,
+) {
+    if width == 0 {
+        return;
+    }
+    let laned_rows = raw.len() / (LANES * width) * LANES;
+    let mut groups = raw.chunks_exact_mut(LANES * width);
+    for (g, group) in (&mut groups).enumerate() {
+        let first = g * LANES;
+        if !fill_lane_group(&mut lanes(first), group, width) {
+            for (j, row) in group.chunks_mut(width).enumerate() {
+                fill_normals(&mut row_rng(first + j), row);
+            }
+        }
+    }
+    for (j, row) in groups.into_remainder().chunks_mut(width).enumerate() {
+        fill_normals(&mut row_rng(laned_rows + j), row);
+    }
+}
+
+/// Fill eight `width`-column rows, row `j` from lane `j`: each step draws
+/// one pair of uniforms per lane and stores the pair's two normals in its
+/// row, the sine dropped past an odd row's end. Returns `false`, leaving
+/// the group part-written, when a lane draws `u1 = 0`: [`uniform_pair`]
+/// would redraw it from that lane alone, and the lanes would fall out of
+/// step.
+fn fill_lane_group<S: LaneStreams>(streams: &mut S, group: &mut [f64], width: usize) -> bool {
+    for col in (0..width).step_by(2) {
+        let u1 = streams.next_uniforms();
+        if u1.iter().any(|&u| u <= f64::MIN_POSITIVE) {
+            return false;
+        }
+        let u2 = streams.next_uniforms();
+        let (mut cos, mut sin) = ([0.0; LANES], [0.0; LANES]);
+        for lane in 0..LANES {
+            (cos[lane], sin[lane]) = box_muller(u1[lane], u2[lane]);
+        }
+        for (lane, row) in group.chunks_exact_mut(width).enumerate() {
+            row[col] = cos[lane];
+            if let Some(normal) = row.get_mut(col + 1) {
+                *normal = sin[lane];
+            }
+        }
+    }
+    true
+}
+
+/// Eight streams of uniforms in `[0, 1)` that advance together.
+trait LaneStreams {
+    /// The next uniform of every stream.
+    fn next_uniforms(&mut self) -> [f64; LANES];
+}
+
+/// Eight xoshiro256++ generators in lanes: lane `j` holds word `i` of its
+/// state in `s[i][j]`, so each line of the step below runs on all eight
+/// lanes at once. Seeded by [`RowStreams::seed_from_u64`], lane `j` draws
+/// the sequence `StdRng::seed_from_u64(seeds[j])` draws, with its uniforms
+/// converted as `Rng::gen::<f64>` converts them; a test pins both.
+struct RowStreams {
+    s: [[u64; LANES]; 4],
+}
+
+impl RowStreams {
+    /// Seed each lane as `StdRng::seed_from_u64` seeds a generator: its
+    /// four state words are successive SplitMix64 outputs from the seed.
+    fn seed_from_u64(seeds: [u64; LANES]) -> RowStreams {
+        let mut state = seeds;
+        let mut splitmix64 = || -> [u64; LANES] {
+            std::array::from_fn(|j| {
+                state[j] = state[j].wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = state[j];
+                let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+        };
+        RowStreams {
+            s: [splitmix64(), splitmix64(), splitmix64(), splitmix64()],
+        }
+    }
+}
+
+impl LaneStreams for RowStreams {
+    #[inline(always)]
+    fn next_uniforms(&mut self) -> [f64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0.0; LANES];
+        for j in 0..LANES {
+            let word = s0[j]
+                .wrapping_add(s3[j])
+                .rotate_left(23)
+                .wrapping_add(s0[j]);
+            let t = s1[j] << 17;
+            s2[j] ^= s0[j];
+            s3[j] ^= s1[j];
+            s1[j] ^= s2[j];
+            s0[j] ^= s3[j];
+            s2[j] ^= t;
+            s3[j] = s3[j].rotate_left(45);
+            // The top 53 bits, scaled into [0, 1).
+            out[j] = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        }
+        out
+    }
+}
+
+/// Box–Muller pairs per [`fill_normals`] step, and rows per
+/// [`fill_row_normals`] lane step.
 const LANES: usize = 8;
 
 /// One pair of uniforms, in the order every transform here draws them:
@@ -140,8 +286,8 @@ fn uniform_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
 }
 
 /// `(r·cos θ, r·sin θ)` with `r = sqrt(−2 ln u1)` and `θ = 2π·u2`. It and
-/// the kernels are inlined into [`fill_normals`]'s lane loop, which then
-/// vectorizes.
+/// the kernels are inlined into the lane loops of [`fill_normals`] and
+/// [`fill_lane_group`], which then vectorize.
 #[inline(always)]
 fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
     let radius = (-2.0 * ln(u1)).sqrt();
@@ -493,6 +639,73 @@ mod tests {
         let (p, q) = gaussian_pair(&mut plain);
         let (r, _) = gaussian_pair(&mut plain);
         assert_eq!(out.map(f64::to_bits), [p, q, r].map(f64::to_bits));
+    }
+
+    #[test]
+    fn row_streams_draw_what_std_rng_draws() {
+        // Each lane is its seed's `StdRng`, step for step, and converts
+        // words to uniforms as `gen::<f64>` does.
+        let seeds = [0, 1, 7, 0x5EED, u64::MAX, 1 << 63, 0xC01_0B52, 42];
+        let mut lanes = RowStreams::seed_from_u64(seeds);
+        let mut rows = seeds.map(StdRng::seed_from_u64);
+        for step in 0..10_000 {
+            let want = rows.each_mut().map(|rng| rng.gen::<f64>());
+            assert_eq!(lanes.next_uniforms(), want, "step {step}");
+        }
+    }
+
+    /// Eight generators stepped together: the plain lane source, over any
+    /// generator.
+    impl<R: RngCore> LaneStreams for [R; LANES] {
+        fn next_uniforms(&mut self) -> [f64; LANES] {
+            self.each_mut().map(|rng| rng.gen())
+        }
+    }
+
+    #[test]
+    fn a_zero_u1_sends_its_group_row_by_row() {
+        // Nine rows of five normals: one lane group and one leftover row.
+        // Row 3's second pair starts with a word that draws u1 = 0, so its
+        // stream runs one word ahead of the others from there on.
+        let (rows, width) = (9usize, 5usize);
+        let words = |row: usize| -> Vec<u64> {
+            let mut words: Vec<u64> = (0..16u64)
+                .map(|i| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ row as u64)
+                .collect();
+            if row == 3 {
+                words.insert(2, 0x7ff);
+            }
+            words
+        };
+        let stream = |row: usize| Scripted {
+            words: words(row),
+            pos: 0,
+        };
+        let mut want = vec![0.0; rows * width];
+        for (r, row) in want.chunks_mut(width).enumerate() {
+            fill_normals(&mut stream(r), row);
+        }
+        let lanes =
+            |first: usize| -> [Scripted; LANES] { std::array::from_fn(|j| stream(first + j)) };
+        // The lane kernel alone stops at the zero …
+        let mut group = vec![0.0; LANES * width];
+        assert!(!fill_lane_group(&mut lanes(0), &mut group, width));
+        // … and the plane it is part of comes out as row-by-row filling
+        // draws it.
+        let mut got = vec![0.0; rows * width];
+        fill_rows_with(&mut got, width, lanes, stream);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // Without the zero, the lanes fill the group themselves.
+        let clean = |row: usize| Scripted {
+            words: words(row).into_iter().filter(|&w| w != 0x7ff).collect(),
+            pos: 0,
+        };
+        assert!(fill_lane_group(
+            &mut std::array::from_fn::<_, LANES, _>(clean),
+            &mut group,
+            width
+        ));
     }
 
     /// The scalar spare-keeping pattern the photosite loop used before the

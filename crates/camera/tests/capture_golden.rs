@@ -146,10 +146,23 @@ impl SceneRadiance for ThreeRegionScene {
         (col / 5) % 3
     }
 
-    fn region_mean(&self, region: usize, t0: f64, t1: f64) -> Xyz {
+    fn region_rows(
+        &self,
+        region: usize,
+        start: f64,
+        row_time: f64,
+        exposure: f64,
+        out: &mut [Xyz],
+    ) {
         match region {
-            0 | 1 => self.channels[region].received_mean(&self.emitters[region], t0, t1),
-            _ => self.background,
+            0 | 1 => self.channels[region].received_rows(
+                &self.emitters[region],
+                start,
+                row_time,
+                exposure,
+                out,
+            ),
+            _ => out.fill(self.background),
         }
     }
 

@@ -103,6 +103,27 @@ impl OpticalChannel {
         let signal = emitter.mean(t0, t1).scale(self.path.gain());
         signal.add(self.ambient.irradiance())
     }
+
+    /// [`OpticalChannel::received_mean`] over each row window of a rolling
+    /// shutter, bit for bit: `out[r]` covers `[t0, t0 + exposure]` with
+    /// `t0 = start + r·row_time`. The emitter walks each row's boundary
+    /// slots on from the previous row's ([`LedEmitter::row_means`]).
+    pub fn received_rows(
+        &self,
+        emitter: &LedEmitter,
+        start: f64,
+        row_time: f64,
+        exposure: f64,
+        out: &mut [Xyz],
+    ) {
+        let (gain, ambient) = (self.path.gain(), self.ambient.irradiance());
+        for (out, mean) in out
+            .iter_mut()
+            .zip(emitter.row_means(start, row_time, exposure))
+        {
+            *out = mean.scale(gain).add(ambient);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -531,7 +531,10 @@ impl Receiver {
                 }
                 ParsedPacket::Calibration { features } => {
                     let seq = self.depacketizer.constellation().calibration_sequence();
-                    if self.store.calibration_consistent(&features, &seq) {
+                    // A hostile or corrupt packet can name an index past the
+                    // constellation, which neither check below accepts.
+                    let in_range = features.iter().all(|&(idx, _)| idx < self.store.len());
+                    if in_range && self.store.calibration_consistent(&features, &seq) {
                         self.store.absorb_calibration(&features);
                         self.report.stats.calibrations += 1;
                         self.train_equalizer(&features);
@@ -695,6 +698,55 @@ mod tests {
     #[test]
     fn unrecoverable_burst_increments_burst_lost() {
         assert_single_failure(FailReason::UnrecoverableBurst, |s| s.packets_burst_lost);
+    }
+
+    /// A calibration packet of `pairs` pairs whose last index is one past
+    /// the constellation.
+    fn out_of_range_calibration(rx: &Receiver, pairs: usize) -> ParsedPacket {
+        let m = rx.store().len();
+        let features = (0..pairs)
+            .map(|i| {
+                let idx = if i + 1 == pairs { m } else { i % m };
+                (idx, Lab::new(50.0, 10.0 * i as f64, -5.0))
+            })
+            .collect();
+        ParsedPacket::Calibration { features }
+    }
+
+    fn assert_rejects_out_of_range_calibration(mut rx: Receiver, pairs: usize) {
+        let before = rx.store().clone();
+        let packet = out_of_range_calibration(&rx, pairs);
+        rx.absorb(vec![packet]);
+        assert!(rx.equalizer().is_none(), "no equalizer trained");
+        assert_eq!(rx.store(), &before, "references untouched");
+        let report = rx.finish();
+        let s = &report.stats;
+        assert_eq!((s.calibrations, s.calibrations_failed), (0, 1));
+        assert_eq!(s.eq_trained + s.eq_fallbacks, 0);
+    }
+
+    #[test]
+    fn short_calibration_with_out_of_range_index_is_rejected() {
+        // Under six pairs the consistency check passes unchecked, so the
+        // absorb's own index assert used to fire.
+        assert_rejects_out_of_range_calibration(test_receiver(), 3);
+    }
+
+    #[test]
+    fn full_calibration_with_out_of_range_index_is_rejected() {
+        // From six pairs the consistency check indexes its inverse table
+        // by the packet's indices.
+        assert_rejects_out_of_range_calibration(test_receiver(), 8);
+    }
+
+    #[test]
+    fn ridge_receiver_rejects_out_of_range_calibration() {
+        let mut cfg = LinkConfig::paper_default(CskOrder::Csk8, 2000.0, 0.2312);
+        cfg.equalizer = EqualizerKind::Ridge;
+        for pairs in [3, 8] {
+            let rx = Receiver::new(cfg.clone(), 7.85e-6).unwrap();
+            assert_rejects_out_of_range_calibration(rx, pairs);
+        }
     }
 
     #[test]

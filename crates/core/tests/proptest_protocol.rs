@@ -5,7 +5,8 @@
 use colorbars_color::{GamutTriangle, Lab};
 use colorbars_core::depacket::{Depacketizer, ObservedBand, ParsedPacket};
 use colorbars_core::{
-    is_white_position, Constellation, CskOrder, Label, LinkConfig, Symbol, Transmitter,
+    is_white_position, Constellation, CskOrder, EqualizerKind, Label, LinkConfig, Receiver, Symbol,
+    Transmitter,
 };
 use proptest::prelude::*;
 
@@ -154,6 +155,47 @@ proptest! {
             ParsedPacket::Data { chunk, .. } if chunk == &data
         ));
         prop_assert!(ok, "gap of {gap_len} symbols at payload offset must be recovered: {packets:?}");
+    }
+
+    #[test]
+    fn absorb_never_panics_on_arbitrary_calibrations(
+        order in any_order(),
+        ridge in any::<bool>(),
+        packets in proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    prop_oneof![0usize..40, any::<usize>()],
+                    (any::<f64>(), -150.0f64..150.0, -150.0f64..150.0),
+                ),
+                0..40,
+            ),
+            1..4,
+        ),
+    ) {
+        // Hostile calibration packets: indices in and past the
+        // constellation, any number of pairs, colors anywhere. Each one is
+        // absorbed or counted as a failed calibration, and one that names
+        // an index past the constellation never trains anything.
+        let mut cfg = LinkConfig::paper_default(order, 2000.0, 0.2312);
+        if ridge {
+            cfg.equalizer = EqualizerKind::Ridge;
+        }
+        let mut rx = Receiver::new_raw(cfg, 7.85e-6).unwrap();
+        let m = order.points();
+        let mut hostile = 0;
+        for pairs in &packets {
+            let before = rx.stats().calibrations;
+            let out_of_range = pairs.iter().any(|&(idx, _)| idx >= m);
+            let features = pairs.iter().map(|&(idx, (l, a, b))| (idx, Lab::new(l, a, b))).collect();
+            rx.absorb(vec![ParsedPacket::Calibration { features }]);
+            if out_of_range {
+                hostile += 1;
+                prop_assert_eq!(rx.stats().calibrations, before);
+            }
+        }
+        let stats = rx.stats();
+        prop_assert_eq!(stats.calibrations + stats.calibrations_failed, packets.len());
+        prop_assert!(stats.calibrations_failed >= hostile);
     }
 
     #[test]

@@ -12,18 +12,27 @@
 //! ## The fast path
 //!
 //! `integrate` is the hottest function of the whole harness: every scanline
-//! of every simulated frame calls it once, and a sweep renders millions of
-//! scanlines. Two precomputations make it O(log n) per call instead of a
-//! slot walk that re-derives per-die colorimetry:
+//! of every simulated frame integrates one window, and a sweep renders
+//! millions of scanlines. Two precomputations make a window O(1) in the
+//! number of slots it spans, instead of a slot walk that re-derives per-die
+//! colorimetry:
 //!
 //! * **Per-die peak XYZ.** Each die's duty-1.0 emission is a constant of
 //!   the LED; it is computed once at construction instead of three matrix
 //!   products per overlapped slot per scanline.
 //! * **Per-die ON-time prefix sums.** `cum_on[i]` holds each die's
-//!   accumulated PWM ON-seconds over slots `[0, i)`. A window integral then
-//!   needs only two binary searches for the boundary slots, two
-//!   partial-slot PWM terms, and one prefix-sum difference for all interior
-//!   slots — regardless of how many slots the window spans.
+//!   accumulated PWM ON-seconds over slots `[0, i)`. Once the two boundary
+//!   slots are known, a window integral needs only two partial-slot PWM
+//!   terms and one prefix-sum difference for all interior slots —
+//!   regardless of how many slots the window spans.
+//!
+//! The boundary slots are found in one of two ways. A single window
+//! ([`LedEmitter::integrate`]) binary-searches the slot starts. A rolling
+//! shutter's rows ([`LedEmitter::row_means`]) expose windows one
+//! `row_time` apart, each starting where the last one did plus a small
+//! step, so each row walks its head and tail slot on from the previous
+//! row's, usually by zero or one slot. Both share one head/middle/tail
+//! body, so they agree bit for bit.
 //!
 //! The original slot walk is retained as [`LedEmitter::integrate_reference`]
 //! and the test suite asserts the two agree to ≈1e-12 on adversarial
@@ -45,8 +54,10 @@ pub struct ScheduledColor {
 /// A tri-LED executing a drive schedule starting at `t = 0`.
 ///
 /// Before the schedule starts and after it ends the LED is dark. Slot
-/// boundaries are cumulative sums of durations; binary search makes window
-/// integration `O(log n + slots overlapped)`.
+/// boundaries are cumulative sums of durations. A window's integral costs
+/// a binary search for its two boundary slots (`O(log n)`) plus constant
+/// work, or, for a rolling shutter's rows, a walk from the previous row's
+/// boundary slots plus constant work.
 #[derive(Debug, Clone)]
 pub struct LedEmitter {
     led: TriLed,
@@ -157,25 +168,80 @@ impl LedEmitter {
     /// window. Windows extending beyond the schedule integrate darkness
     /// there.
     ///
-    /// Cost is `O(log n)` in the number of slots: two boundary lookups, two
-    /// partial-slot PWM terms, and one prefix-sum difference for the whole
-    /// interior. [`LedEmitter::integrate_reference`] is the equivalent slot
-    /// walk kept for verification.
+    /// Cost is `O(log n)` in the number of slots: two binary searches for
+    /// the boundary slots, two partial-slot PWM terms, and one prefix-sum
+    /// difference for the whole interior.
+    /// [`LedEmitter::integrate_reference`] is the equivalent slot walk kept
+    /// for verification.
     pub fn integrate(&self, t0: f64, t1: f64) -> Xyz {
-        if t1 <= t0 || self.slots.is_empty() {
+        let Some((t0, t1)) = self.clip(t0, t1) else {
             return Xyz::BLACK;
-        }
-        let t0 = t0.max(0.0);
-        let t1 = t1.min(self.duration());
-        if t1 <= t0 {
-            return Xyz::BLACK;
-        }
-        // Boundary slots: j0 contains t0; j1 contains t1 (when t1 lands
-        // exactly on a slot start, the *previous* slot is the one that
-        // contributes, which `s < t1` naturally selects).
-        let j0 = self.starts.partition_point(|&s| s <= t0) - 1;
-        let j1 = (self.starts.partition_point(|&s| s < t1) - 1).min(self.slots.len() - 1);
+        };
+        // Boundary slots: the head contains t0; the tail contains t1 (when
+        // t1 lands exactly on a slot start, the *previous* slot is the one
+        // that contributes, which `s < t1` naturally selects).
+        let slots = BoundarySlots {
+            head: self.starts.partition_point(|&s| s <= t0) - 1,
+            tail: (self.starts.partition_point(|&s| s < t1) - 1).min(self.slots.len() - 1),
+        };
+        self.integrate_between(t0, t1, slots)
+    }
 
+    /// Mean emitted light over each row window of a rolling shutter: item
+    /// `r` is [`LedEmitter::mean`] over `[t0, t0 + exposure]` with
+    /// `t0 = start + r·row_time`, bit for bit. The iterator never ends;
+    /// zip it with the rows. Each window's boundary slots are found by
+    /// walking from the previous window's, so rows one `row_time` apart
+    /// cost constant work each; windows that repeat or move backwards
+    /// (`row_time ≤ 0`) walk back and stay exact.
+    pub fn row_means(&self, start: f64, row_time: f64, exposure: f64) -> RowMeans<'_> {
+        RowMeans {
+            emitter: self,
+            start,
+            row_time,
+            exposure,
+            row: 0,
+            slots: BoundarySlots { head: 0, tail: 0 },
+        }
+    }
+
+    /// `[t0, t1]` clipped to the schedule, or `None` when nothing of the
+    /// window is lit.
+    fn clip(&self, t0: f64, t1: f64) -> Option<(f64, f64)> {
+        if t1 <= t0 || self.slots.is_empty() {
+            return None;
+        }
+        let (t0, t1) = (t0.max(0.0), t1.min(self.duration()));
+        (t1 > t0).then_some((t0, t1))
+    }
+
+    /// `slots` moved to the boundary slots of the clipped window
+    /// `[t0, t1]`: the same slots `integrate`'s binary searches find.
+    fn seek(&self, t0: f64, t1: f64, slots: BoundarySlots) -> BoundarySlots {
+        BoundarySlots {
+            head: self.walk(slots.head, self.slots.len(), |s| s <= t0),
+            tail: self.walk(slots.tail, self.slots.len() - 1, |s| s < t1),
+        }
+    }
+
+    /// The last index `j ≤ last` with `below(starts[j])`, found by walking
+    /// from `from`. `below` must hold for `starts[0] = 0` and be monotone
+    /// over the (non-decreasing) starts, as `partition_point` requires.
+    fn walk(&self, from: usize, last: usize, below: impl Fn(f64) -> bool) -> usize {
+        let mut j = from.min(last);
+        while !below(self.starts[j]) {
+            j -= 1;
+        }
+        while j < last && below(self.starts[j + 1]) {
+            j += 1;
+        }
+        j
+    }
+
+    /// The integral over a clipped window `[t0, t1]` whose head slot
+    /// contains `t0` and whose tail slot contains `t1`.
+    fn integrate_between(&self, t0: f64, t1: f64, slots: BoundarySlots) -> Xyz {
+        let BoundarySlots { head: j0, tail: j1 } = slots;
         let mut on = [0.0f64; 3];
         let d0 = self.slots[j0];
         if j0 == j1 {
@@ -254,6 +320,50 @@ impl LedEmitter {
             return Xyz::BLACK;
         }
         self.integrate(t0, t1).scale(1.0 / (t1 - t0))
+    }
+}
+
+/// The head and tail slot of an integration window: the slots containing
+/// its start and its end.
+#[derive(Debug, Clone, Copy)]
+struct BoundarySlots {
+    head: usize,
+    tail: usize,
+}
+
+/// Iterator over a rolling shutter's row-window means; see
+/// [`LedEmitter::row_means`]. It carries the previous row's boundary slots,
+/// so the emitter itself holds no cursor.
+#[derive(Debug, Clone)]
+pub struct RowMeans<'a> {
+    emitter: &'a LedEmitter,
+    start: f64,
+    row_time: f64,
+    exposure: f64,
+    row: usize,
+    slots: BoundarySlots,
+}
+
+impl Iterator for RowMeans<'_> {
+    type Item = Xyz;
+
+    fn next(&mut self) -> Option<Xyz> {
+        let t0 = self.start + self.row as f64 * self.row_time;
+        let t1 = t0 + self.exposure;
+        self.row += 1;
+        // `mean`'s operations, with `integrate`'s searches replaced by the
+        // walk from the previous row's slots.
+        if t1 <= t0 {
+            return Some(Xyz::BLACK);
+        }
+        let integral = match self.emitter.clip(t0, t1) {
+            None => Xyz::BLACK,
+            Some((c0, c1)) => {
+                self.slots = self.emitter.seek(c0, c1, self.slots);
+                self.emitter.integrate_between(c0, c1, self.slots)
+            }
+        };
+        Some(integral.scale(1.0 / (t1 - t0)))
     }
 }
 
@@ -499,6 +609,89 @@ mod tests {
         // The all-off slot is dark under both paths.
         assert_eq!(e.integrate(0.002, 0.003), Xyz::BLACK);
         assert_eq!(e.integrate_reference(0.002, 0.003), Xyz::BLACK);
+    }
+
+    /// Assert that `row_means` yields `mean` over each of `rows` windows,
+    /// bit for bit.
+    fn assert_row_means_match(
+        e: &LedEmitter,
+        start: f64,
+        row_time: f64,
+        exposure: f64,
+        rows: usize,
+    ) {
+        let walked = e.row_means(start, row_time, exposure).take(rows);
+        for (r, got) in walked.enumerate() {
+            let t0 = start + r as f64 * row_time;
+            let want = e.mean(t0, t0 + exposure);
+            assert_eq!(
+                got.to_vec3().0.map(f64::to_bits),
+                want.to_vec3().0.map(f64::to_bits),
+                "row {r} of start {start}, row time {row_time}, exposure {exposure}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_means_match_mean_on_slot_aligned_windows() {
+        // Slots 2⁻¹⁰ s long start on exact binary fractions, and rows 2⁻¹²
+        // s apart with 2⁻¹¹ s exposures start and end exactly on a slot
+        // start every fourth row. The rows begin before 0 and run past
+        // `duration()`; backwards, from past the end to before 0; and
+        // repeated, on one aligned window and on one straddling window.
+        let slots: Vec<(f64, f64, f64, f64)> = (0..20)
+            .map(|i| {
+                let f = f64::from(i) / 20.0;
+                (
+                    f,
+                    1.0 - f,
+                    if i % 3 == 0 { 0.0 } else { 0.5 },
+                    2f64.powi(-10),
+                )
+            })
+            .collect();
+        let e = emitter(&slots);
+        let (slot, row, exposure) = (2f64.powi(-10), 2f64.powi(-12), 2f64.powi(-11));
+        assert_row_means_match(&e, -8.0 * row, row, exposure, 100);
+        assert_row_means_match(&e, e.duration() + 4.0 * row, -row, exposure, 100);
+        assert_row_means_match(&e, 3.0 * slot, 0.0, exposure, 5);
+        assert_row_means_match(&e, 3.5 * slot, 0.0, 2.0 * slot, 5);
+        // Windows longer than a slot, and empty or negative exposures.
+        assert_row_means_match(&e, -slot, row, 3.0 * slot, 120);
+        assert_row_means_match(&e, 0.0, row, 0.0, 8);
+        assert_row_means_match(&e, slot, row, -row, 8);
+    }
+
+    #[test]
+    fn row_means_match_mean_on_irregular_schedules() {
+        // Irregular slots probed by rolling shutters of many speeds: rows
+        // that stay inside one slot for many steps, rows that cross
+        // several slots per step, and the same rows in reverse.
+        let mut s = 0x0DD_5EEDu64;
+        let slots: Vec<(f64, f64, f64, f64)> = (0..300)
+            .map(|_| {
+                (
+                    lcg(&mut s),
+                    lcg(&mut s),
+                    lcg(&mut s),
+                    0.0001 + 0.0005 * lcg(&mut s),
+                )
+            })
+            .collect();
+        let e = emitter(&slots);
+        let dur = e.duration();
+        for _ in 0..60 {
+            let start = lcg(&mut s) * dur * 1.2 - 0.1 * dur;
+            let row_time = (lcg(&mut s) - 0.3) * 2e-4;
+            let exposure = lcg(&mut s) * lcg(&mut s) * 2e-3;
+            assert_row_means_match(&e, start, row_time, exposure, 400);
+        }
+    }
+
+    #[test]
+    fn row_means_of_an_empty_schedule_are_dark() {
+        let e = LedEmitter::new(TriLed::typical(), 200_000.0, &[]);
+        assert_row_means_match(&e, -1e-3, 1e-5, 4e-5, 10);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod pwm;
 pub mod tri_led;
 
 pub use array::TriLedArray;
-pub use emitter::{LedEmitter, ScheduledColor};
+pub use emitter::{LedEmitter, RowMeans, ScheduledColor};
 pub use platform::Platform;
 pub use pwm::PwmChannel;
 pub use tri_led::{DriveError, DriveLevels, TriLed};

@@ -188,13 +188,6 @@ impl Scene {
             })
             .expect("transmitter index in range")
     }
-
-    /// The attenuated signal (no ambient) transmitter `k` lands on the
-    /// sensor over `[t0, t1]` — the quantity that bleeds into neighbors.
-    fn tx_signal(&self, k: usize, t0: f64, t1: f64) -> Xyz {
-        let tx = &self.txs[k];
-        tx.emitter.mean(t0, t1).scale(tx.channel.path().gain())
-    }
 }
 
 impl SceneRadiance for Scene {
@@ -213,30 +206,39 @@ impl SceneRadiance for Scene {
         idx.min(self.regions.len() - 1)
     }
 
-    fn region_mean(&self, region: usize, t0: f64, t1: f64) -> Xyz {
-        match self.regions[region].kind {
-            RegionKind::Gap => self.background.irradiance(),
-            RegionKind::Tx(k) => {
-                // The transmitter's own channel: attenuated emission plus
-                // that channel's ambient — identical operations to a
-                // single-emitter capture, which keeps the one-region scene
-                // byte-exact.
-                let own = self.txs[k]
-                    .channel
-                    .received_mean(&self.txs[k].emitter, t0, t1);
-                if self.layout.bleed == 0.0 {
-                    return own;
-                }
-                // Optical crosstalk: adjacent spans leak a fraction of
-                // their *signal* (ambient is not double-counted).
-                let mut acc = own;
-                if k > 0 {
-                    acc = acc.add(self.tx_signal(k - 1, t0, t1).scale(self.layout.bleed));
-                }
-                if k + 1 < self.txs.len() {
-                    acc = acc.add(self.tx_signal(k + 1, t0, t1).scale(self.layout.bleed));
-                }
-                acc
+    fn region_rows(
+        &self,
+        region: usize,
+        start: f64,
+        row_time: f64,
+        exposure: f64,
+        out: &mut [Xyz],
+    ) {
+        let k = match self.regions[region].kind {
+            RegionKind::Gap => return out.fill(self.background.irradiance()),
+            RegionKind::Tx(k) => k,
+        };
+        // The transmitter's own channel: attenuated emission plus that
+        // channel's ambient — identical operations to a single-emitter
+        // capture, which keeps the one-region scene byte-exact.
+        let own = &self.txs[k];
+        own.channel
+            .received_rows(&own.emitter, start, row_time, exposure, out);
+        if self.layout.bleed == 0.0 {
+            return;
+        }
+        // Optical crosstalk: adjacent spans leak a fraction of their
+        // attenuated *signal* (ambient is not double-counted), left
+        // neighbor first.
+        let neighbors = [
+            k.checked_sub(1),
+            Some(k + 1).filter(|&n| n < self.txs.len()),
+        ];
+        for tx in neighbors.into_iter().flatten().map(|n| &self.txs[n]) {
+            let gain = tx.channel.path().gain();
+            let signal = tx.emitter.row_means(start, row_time, exposure);
+            for (acc, mean) in out.iter_mut().zip(signal) {
+                *acc = acc.add(mean.scale(gain).scale(self.layout.bleed));
             }
         }
     }
@@ -264,6 +266,13 @@ mod tests {
                 duration: seconds,
             }],
         )
+    }
+
+    /// A region's mean over the one window `[t0, t1]`.
+    fn window_mean(scene: &Scene, region: usize, t0: f64, t1: f64) -> Xyz {
+        let mut out = [Xyz::BLACK];
+        scene.region_rows(region, t0, 0.0, t1 - t0, &mut out);
+        out[0]
     }
 
     fn tx(drive: DriveLevels) -> SceneTransmitter {
@@ -342,8 +351,63 @@ mod tests {
         let bg = AmbientLight::dim_indoor();
         let scene = Scene::compose(txs, layout, bg).unwrap();
         let gap_region = scene.region_of_column(5, scene.width());
-        let got = scene.region_mean(gap_region, 0.0, 40e-6);
+        let got = window_mean(&scene, gap_region, 0.0, 40e-6);
         assert!(got.to_vec3().max_abs_diff(bg.irradiance().to_vec3()) < 1e-15);
+    }
+
+    #[test]
+    fn bleeding_rows_equal_per_window_sums_bitwise() {
+        // Three transmitters with symbol schedules behind different
+        // channels, bleed on: each transmitter region's rows are its own
+        // channel's `received_mean` plus each neighbor's attenuated
+        // `mean` times the bleed, left neighbor first, window by window.
+        let led = TriLed::typical();
+        let schedule = |phase: usize| -> Vec<ScheduledColor> {
+            (0..40)
+                .map(|i| ScheduledColor {
+                    drive: DriveLevels::new(
+                        ((i + phase) % 3) as f64 / 2.0,
+                        ((i + phase) % 5) as f64 / 4.0,
+                        ((i * 7 + phase) % 4) as f64 / 3.0,
+                    ),
+                    duration: 1.0 / 3000.0,
+                })
+                .collect()
+        };
+        let txs: Vec<SceneTransmitter> = (0..3)
+            .map(|k| SceneTransmitter {
+                emitter: LedEmitter::new(led, 200_000.0, &schedule(k)),
+                channel: OpticalChannel::new(
+                    colorbars_channel::PathLoss::new(0.03 + 0.01 * k as f64, 0.03),
+                    AmbientLight::dim_indoor(),
+                    BlurKernel::identity(),
+                ),
+            })
+            .collect();
+        let layout = SceneLayout {
+            cols_per_tx: 4,
+            guard_cols: 2,
+            bleed: 0.2,
+        };
+        let scene = Scene::compose(txs.clone(), layout, AmbientLight::none()).unwrap();
+        let (start, row_time, exposure) = (-1e-4, 9.5e-6, 60e-6);
+        for k in 0..txs.len() {
+            let region = scene.region_of_column(scene.tx_span(k).0, scene.width());
+            let mut rows = [Xyz::BLACK; 1500];
+            scene.region_rows(region, start, row_time, exposure, &mut rows);
+            for (r, got) in rows.iter().enumerate() {
+                let t0 = start + r as f64 * row_time;
+                let t1 = t0 + exposure;
+                let mut want = txs[k].channel.received_mean(&txs[k].emitter, t0, t1);
+                for n in [k.wrapping_sub(1), k + 1] {
+                    if let Some(tx) = txs.get(n) {
+                        let signal = tx.emitter.mean(t0, t1).scale(tx.channel.path().gain());
+                        want = want.add(signal.scale(layout.bleed));
+                    }
+                }
+                assert_eq!(got.to_vec3().0, want.to_vec3().0, "tx {k} row {r}");
+            }
+        }
     }
 
     #[test]
@@ -365,9 +429,9 @@ mod tests {
         let r0 = scene.region_of_column(0, w);
         let r1 = scene.region_of_column(6, w);
         let r2 = scene.region_of_column(12, w);
-        let own = scene.region_mean(r0, 0.0, 1e-3);
-        let leaked = scene.region_mean(r1, 0.0, 1e-3);
-        let far = scene.region_mean(r2, 0.0, 1e-3);
+        let own = window_mean(&scene, r0, 0.0, 1e-3);
+        let leaked = window_mean(&scene, r1, 0.0, 1e-3);
+        let far = window_mean(&scene, r2, 0.0, 1e-3);
         assert!(own.y > 0.0);
         assert!(
             (leaked.y - 0.25 * own.y).abs() < 1e-12,

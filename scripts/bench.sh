@@ -9,7 +9,23 @@
 # threshold-table vs powf gamma encode, profile vs per-pixel vignetting,
 # lane-kernel vs libm Box–Muller normals, steady-state frame-pool
 # pressure — plus one full frame capture and one full sweep operating
-# point. Full runs append
+# point. Two ratios time both sides alternately in one process, so host
+# drift cancels in them:
+#
+#   row_normals_speedup    one Nexus 5 frame's per-row noise streams drawn
+#                          eight rows per lane step (fill_row_normals)
+#                          against one row after another (fill_normals)
+#   row_integrate_speedup  one Nexus 5 frame's row windows with each row's
+#                          boundary slots walked on from the previous row's
+#                          (LedEmitter::row_means) against a binary search
+#                          per row (LedEmitter::mean)
+#
+# It also reports each capture stage's share of `camera.capture_frame`
+# (share_rows_integrate, share_blur_rows, share_mosaic, share_encode) from
+# the camera's own spans over a few Nexus 5 captures, and their sum,
+# capture_closure. The probe exits nonzero, and so does this script, when
+# the closure is outside [0.95, 1.05]: capture time the stage spans do not
+# account for. Full runs append
 # `{timestamp, git_rev, probe}` (plus `note` when BENCH_NOTE is set) to
 # BENCH_2.json so the speedup trajectory across commits stays reviewable.
 set -euo pipefail
@@ -21,8 +37,14 @@ if [[ "${1:-}" == "--smoke" ]]; then
 fi
 
 cargo build --release -p colorbars-bench --bin perf_probe
-PROBE=$(./target/release/perf_probe ${MODE})
+# Print the probe's report even when it fails its closure gate, so the
+# stage shares that broke it show, then fail with its status.
+STATUS=0
+PROBE=$(./target/release/perf_probe ${MODE}) || STATUS=$?
 echo "${PROBE}"
+if [[ "${STATUS}" -ne 0 ]]; then
+    exit "${STATUS}"
+fi
 
 if [[ -n "${MODE}" ]]; then
     echo "smoke mode: not recording to BENCH_2.json"
