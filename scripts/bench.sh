@@ -4,14 +4,28 @@
 #   ./scripts/bench.sh            # full probe, appends an entry to BENCH_2.json
 #   ./scripts/bench.sh --smoke    # seconds-long probe, prints only (CI sanity)
 #
-# The probe (`perf_probe`) times each optimized component against its
-# retained reference path — prefix-sum vs walking emitter integration,
-# threshold-table vs powf gamma encode, profile vs per-pixel vignetting,
-# lane-kernel vs libm Box–Muller normals, steady-state frame-pool
-# pressure — plus one full frame capture and one full sweep operating
-# point. Two ratios time both sides alternately in one process, so host
-# drift cancels in them:
+# The probe (`perf_probe`) prints only ratios of two times taken in one
+# process, so the host's speed cancels as far as it slows both sides
+# alike; absolute per-frame and per-run times belong to linkbench
+# (README's benchmark section names the one owner of each timed fact).
+# Six ratios time an optimized capture component against the reference
+# path it replaced, each sample of one side alternating with one of the
+# other, so drift reaches both sides alike. Code generation does not
+# cancel: a change that compiles either side differently moves its ratio.
+# Nor does contention for a resource one side alone is bound by:
+# vignette_speedup's profile side writes a frame-sized plane while its
+# reference computes, and it spreads most between runs of one build.
 #
+#   integrate_speedup      LedEmitter::integrate (prefix sums) against
+#                          integrate_reference (walking the slots) over the
+#                          733 windows the Fig 3(b) observer panel slides
+#                          over a 1 s schedule: 40–100 ms critical
+#                          durations, 120–301 slots each at 3 kHz
+#   encode_speedup         threshold-table quantizer against powf encode
+#   vignette_speedup       cached row/column profiles against the
+#                          per-pixel radial factor, one Nexus 5 frame
+#   normals_speedup        lane-kernel Box–Muller against the libm
+#                          transform, one Nexus 5 frame's normals
 #   row_normals_speedup    one Nexus 5 frame's per-row noise streams drawn
 #                          eight rows per lane step (fill_row_normals)
 #                          against one row after another (fill_normals)
@@ -22,12 +36,12 @@
 #
 # It also reports each capture stage's share of `camera.capture_frame`
 # (share_rows_integrate, share_blur_rows, share_mosaic, share_encode) from
-# the camera's own spans over a few Nexus 5 captures, and their sum,
+# the camera's own spans over consecutive Nexus 5 captures, and their sum,
 # capture_closure. The probe exits nonzero, and so does this script, when
 # the closure is outside [0.95, 1.05]: capture time the stage spans do not
-# account for. Full runs append
-# `{timestamp, git_rev, probe}` (plus `note` when BENCH_NOTE is set) to
-# BENCH_2.json so the speedup trajectory across commits stays reviewable.
+# account for. Full runs append `{timestamp, git_rev, probe}` (plus `note`
+# when BENCH_NOTE is set) to BENCH_2.json so the trajectory across commits
+# stays reviewable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
