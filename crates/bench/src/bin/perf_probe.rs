@@ -14,9 +14,13 @@
 //!   in the host's speed reaches both alike. Code generation does not
 //!   cancel: a change that compiles either side differently moves its
 //!   ratio. Nor does contention for a resource only one side is bound by:
-//!   `vignette_speedup`'s profile side writes a frame-sized plane while
+//!   `vignette_speedup`'s profile side stores a frame-sized plane while
 //!   its reference computes, and it spreads most between runs of one
-//!   build;
+//!   build. Its cause was not found: the profile side's stores run at one
+//!   of two speeds (about 22 or 40 µs per plane) that switch within one
+//!   process, on either vCPU, with the profiles computed outside the
+//!   samples and one plane shared by both sides, so the spread follows
+//!   neither the vCPU, the plane's pages, nor the probe's allocations;
 //! * where a real Nexus 5 capture's time goes, from the camera's own stage
 //!   spans: each stage's share of `camera.capture_frame`, and
 //!   `capture_closure`, the shares' sum. The probe exits nonzero when the
@@ -41,6 +45,7 @@ use colorbars_led::{DriveLevels, LedEmitter, ScheduledColor, TriLed};
 use colorbars_obs::{self as obs, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -166,29 +171,33 @@ fn main() -> ExitCode {
     // Vignetting: cached profiles vs the per-pixel radial formula, one
     // factor per photosite of a Nexus 5 frame, written out as the mosaic
     // loop consumes them. Not summed: one accumulator's serial adds take
-    // as long as either path and would hide the difference.
+    // as long as either path and would hide the difference. The profiles
+    // are computed once, outside the samples, as the rig caches them, and
+    // both sides write one shared plane, so neither side's stores land in
+    // memory the other side leaves cold.
     let nexus5 = DeviceProfile::nexus5();
     let v = Vignette::typical();
     let (h, w) = (nexus5.rows, 24usize);
-    let (mut by_profiles, mut by_factor) = (vec![0.0f64; h * w], vec![0.0f64; h * w]);
+    let (rows, cols) = v.profiles(h, w);
+    let mut plane = vec![0.0f64; h * w];
+    let plane = Cell::from_mut(&mut plane[..]).as_slice_of_cells();
     let ratio = speedup(
         reps,
         || {
-            let (rows, cols) = v.profiles(h, w);
-            for (out, row) in by_profiles.chunks_mut(w).zip(&rows) {
-                for (o, col) in out.iter_mut().zip(&cols) {
-                    *o = row + col;
+            for (out, row) in plane.chunks(w).zip(&rows) {
+                for (o, col) in out.iter().zip(&cols) {
+                    o.set(row + col);
                 }
             }
-            std::hint::black_box(&by_profiles);
+            std::hint::black_box(plane);
         },
         || {
-            for (r, out) in by_factor.chunks_mut(w).enumerate() {
-                for (c, o) in out.iter_mut().enumerate() {
-                    *o = v.factor(r, c, h, w);
+            for (r, out) in plane.chunks(w).enumerate() {
+                for (c, o) in out.iter().enumerate() {
+                    o.set(v.factor(r, c, h, w));
                 }
             }
-            std::hint::black_box(&by_factor);
+            std::hint::black_box(plane);
         },
     );
     fields.push(("vignette_speedup", Value::from(ratio)));

@@ -97,6 +97,23 @@ pub fn demosaic_bilinear(
 /// encoding into `emit`, which avoids materializing an intermediate
 /// full-RGB plane (24 bytes per pixel) that would be read back exactly
 /// once.
+///
+/// Every row but the first and last is walked without a branch on its
+/// data or on a site's parity. Any Bayer row alternates G sites with sites
+/// of one other channel X (R or B), and the third channel Y appears only
+/// in the rows above and below, so the row's site order is resolved once
+/// and its interior walked in fixed (G, X) or (X, G) pairs of
+/// constant-offset loads from three row slices. The row's two edge pixels
+/// are built from their known clamped columns (`[0, 0, 1]` on the left,
+/// `[w − 2, w − 1, w − 1]` on the right). Each mean adds the same samples
+/// in the same order as the clamped 3×3 walk, so every float matches that
+/// walk bit for bit; the 2- and 4-count means multiply by an exact
+/// power-of-two reciprocal, which is the same IEEE double as dividing by
+/// the count. (The walk's sums start from +0.0, so a mean of `-0.0`
+/// samples reads +0.0 there and `-0.0` here; both encode to byte 0, and
+/// the sensor clips negative samples to +0.0.) The first and last rows,
+/// whose windows clamp rows as well, and planes one column wide take that
+/// walk itself.
 pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
     raw: &[f64],
     width: usize,
@@ -106,8 +123,7 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
 ) {
     assert_eq!(raw.len(), width * height, "raw plane size mismatch");
     // The channel at a site depends only on (row % 2, col % 2); hoist the
-    // pattern dispatch into a 2×2 index table so the neighbor loops do a
-    // table lookup instead of a double match per sample.
+    // pattern dispatch into a 2×2 index table.
     let ch_index = |r: usize, c: usize| -> usize {
         match pattern.channel_at(r, c) {
             CfaChannel::R => 0,
@@ -119,17 +135,8 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
         [ch_index(0, 0), ch_index(0, 1)],
         [ch_index(1, 0), ch_index(1, 1)],
     ];
-    // Interior sites have a fixed 3×3 geometry per (row, col) parity, and
-    // any Bayer row alternates G sites with R-or-B sites. The interior loop
-    // below is specialized on that structure: constant-offset neighbor
-    // loads from three row slices, fully unrolled — no offset tables, no
-    // dynamic-length accumulation loops. Each sum is written in row-major
-    // window order, so every float matches the general border path (and the
-    // previous offset-plan implementation) bit for bit; the 2- and 4-count
-    // means multiply by an exact power-of-two reciprocal, which is the same
-    // IEEE double as dividing by the count.
     for row in 0..height {
-        if row == 0 || row + 1 == height {
+        if row == 0 || row + 1 == height || width < 2 {
             for col in 0..width {
                 emit(border_pixel(raw, width, height, &parity, row, col));
             }
@@ -139,42 +146,84 @@ pub fn demosaic_bilinear_with<F: FnMut(LinearRgb)>(
         let up = &raw[base - width..base];
         let mid = &raw[base..base + width];
         let down = &raw[base + width..base + 2 * width];
-        let rp = row & 1;
-        // Any Bayer row alternates G sites with sites of one other channel
-        // X (R or B); the third channel Y only appears off-row. Resolve the
-        // row's layout once, then reconstruct each pixel as three scalars —
-        // no dynamic channel indexing inside the loop.
-        let g_parity = if parity[rp][0] == 1 { 0 } else { 1 };
-        let x_is_r = parity[rp][1 - g_parity] == 0;
-        emit(border_pixel(raw, width, height, &parity, row, 0));
-        for col in 1..width.saturating_sub(1) {
-            let (g, xv, yv) = if col & 1 == g_parity {
-                // G site: X lives left/right, Y above/below.
-                (
-                    mid[col],
-                    (mid[col - 1] + mid[col + 1]) * 0.5,
-                    (up[col] + down[col]) * 0.5,
-                )
+        let g_first = parity[row & 1][0] == 1;
+        let x_is_r = parity[row & 1][usize::from(g_first)] == 0;
+        let rgb = |(g, x, y): (f64, f64, f64)| {
+            if x_is_r {
+                LinearRgb::new(x, g, y)
             } else {
-                // X site: G on the 4-connected cross, Y on the diagonals.
-                (
-                    (up[col] + mid[col - 1] + mid[col + 1] + down[col]) * 0.25,
-                    mid[col],
-                    (up[col - 1] + up[col + 1] + down[col - 1] + down[col + 1]) * 0.25,
-                )
-            };
-            let (r, b) = if x_is_r { (xv, yv) } else { (yv, xv) };
-            emit(LinearRgb::new(r, g, b));
+                LinearRgb::new(y, g, x)
+            }
+        };
+        let (l, n) = (width - 1, width - 2);
+        // Left edge, columns [0, 0, 1]. A G site's X is its one right
+        // neighbor (a one-sample mean) and its Y the four samples of column
+        // 0 above and below; an X site's G is five samples.
+        emit(rgb(if g_first {
+            (mid[0], mid[1], (up[0] + up[0] + down[0] + down[0]) * 0.25)
+        } else {
+            let g = (up[0] + up[0] + mid[1] + down[0] + down[0]) / 5.0;
+            (g, mid[0], (up[1] + down[1]) * 0.5)
+        }));
+        // Interior columns 1..=n in pairs, each read through the four
+        // columns around it; column 1 is a G site when column 0 is not.
+        let around = |c: usize| (&up[c - 1..c + 3], &mid[c - 1..c + 3], &down[c - 1..c + 3]);
+        if g_first {
+            for (u, m, d) in (1..n).step_by(2).map(around) {
+                emit(rgb(x_site(u, m, d, 1)));
+                emit(rgb(g_site(u, m, d, 2)));
+            }
+        } else {
+            for (u, m, d) in (1..n).step_by(2).map(around) {
+                emit(rgb(g_site(u, m, d, 1)));
+                emit(rgb(x_site(u, m, d, 2)));
+            }
         }
-        if width > 1 {
-            emit(border_pixel(raw, width, height, &parity, row, width - 1));
+        if n % 2 == 1 {
+            // An odd interior ends on the first site of a pair.
+            let (u, m, d) = (&up[n - 1..], &mid[n - 1..], &down[n - 1..]);
+            emit(rgb(if g_first {
+                x_site(u, m, d, 1)
+            } else {
+                g_site(u, m, d, 1)
+            }));
         }
+        // Right edge, columns [w − 2, w − 1, w − 1]: the mirror image. It
+        // is a G site when it shares column 0's parity and column 0 is one,
+        // or differs from it and column 0 is not.
+        let g_last = (l % 2 == 0) == g_first;
+        emit(rgb(if g_last {
+            (mid[l], mid[n], (up[l] + up[l] + down[l] + down[l]) * 0.25)
+        } else {
+            let g = (up[l] + up[l] + mid[n] + down[l] + down[l]) / 5.0;
+            (g, mid[l], (up[n] + down[n]) * 0.5)
+        }));
     }
 }
 
-/// Border-clamped bilinear reconstruction of one pixel — the general path
-/// shared by frame edges, where the 3×3 window is clamped into the plane
-/// and neighbor counts vary.
+/// `(G, X, Y)` of the interior G site at offset `c` of the three row
+/// windows `u`, `m`, `d` (above, on and below the site's row): X lives
+/// left and right, Y above and below.
+#[inline(always)]
+fn g_site(u: &[f64], m: &[f64], d: &[f64], c: usize) -> (f64, f64, f64) {
+    (m[c], (m[c - 1] + m[c + 1]) * 0.5, (u[c] + d[c]) * 0.5)
+}
+
+/// `(G, X, Y)` of the interior X site at offset `c` of the three row
+/// windows: G on the 4-connected cross, Y on the diagonals, each added in
+/// window order.
+#[inline(always)]
+fn x_site(u: &[f64], m: &[f64], d: &[f64], c: usize) -> (f64, f64, f64) {
+    (
+        (u[c] + m[c - 1] + m[c + 1] + d[c]) * 0.25,
+        m[c],
+        (u[c - 1] + u[c + 1] + d[c - 1] + d[c + 1]) * 0.25,
+    )
+}
+
+/// Border-clamped bilinear reconstruction of one pixel: the 3×3 window is
+/// clamped into the plane, so neighbor counts vary. The first and last
+/// rows, and planes one column wide, take it.
 fn border_pixel(
     raw: &[f64],
     width: usize,
@@ -311,7 +360,9 @@ mod tests {
         let _ = demosaic_bilinear(&[0.0; 10], 4, 4, BayerPattern::Rggb);
     }
 
-    /// The uniformly clamped 3×3 walk the production code specializes.
+    /// The uniformly clamped 3×3 walk the production code specializes. A
+    /// channel with no site in the window (planes one site wide or high)
+    /// reads 0.
     fn demosaic_reference(
         raw: &[f64],
         width: usize,
@@ -345,8 +396,10 @@ mod tests {
                 for ch in 0..3 {
                     px[ch] = if ch == own_ch {
                         raw[row * width + col]
-                    } else {
+                    } else if counts[ch] > 0 {
                         sums[ch] / counts[ch] as f64
+                    } else {
+                        0.0
                     };
                 }
                 out.push(LinearRgb::new(px[0], px[1], px[2]));
@@ -357,26 +410,43 @@ mod tests {
 
     #[test]
     fn interior_fast_path_matches_reference_bit_exactly() {
-        // Irregular data so any wrong offset, count or channel shows up.
-        let (w, h) = (9, 11);
-        let raw: Vec<f64> = (0..w * h)
-            .map(|i| ((i * 2654435761usize) % 1000) as f64 / 1000.0)
+        // Every small plane, so each row parity, each interior length (even
+        // and odd, empty and one site), and both edges meet every pattern;
+        // then the two devices' capture planes in both orientations.
+        let mut shapes: Vec<(usize, usize)> = (1..=33)
+            .flat_map(|w| (1..=9).map(move |h| (w, h)))
             .collect();
-        for p in [
-            BayerPattern::Rggb,
-            BayerPattern::Bggr,
-            BayerPattern::Grbg,
-            BayerPattern::Gbrg,
-        ] {
-            let fast = demosaic_bilinear(&raw, w, h, p);
-            let reference = demosaic_reference(&raw, w, h, p);
-            for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-                assert!(
-                    a.r.to_bits() == b.r.to_bits()
-                        && a.g.to_bits() == b.g.to_bits()
-                        && a.b.to_bits() == b.b.to_bits(),
-                    "{p:?} pixel {i}: {a:?} vs {b:?}"
-                );
+        shapes.extend([(24, 3264), (24, 1920), (3264, 24), (1920, 24)]);
+        for (w, h) in shapes {
+            // Irregular data so any wrong offset, count, channel or
+            // summation order shows up, clipped into [0, 1] the way the
+            // sensor clips its samples: about one sample in twelve is
+            // exactly 0.0 and one in twelve exactly 1.0.
+            let raw: Vec<f64> = (0..w * h)
+                .map(|i| {
+                    let v = ((i * 2654435761usize) % 1200) as f64 / 1000.0 - 0.1;
+                    v.clamp(0.0, 1.0)
+                })
+                .collect();
+            for p in [
+                BayerPattern::Rggb,
+                BayerPattern::Bggr,
+                BayerPattern::Grbg,
+                BayerPattern::Gbrg,
+            ] {
+                let fast = demosaic_bilinear(&raw, w, h, p);
+                let reference = demosaic_reference(&raw, w, h, p);
+                assert_eq!(fast.len(), reference.len());
+                for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+                    assert!(
+                        a.r.to_bits() == b.r.to_bits()
+                            && a.g.to_bits() == b.g.to_bits()
+                            && a.b.to_bits() == b.b.to_bits(),
+                        "{w}×{h} {p:?} pixel ({}, {}): {a:?} vs {b:?}",
+                        i / w,
+                        i % w
+                    );
+                }
             }
         }
     }

@@ -47,12 +47,16 @@
 //!   ([`colorbars_led::LedEmitter::row_means`]).
 //! * **Hoisted per-pixel constants.** The radial vignetting factor
 //!   decomposes into cached row + column profiles
-//!   ([`Vignette::profiles`]), gamma encoding uses the exact
-//!   threshold-table quantizer ([`SrgbQuantizer`]) instead of a `powf` per
-//!   channel per pixel, and each row walks the ROI as *runs* of columns
-//!   that share a region, so the device color transform and the run's two
-//!   CFA channels are computed once per (row, run) — once per row for a
-//!   uniform scene.
+//!   ([`Vignette::profiles`]), and each row walks the ROI as *runs* of
+//!   columns that share a region, so the device color transform and the
+//!   run's two CFA channels are computed once per (row, run) — once per
+//!   row for a uniform scene.
+//! * **An encode that never branches on a pixel.** Demosaicing walks each
+//!   row in fixed site pairs and builds its two edge pixels from their
+//!   known clamped columns ([`demosaic_bilinear_with`]), and gamma encoding
+//!   uses the exact threshold-table quantizer ([`SrgbQuantizer`]): one
+//!   rounded bucket, one threshold load and one comparison per channel
+//!   instead of a `powf`.
 //! * **One noise draw per photosite, drawn ahead of the loop.** Shot and
 //!   read noise combine into a single Gaussian with `σ = sqrt(electrons +
 //!   read²)` ([`crate::sensor::SensorModel::expose_with_noise`]). The
@@ -354,7 +358,8 @@ impl Camera {
             self.expose_mosaic(&mut raw, light, frame_index, settings);
         }
         // Demosaic and gamma encoding fuse into one streaming pass — the
-        // full-RGB plane never materializes.
+        // full-RGB plane never materializes — and neither branches on a
+        // sample.
         {
             let _stage = obs::span!("camera.encode");
             let quant = &self.quant;

@@ -266,22 +266,25 @@ impl Srgb {
 /// transfer curve is strictly monotone, the linear-light interval that
 /// quantizes to byte `b` is bounded by the decoded values of the half-step
 /// codes `(b ± 0.5)/255`. The 255 precomputed thresholds plus a fine
-/// bucket table turn encoding into one table load and one branchless
-/// comparison (no transcendentals, no data-dependent branches to
-/// mispredict on noisy pixels), and the result is *bit-identical* to the
-/// `powf` path — validated exhaustively by the unit tests rather than
-/// approximated like an interpolating LUT.
+/// bucket table turn encoding into a bucket lookup, one threshold load and
+/// one comparison, with no transcendentals and no branch on the value
+/// (noisy pixels would mispredict one), and the result is *bit-identical*
+/// to the `powf` path — validated exhaustively by the unit tests rather
+/// than approximated like an interpolating LUT.
 #[derive(Debug, Clone)]
 pub struct SrgbQuantizer {
     /// `thresholds[b - 1]` is the smallest linear value that rounds to
-    /// byte `b`; values below `thresholds[0]` encode to 0.
-    thresholds: [f64; 255],
-    /// `coarse[k]` is the byte code of the linear value `k / COARSE_BUCKETS`
-    /// — the starting point for the threshold check. Thresholds are at
-    /// least ~3.03e-4 apart (the linear toe of the gamma curve), so one
-    /// 1/4096-wide bucket contains at most *one* of them and
-    /// [`SrgbQuantizer::encode_byte`] needs a single branchless comparison
-    /// instead of a scan or a `partition_point` binary search.
+    /// byte `b`; values below `thresholds[0]` encode to 0. The last entry
+    /// is NaN, and `NaN <= v` is false for every `v`, so a lookup from byte
+    /// 255 stays at 255.
+    thresholds: [f64; 256],
+    /// `coarse[k]` is the byte code at the low edge of bucket `k`, the
+    /// linear range `[(k − ½)/4096, (k + ½)/4096]` — the starting point for
+    /// the threshold check. Thresholds are at least ~3.03e-4 apart (the
+    /// linear toe of the gamma curve), so one 1/4096-wide bucket contains
+    /// at most *one* of them and [`SrgbQuantizer::encode_byte`] needs a
+    /// single comparison instead of a scan or a `partition_point` binary
+    /// search.
     coarse: [u8; COARSE_BUCKETS + 1],
 }
 
@@ -290,18 +293,23 @@ pub struct SrgbQuantizer {
 /// no bucket contains two quantization thresholds.
 const COARSE_BUCKETS: usize = 4096;
 
+/// 1.5 · 2⁵²: adding it to a value in `[0, 2⁵¹)` rounds the value to the
+/// nearest integer (ties to even), which then sits in the sum's low
+/// mantissa bits.
+const ROUND_TO_INT: f64 = 6_755_399_441_055_744.0;
+
 impl SrgbQuantizer {
     /// Build the threshold table (255 `powf` calls, done once).
     pub fn new() -> SrgbQuantizer {
-        let mut thresholds = [0.0f64; 255];
-        for (i, t) in thresholds.iter_mut().enumerate() {
+        let mut thresholds = [f64::NAN; 256];
+        for (i, t) in thresholds[..255].iter_mut().enumerate() {
             let b = (i + 1) as f64;
             *t = decode_channel((b - 0.5) / 255.0);
         }
         let mut coarse = [0u8; COARSE_BUCKETS + 1];
         for (k, start) in coarse.iter_mut().enumerate() {
-            let bucket_floor = k as f64 / COARSE_BUCKETS as f64;
-            *start = thresholds.partition_point(|&t| t <= bucket_floor) as u8;
+            let low_edge = (k as f64 - 0.5) / COARSE_BUCKETS as f64;
+            *start = thresholds[..255].partition_point(|&t| t <= low_edge) as u8;
         }
         SrgbQuantizer { thresholds, coarse }
     }
@@ -311,18 +319,21 @@ impl SrgbQuantizer {
     #[inline]
     pub fn encode_byte(&self, linear: f64) -> u8 {
         // The byte value is the number of thresholds at or below `linear`.
-        // The bucket's precomputed count can be short by at most one (a
-        // bucket is narrower than the minimum threshold gap), so one
-        // branchless comparison finishes the job. The float→usize cast
-        // saturates, so negative values and NaN land in bucket 0 (where the
-        // comparison fails → 0, like the clamp in `encode_channel`) and
-        // values above 1.0 land in the last bucket (→ 255).
-        let bucket = ((linear * COARSE_BUCKETS as f64) as usize).min(COARSE_BUCKETS);
-        let byte = self.coarse[bucket] as usize;
-        if byte >= 255 {
-            return 255;
-        }
-        byte as u8 + u8::from(self.thresholds[byte] <= linear)
+        // Scaling by 4096 is exact short of overflow, and clamping it to
+        // [0, 4096] (NaN → 0) keeps every input in a bucket: negative
+        // values and NaN in bucket 0, whose comparison fails (→ 0, like the
+        // clamp in `encode_channel`), and values above 1.0 in the last
+        // bucket (→ 255). Rounding to the nearest bucket puts `linear`
+        // inside its bucket's closed range, so the bucket's count is short
+        // by at most the one threshold the range can hold, and one
+        // comparison finishes the job. The bucket's `min` never binds; it
+        // only proves the index in bounds.
+        let scaled = (linear * COARSE_BUCKETS as f64)
+            .max(0.0)
+            .min(COARSE_BUCKETS as f64);
+        let bucket = ((scaled + ROUND_TO_INT).to_bits() as u32 as usize).min(COARSE_BUCKETS);
+        let byte = self.coarse[bucket];
+        byte + u8::from(self.thresholds[usize::from(byte)] <= linear)
     }
 
     /// Encode a linear sRGB pixel straight to its stored bytes.
@@ -605,6 +616,97 @@ mod tests {
             q.encode_pixel(LinearRgb::new(0.5, -0.2, 2.0)),
             Srgb::encode(LinearRgb::new(0.5, -0.2, 2.0)).to_bytes()
         );
+    }
+
+    /// The quantizer's earlier two-step form: a floor bucket of width
+    /// 1/4096, an early return when the bucket already reads 255, and one
+    /// threshold comparison.
+    struct TwoStepQuantizer {
+        thresholds: [f64; 255],
+        coarse: [u8; COARSE_BUCKETS + 1],
+    }
+
+    impl TwoStepQuantizer {
+        fn new() -> TwoStepQuantizer {
+            let mut thresholds = [0.0f64; 255];
+            for (i, t) in thresholds.iter_mut().enumerate() {
+                let b = (i + 1) as f64;
+                *t = decode_channel((b - 0.5) / 255.0);
+            }
+            let mut coarse = [0u8; COARSE_BUCKETS + 1];
+            for (k, start) in coarse.iter_mut().enumerate() {
+                let bucket_floor = k as f64 / COARSE_BUCKETS as f64;
+                *start = thresholds.partition_point(|&t| t <= bucket_floor) as u8;
+            }
+            TwoStepQuantizer { thresholds, coarse }
+        }
+
+        fn encode_byte(&self, linear: f64) -> u8 {
+            let bucket = ((linear * COARSE_BUCKETS as f64) as usize).min(COARSE_BUCKETS);
+            let byte = self.coarse[bucket] as usize;
+            if byte >= 255 {
+                return 255;
+            }
+            byte as u8 + u8::from(self.thresholds[byte] <= linear)
+        }
+    }
+
+    /// The rounded-bucket quantizer agrees with the two-step form on every
+    /// input that can sit on a decision: ±4 ulps around every edge of both
+    /// bucketings and every threshold, a 10⁶-point grid over [−0.1, 1.1],
+    /// and the special values.
+    #[test]
+    fn quantizer_matches_two_step_form() {
+        let q = SrgbQuantizer::new();
+        let two_step = TwoStepQuantizer::new();
+        let check = |v: f64| {
+            assert_eq!(
+                q.encode_byte(v),
+                two_step.encode_byte(v),
+                "linear {v:e} ({:#018x})",
+                v.to_bits()
+            );
+        };
+        let around = |center: f64| {
+            check(center);
+            let (mut up, mut down) = (center, center);
+            for _ in 0..4 {
+                up = up.next_up();
+                down = down.next_down();
+                check(up);
+                check(down);
+            }
+        };
+        let buckets = COARSE_BUCKETS as f64;
+        for k in 0..=COARSE_BUCKETS {
+            around(k as f64 / buckets);
+            around((k as f64 - 0.5) / buckets);
+            around((k as f64 + 0.5) / buckets);
+        }
+        for &t in &two_step.thresholds {
+            around(t);
+        }
+        for i in 0..=1_000_000u32 {
+            check(-0.1 + 1.2 * (i as f64 / 1_000_000.0));
+        }
+        for v in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ] {
+            check(v);
+        }
     }
 
     /// The byte→XYZ table must agree with the arithmetic decode path to the

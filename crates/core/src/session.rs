@@ -159,8 +159,8 @@ struct Job {
 /// session. See the [module docs](self) for the metric inventory.
 #[derive(Debug)]
 pub struct LinkSession {
-    sender: Option<SyncSender<Job>>,
-    worker: Option<JoinHandle<ReceiverReport>>,
+    sender: SyncSender<Job>,
+    worker: JoinHandle<ReceiverReport>,
     frames_processed: Arc<AtomicU64>,
     queue_depth: Option<Gauge>,
     stalls: Option<Counter>,
@@ -243,8 +243,8 @@ impl LinkSession {
             .expect("spawning a session worker thread");
 
         LinkSession {
-            sender: Some(sender),
-            worker: Some(worker),
+            sender,
+            worker,
             frames_processed,
             queue_depth,
             stalls,
@@ -272,15 +272,11 @@ impl LinkSession {
     /// [`finish`](LinkSession::finish) still returns the report for
     /// everything decoded before eviction.
     pub fn push_frame(&self, frame: Frame) {
-        let sender = self
-            .sender
-            .as_ref()
-            .expect("push_frame after finish() is unreachable by construction");
         let mut job = Job {
             frame,
             enqueued_at: Instant::now(),
         };
-        match sender.try_send(job) {
+        match self.sender.try_send(job) {
             Ok(()) => {}
             Err(TrySendError::Full(back)) => {
                 if let Some(stalls) = &self.stalls {
@@ -290,7 +286,7 @@ impl LinkSession {
                 // Re-stamp after the stall is counted: latency measures
                 // queue wait + decode, not the caller's blocked time.
                 job.enqueued_at = Instant::now();
-                if sender.send(job).is_err() {
+                if self.sender.send(job).is_err() {
                     // Evicted while we were blocked: frame dropped.
                     return;
                 }
@@ -308,13 +304,9 @@ impl LinkSession {
     /// Close the feed, drain the queue, join the worker, and return the
     /// finished report — identical to what a batch decode of the same
     /// frames would produce.
-    pub fn finish(mut self) -> ReceiverReport {
-        drop(self.sender.take());
-        self.worker
-            .take()
-            .expect("finish() consumes the session")
-            .join()
-            .expect("session worker must not panic")
+    pub fn finish(self) -> ReceiverReport {
+        drop(self.sender);
+        self.worker.join().expect("session worker must not panic")
     }
 }
 

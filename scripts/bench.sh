@@ -13,17 +13,27 @@
 # other, so drift reaches both sides alike. Code generation does not
 # cancel: a change that compiles either side differently moves its ratio.
 # Nor does contention for a resource one side alone is bound by:
-# vignette_speedup's profile side writes a frame-sized plane while its
-# reference computes, and it spreads most between runs of one build.
+# vignette_speedup's profile side stores a frame-sized plane while its
+# reference computes, and it spreads most between runs of one build. The
+# cause of that spread was not found. The profile side's stores run at one
+# of two speeds (about 22 or 40 us per plane) that switch within a single
+# process, on either vCPU, with the profiles computed outside the samples
+# and one plane shared by both sides; so the spread follows neither the
+# vCPU, the plane's pages, nor the probe's own allocations, and
+# alternating samples cannot cancel it.
 #
 #   integrate_speedup      LedEmitter::integrate (prefix sums) against
 #                          integrate_reference (walking the slots) over the
 #                          733 windows the Fig 3(b) observer panel slides
 #                          over a 1 s schedule: 40–100 ms critical
 #                          durations, 120–301 slots each at 3 kHz
-#   encode_speedup         threshold-table quantizer against powf encode
-#   vignette_speedup       cached row/column profiles against the
-#                          per-pixel radial factor, one Nexus 5 frame
+#   encode_speedup         SrgbQuantizer (a rounded bucket, one threshold
+#                          load and one comparison per channel) against
+#                          powf encode, over 100 000 pixels
+#   vignette_speedup       a Nexus 5 frame's vignetting factors from row and
+#                          column profiles computed once (as the rig caches
+#                          them) against the per-pixel radial factor, both
+#                          written into one shared plane
 #   normals_speedup        lane-kernel Box–Muller against the libm
 #                          transform, one Nexus 5 frame's normals
 #   row_normals_speedup    one Nexus 5 frame's per-row noise streams drawn

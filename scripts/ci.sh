@@ -26,6 +26,14 @@ cargo bench --workspace --no-run
 CI_TMP="$(mktemp -d)"
 trap 'rm -rf "$CI_TMP"' EXIT
 
+echo "==> linkbench --workload all --smoke (the benchmark builds and runs through its own command)"
+# `cargo test --workspace` builds these sources only as colorbars-bench's
+# linkbench bin. The benchmark runs them as a package of their own, from
+# their own manifest and lockfile, so a stale lockfile or a dependency
+# missing from that manifest fails here rather than in a benchmark run.
+COLORBARS_RESULTS_DIR="$CI_TMP/linkbench" cargo run --release --locked --quiet \
+    --manifest-path crates/bench/src/bin/linkbench/Cargo.toml -- --workload all --smoke
+
 echo "==> scripts/bench.sh --smoke"
 ./scripts/bench.sh --smoke
 
