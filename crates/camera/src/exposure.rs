@@ -25,23 +25,22 @@ pub struct ExposureSettings {
 /// Damped auto-exposure controller targeting a mean frame luma.
 #[derive(Debug, Clone)]
 pub struct AutoExposure {
-    target_luma: f64,
-    damping: f64,
     settings: ExposureSettings,
     enabled: bool,
 }
 
 impl AutoExposure {
     /// The metering target real phone ISPs aim for (mid-gray-ish).
-    pub const DEFAULT_TARGET: f64 = 0.45;
+    pub const TARGET_LUMA: f64 = 0.45;
+
+    /// The exponent that damps each multiplicative correction.
+    const DAMPING: f64 = 0.6;
 
     /// Create a controller for a device, starting from a middle-of-range
     /// operating point.
     pub fn new(device: &DeviceProfile) -> AutoExposure {
         let exposure = (device.min_exposure * device.max_exposure).sqrt();
         AutoExposure {
-            target_luma: Self::DEFAULT_TARGET,
-            damping: 0.6,
             settings: ExposureSettings {
                 exposure,
                 iso: device.min_iso,
@@ -54,8 +53,6 @@ impl AutoExposure {
     /// experiments like Fig 6(b)/(c) that vary exposure or ISO directly).
     pub fn locked(settings: ExposureSettings) -> AutoExposure {
         AutoExposure {
-            target_luma: Self::DEFAULT_TARGET,
-            damping: 0.6,
             settings,
             enabled: false,
         }
@@ -69,18 +66,6 @@ impl AutoExposure {
     /// Whether the controller adapts (`false` for locked controllers).
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Override the metering target (0 < target < 1).
-    ///
-    /// # Panics
-    /// Panics for targets outside `(0, 1)`.
-    pub fn set_target(&mut self, target: f64) {
-        assert!(
-            (0.0..1.0).contains(&target) && target > 0.0,
-            "target must be in (0,1)"
-        );
-        self.target_luma = target;
     }
 
     /// Feed the mean luma of the last captured frame; the controller moves
@@ -100,8 +85,8 @@ impl AutoExposure {
         } else if measured <= 0.02 {
             3.5
         } else {
-            (self.target_luma / measured)
-                .powf(self.damping)
+            (Self::TARGET_LUMA / measured)
+                .powf(Self::DAMPING)
                 .clamp(0.25, 4.0)
         };
 
@@ -187,7 +172,7 @@ mod tests {
         }
         let luma = last * scene_gain;
         assert!(
-            (luma - AutoExposure::DEFAULT_TARGET).abs() < 0.02,
+            (luma - AutoExposure::TARGET_LUMA).abs() < 0.02,
             "steady-state luma {luma}"
         );
     }
@@ -204,13 +189,5 @@ mod tests {
         ae.observe(0.99, &dev);
         assert_eq!(ae.settings(), pinned);
         assert!(!ae.is_enabled());
-    }
-
-    #[test]
-    #[should_panic(expected = "target must be in")]
-    fn invalid_target_panics() {
-        let dev = DeviceProfile::nexus5();
-        let mut ae = AutoExposure::new(&dev);
-        ae.set_target(1.5);
     }
 }

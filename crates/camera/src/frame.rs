@@ -8,6 +8,7 @@
 //! band of rows overlapped.
 
 use crate::pool::FramePool;
+#[cfg(test)]
 use colorbars_color::Srgb;
 
 /// Capture metadata attached to every frame.
@@ -42,11 +43,11 @@ impl FrameMeta {
 /// A captured image: `height` rows × `width` columns of sRGB pixels, row-major.
 ///
 /// A frame may hold a handle to the [`FramePool`] its pixel buffer came
-/// from; such a frame returns the buffer to the pool when dropped (or via
-/// [`Frame::recycle`]), and its clones and column crops draw their buffers
-/// from the same pool — the steady-state capture pipeline allocates
-/// nothing. Equality ignores the pool handle: two frames are equal when
-/// their dimensions, pixels and metadata are.
+/// from; such a frame returns the buffer to the pool when dropped, and its
+/// clones and column crops draw their buffers from the same pool — the
+/// steady-state capture pipeline allocates nothing. Equality ignores the
+/// pool handle: two frames are equal when their dimensions, pixels and
+/// metadata are.
 #[derive(Debug)]
 pub struct Frame {
     width: usize,
@@ -123,10 +124,6 @@ impl Frame {
         frame
     }
 
-    /// Explicitly return this frame's pixel buffer to its pool (equivalent
-    /// to dropping the frame; a no-op for unpooled frames).
-    pub fn recycle(self) {}
-
     /// Frame width (columns).
     pub fn width(&self) -> usize {
         self.width
@@ -135,23 +132,6 @@ impl Frame {
     /// Frame height (rows — the rolling-shutter time axis).
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Raw 8-bit pixel at `(row, col)`.
-    ///
-    /// # Panics
-    /// Panics when out of bounds.
-    pub fn pixel(&self, row: usize, col: usize) -> [u8; 3] {
-        assert!(
-            row < self.height && col < self.width,
-            "pixel ({row},{col}) out of bounds"
-        );
-        self.pixels[row * self.width + col]
-    }
-
-    /// Pixel as floating sRGB.
-    pub fn pixel_srgb(&self, row: usize, col: usize) -> Srgb {
-        Srgb::from_bytes(self.pixel(row, col))
     }
 
     /// One full row of pixels.
@@ -163,20 +143,6 @@ impl Frame {
     /// Iterate rows in order.
     pub fn rows(&self) -> impl Iterator<Item = &[[u8; 3]]> {
         self.pixels.chunks_exact(self.width)
-    }
-
-    /// Mean sRGB value of a row (the receiver's dimensionality reduction,
-    /// paper Section 7 Step 2 — averaging across the band direction).
-    pub fn row_mean_srgb(&self, row: usize) -> Srgb {
-        let r = self.row(row);
-        let n = r.len() as f64;
-        let (mut sr, mut sg, mut sb) = (0.0, 0.0, 0.0);
-        for px in r {
-            sr += px[0] as f64;
-            sg += px[1] as f64;
-            sb += px[2] as f64;
-        }
-        Srgb::new(sr / n / 255.0, sg / n / 255.0, sb / n / 255.0)
     }
 
     /// Extract the column span `[col_start, col_end)` as a new frame.
@@ -236,6 +202,36 @@ impl Frame {
             acc += 0.299 * px[0] as f64 + 0.587 * px[1] as f64 + 0.114 * px[2] as f64;
         }
         acc / (self.pixels.len() as f64 * 255.0)
+    }
+}
+
+#[cfg(test)]
+impl Frame {
+    /// Raw 8-bit pixel at `(row, col)`.
+    ///
+    /// # Panics
+    /// Panics when out of bounds.
+    pub(crate) fn pixel(&self, row: usize, col: usize) -> [u8; 3] {
+        self.row(row)[col]
+    }
+
+    /// Pixel as floating sRGB.
+    pub(crate) fn pixel_srgb(&self, row: usize, col: usize) -> Srgb {
+        Srgb::from_bytes(self.pixel(row, col))
+    }
+
+    /// Mean sRGB value of a row (the receiver's dimensionality reduction,
+    /// paper Section 7 Step 2 — averaging across the band direction).
+    pub(crate) fn row_mean_srgb(&self, row: usize) -> Srgb {
+        let r = self.row(row);
+        let n = r.len() as f64;
+        let (mut sr, mut sg, mut sb) = (0.0, 0.0, 0.0);
+        for px in r {
+            sr += px[0] as f64;
+            sg += px[1] as f64;
+            sb += px[2] as f64;
+        }
+        Srgb::new(sr / n / 255.0, sg / n / 255.0, sb / n / 255.0)
     }
 }
 
@@ -389,17 +385,6 @@ mod tests {
         drop(c);
         drop(f);
         assert_eq!(pool.idle_buffers(), idle_before + 3);
-    }
-
-    #[test]
-    fn frame_recycle_is_explicit_drop() {
-        let pool = FramePool::new();
-        let mut pixels = pool.take_pixels(4);
-        pixels.extend_from_slice(&[[1u8, 2, 3]; 4]);
-        let f = Frame::new_pooled(2, 2, pixels, meta(), pool.clone());
-        let idle = pool.idle_buffers();
-        f.recycle();
-        assert_eq!(pool.idle_buffers(), idle + 1);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! streaming gateway captures, clones and drops frames continuously. A
 //! [`FramePool`] is a small arena of those buffers: the capture path checks
 //! buffers out instead of allocating, and a pooled [`Frame`](crate::Frame)
-//! returns its pixel buffer on drop (or explicit
-//! [`recycle`](crate::Frame::recycle)), so a steady-state pipeline performs
+//! returns its pixel buffer on drop, so a steady-state pipeline performs
 //! **zero** per-frame heap allocations once the pool has warmed up.
 //!
 //! Ownership rules:
@@ -61,10 +60,9 @@ impl FramePool {
         FramePool::default()
     }
 
-    /// The process-wide default pool. Rigs use it unless given their own
-    /// ([`CameraRig::set_pool`](crate::CameraRig::set_pool)), so frames
-    /// captured anywhere in the process recycle into one arena — which is
-    /// what lets the gateway observe pool pressure across all sessions.
+    /// The process-wide pool every rig draws from, so frames captured
+    /// anywhere in the process recycle into one arena — which is what lets
+    /// the gateway observe pool pressure across all sessions.
     pub fn global() -> &'static FramePool {
         static GLOBAL: OnceLock<FramePool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -152,21 +150,11 @@ impl FramePool {
         Self::put(&self.inner.row_light, buf);
     }
 
-    /// Pre-warm the arena with `count` pixel buffers of `capacity` pixels
-    /// each, so a pipeline with a known in-flight depth never misses at
-    /// steady state. Counts as neither hits nor misses.
-    pub fn reserve_pixels(&self, count: usize, capacity: usize) {
-        let mut stash = self.inner.pixels.lock().expect("frame pool poisoned");
-        while stash.len() < count.min(MAX_IDLE_PER_KIND) {
-            stash.push(Vec::with_capacity(capacity));
-        }
-    }
-
     /// Add `extra` idle pixel buffers of `capacity` pixels on top of
-    /// whatever is already stashed (capped at the arena's idle limit) —
-    /// the additive form of [`FramePool::reserve_pixels`] for pipelines
-    /// that share one arena across concurrent sessions, each contributing
-    /// its own in-flight depth. Counts as neither hits nor misses.
+    /// whatever is already stashed (capped at the arena's idle limit), so a
+    /// pipeline with a known in-flight depth never misses at steady state.
+    /// Additive because concurrent sessions share one arena, each
+    /// contributing its own depth. Counts as neither hits nor misses.
     pub fn prefill_pixels(&self, extra: usize, capacity: usize) {
         let mut stash = self.inner.pixels.lock().expect("frame pool poisoned");
         let target = stash.len().saturating_add(extra).min(MAX_IDLE_PER_KIND);
@@ -186,8 +174,9 @@ impl FramePool {
         self.inner.misses.load(Ordering::Relaxed)
     }
 
-    /// Idle buffers currently held, across all kinds (diagnostics).
-    pub fn idle_buffers(&self) -> usize {
+    /// Idle buffers currently held, across all kinds.
+    #[cfg(test)]
+    pub(crate) fn idle_buffers(&self) -> usize {
         let i = &self.inner;
         i.pixels.lock().expect("frame pool poisoned").len()
             + i.raw_f64.lock().expect("frame pool poisoned").len()
@@ -234,9 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn reserve_prewarms_without_counting() {
+    fn prefill_prewarms_without_counting() {
         let pool = FramePool::new();
-        pool.reserve_pixels(3, 64);
+        pool.prefill_pixels(3, 64);
         assert_eq!((pool.hits(), pool.misses()), (0, 0));
         for _ in 0..3 {
             let b = pool.take_pixels(64);

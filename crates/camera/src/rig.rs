@@ -166,7 +166,7 @@ struct Camera {
 impl CameraRig {
     /// Build a rig with auto-exposure enabled (the paper's configuration).
     /// The rig draws its frame and scratch buffers from the process-global
-    /// [`FramePool`]; see [`CameraRig::set_pool`] for a dedicated one.
+    /// [`FramePool`].
     pub fn new(device: DeviceProfile, channel: OpticalChannel, config: CaptureConfig) -> CameraRig {
         assert!(
             config.roi_width >= 2,
@@ -199,9 +199,10 @@ impl CameraRig {
         &self.camera.pool
     }
 
-    /// Use a dedicated buffer pool instead of the process-global one
-    /// (isolated tests, memory-bounded embedders).
-    pub fn set_pool(&mut self, pool: FramePool) {
+    /// Use a dedicated buffer pool instead of the process-global one, so a
+    /// test can count its own rig's checkouts.
+    #[cfg(test)]
+    pub(crate) fn set_pool(&mut self, pool: FramePool) {
         self.camera.pool = pool;
     }
 
@@ -242,6 +243,11 @@ impl CameraRig {
 
     /// Capture `n` consecutive frames of a column-partitioned scene —
     /// the multi-transmitter counterpart of [`CameraRig::capture_video`].
+    /// Every ROI column belongs to one of the scene's radiance regions,
+    /// irradiance is integrated per (row, region), and each region's
+    /// scanline signal gets its own PSF blur. Noise derives from
+    /// `(seed, frame, row)`, never from the spatial layout. The rig's own
+    /// channel plays no part — each region brings its own.
     pub fn capture_video_scene<S: SceneRadiance + ?Sized>(
         &mut self,
         scene: &S,
@@ -249,20 +255,6 @@ impl CameraRig {
         n: usize,
     ) -> Vec<Frame> {
         self.camera.capture_video(scene, start_time, n)
-    }
-
-    /// Capture a single frame of a column-partitioned scene beginning at
-    /// `start_time`: every ROI column belongs to one of the scene's
-    /// radiance regions, irradiance is integrated per (row, region), and
-    /// each region's scanline signal gets its own PSF blur. Noise derives
-    /// from `(seed, frame, row)`, never from the spatial layout. The rig's
-    /// own channel plays no part — each region brings its own.
-    pub fn capture_frame_scene<S: SceneRadiance + ?Sized>(
-        &mut self,
-        scene: &S,
-        start_time: f64,
-    ) -> Frame {
-        self.camera.capture_frame(scene, start_time)
     }
 
     /// Warm the auto-exposure controller on a column-partitioned scene —
@@ -753,7 +745,7 @@ mod tests {
             exposure: 40e-6,
             iso: 100.0,
         }));
-        let f = rig.capture_frame_scene(&scene, 0.1);
+        let f = &rig.capture_video_scene(&scene, 0.1, 1)[0];
         // Sample interior columns away from the demosaic boundary.
         let lit = f.pixel(32, 2)[0] as i32;
         let dark = f.pixel(32, 13)[0] as i32;

@@ -15,15 +15,15 @@
 //!
 //! Every photosite of every frame takes one standard normal, so the normal
 //! transform is a large share of capture time. [`fill_normals`] draws a
-//! row's uniforms in the same order as a scalar loop over [`gaussian_pair`]
-//! and transforms eight pairs per step in `[f64; 8]` lanes, through two
+//! row's uniforms in the same order as a scalar loop over one pair at a
+//! time and transforms eight pairs per step in `[f64; 8]` lanes, through two
 //! branch-free kernels written here: fdlibm's `log`, and fdlibm's
 //! `__sin`/`__cos` after its three-round Cody–Waite reduction by π/2. The
 //! tests hold each kernel within one ulp of libm's `ln`, `sin` and `cos`
 //! over 10⁶ uniform draws and the edges of each input range. The kernels
 //! use only IEEE arithmetic, so the normals are the same on every host.
-//! [`gaussian_pair`] applies the same kernels one pair at a time, and
-//! [`gaussian_pair_reference`] keeps the libm transform for tests and
+//! The tests' `gaussian_pair` applies the same kernels one pair at a time,
+//! and [`gaussian_pair_reference`] keeps the libm transform for tests and
 //! `perf_probe`.
 //!
 //! ## Rows in lanes
@@ -96,14 +96,16 @@ impl SensorModel {
 /// pair of uniforms, through this module's `ln` and `sin_cos` kernels.
 /// [`fill_normals`] applies the same kernels eight pairs at a time and
 /// matches repeated calls of this bit for bit.
-pub fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
+#[cfg(test)]
+pub(crate) fn gaussian_pair<R: Rng>(rng: &mut R) -> (f64, f64) {
     let (u1, u2) = uniform_pair(rng);
     box_muller(u1, u2)
 }
 
-/// [`gaussian_pair`] through libm's `f64::ln` and `f64::sin_cos`: the same
-/// uniforms, and normals that differ from it by a few ulps at most. The
-/// capture never calls it; tests and `perf_probe` compare against it.
+/// One Box–Muller transform through libm's `f64::ln` and `f64::sin_cos`:
+/// the uniforms [`fill_normals`] draws for one pair, and normals that
+/// differ from its kernels' by a few ulps at most. The capture never calls
+/// it; tests and `perf_probe` compare against it.
 pub fn gaussian_pair_reference<R: Rng>(rng: &mut R) -> (f64, f64) {
     let (u1, u2) = uniform_pair(rng);
     let radius = (-2.0 * u1.ln()).sqrt();
@@ -112,7 +114,7 @@ pub fn gaussian_pair_reference<R: Rng>(rng: &mut R) -> (f64, f64) {
 }
 
 /// Fill `out` with standard normals, consuming `rng` exactly like a scalar
-/// loop that calls [`gaussian_pair`] and keeps the spare for the next
+/// loop that transforms one pair at a time and keeps the spare for the next
 /// sample: pairs land in order, and an odd-length tail takes the cosine
 /// branch of a final pair whose sine branch is discarded — precisely what
 /// the spare-keeping photosite loop did at end of row. This is the

@@ -41,11 +41,6 @@ impl AmbientLight {
         AmbientLight::from_illuminant(Illuminant::D65, 0.04)
     }
 
-    /// Bright office ambient: strong fluorescent light, ~30% of signal.
-    pub fn bright_office() -> AmbientLight {
-        AmbientLight::from_illuminant(Illuminant::F2, 0.30)
-    }
-
     /// The constant irradiance this ambient contributes to every exposure.
     pub fn irradiance(&self) -> Xyz {
         self.irradiance
@@ -68,11 +63,11 @@ mod tests {
     }
 
     #[test]
-    fn presets_scale_sensibly() {
+    fn dim_indoor_is_lit_but_faint() {
         let dim = AmbientLight::dim_indoor();
-        let bright = AmbientLight::bright_office();
+        let full = AmbientLight::from_illuminant(Illuminant::D65, 1.0);
         assert!(!dim.is_dark());
-        assert!(bright.irradiance().y > dim.irradiance().y);
+        assert!(full.irradiance().y > dim.irradiance().y);
     }
 
     #[test]

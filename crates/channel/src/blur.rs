@@ -48,15 +48,6 @@ impl BlurKernel {
         BlurKernel { taps }
     }
 
-    /// A box (moving-average) kernel of full width `2·radius + 1` rows —
-    /// the motion-blur model for a slowly moving receiver.
-    pub fn boxcar(radius: usize) -> BlurKernel {
-        let n = 2 * radius + 1;
-        BlurKernel {
-            taps: vec![1.0 / n as f64; n],
-        }
-    }
-
     /// Number of taps.
     pub fn len(&self) -> usize {
         self.taps.len()
@@ -78,19 +69,10 @@ impl BlurKernel {
     }
 
     /// Convolve a sequence of per-row light values, clamp-to-edge at the
-    /// boundaries. Returns a vector of the same length.
-    pub fn convolve_rows(&self, rows: &[Xyz]) -> Vec<Xyz> {
-        let mut out = vec![Xyz::BLACK; rows.len()];
-        self.convolve_rows_into(rows, &mut out);
-        out
-    }
-
-    /// [`BlurKernel::convolve_rows`] writing into a caller-provided slice of
-    /// the same length — the zero-allocation capture path hands in a slice
-    /// of a recycled buffer (one per scene region) instead of allocating per
-    /// frame. Every element is overwritten; the accumulation order is
-    /// identical to [`BlurKernel::convolve_rows`], so the results are
-    /// bit-for-bit the same.
+    /// boundaries, into a caller-provided slice of the same length — the
+    /// zero-allocation capture path hands in a slice of a recycled buffer
+    /// (one per scene region) instead of allocating per frame. Every
+    /// element is overwritten, so a stale buffer is fine.
     pub fn convolve_rows_into(&self, rows: &[Xyz], out: &mut [Xyz]) {
         assert_eq!(out.len(), rows.len(), "blur output length mismatch");
         if rows.is_empty() || self.taps.len() == 1 {
@@ -117,47 +99,33 @@ impl BlurKernel {
             *out = acc;
         }
     }
-
-    /// Convolve a scalar row signal (used for luminance-only analyses).
-    pub fn convolve_scalar(&self, rows: &[f64]) -> Vec<f64> {
-        if rows.is_empty() || self.taps.len() == 1 {
-            return rows.to_vec();
-        }
-        let r = self.radius() as i64;
-        let n = rows.len() as i64;
-        (0..n)
-            .map(|i| {
-                self.taps
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &w)| {
-                        let j = (i + k as i64 - r).clamp(0, n - 1) as usize;
-                        rows[j] * w
-                    })
-                    .sum()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `k` applied to `rows`, written into a fresh buffer.
+    fn blur(k: &BlurKernel, rows: &[Xyz]) -> Vec<Xyz> {
+        let mut out = vec![Xyz::BLACK; rows.len()];
+        k.convolve_rows_into(rows, &mut out);
+        out
+    }
+
+    /// A one-channel signal carried in `x`.
+    fn signal(values: &[f64]) -> Vec<Xyz> {
+        values.iter().map(|&v| Xyz::new(v, 0.0, 0.0)).collect()
+    }
+
     #[test]
     fn identity_kernel_is_noop() {
         let rows: Vec<Xyz> = (0..10).map(|i| Xyz::new(i as f64, 1.0, 0.5)).collect();
-        let out = BlurKernel::identity().convolve_rows(&rows);
-        assert_eq!(out, rows);
+        assert_eq!(blur(&BlurKernel::identity(), &rows), rows);
     }
 
     #[test]
     fn kernels_are_normalized() {
-        for k in [
-            BlurKernel::gaussian(0.5, 3),
-            BlurKernel::gaussian(2.0, 9),
-            BlurKernel::boxcar(4),
-        ] {
+        for k in [BlurKernel::gaussian(0.5, 3), BlurKernel::gaussian(2.0, 9)] {
             let sum: f64 = k.taps().iter().sum();
             assert!((sum - 1.0).abs() < 1e-12, "{k:?}");
             assert_eq!(k.len() % 2, 1, "odd tap count");
@@ -167,8 +135,7 @@ mod tests {
     #[test]
     fn constant_signal_is_preserved() {
         let rows = vec![Xyz::new(0.3, 0.4, 0.5); 32];
-        let out = BlurKernel::gaussian(1.5, 5).convolve_rows(&rows);
-        for o in out {
+        for o in blur(&BlurKernel::gaussian(1.5, 5), &rows) {
             assert!(o.to_vec3().max_abs_diff(rows[0].to_vec3()) < 1e-12);
         }
     }
@@ -178,7 +145,7 @@ mod tests {
         // A hard band edge (red→green transition) becomes a monotone ramp.
         let mut rows = vec![Xyz::new(1.0, 0.0, 0.0); 20];
         rows.extend(vec![Xyz::new(0.0, 1.0, 0.0); 20]);
-        let out = BlurKernel::gaussian(2.0, 6).convolve_rows(&rows);
+        let out = blur(&BlurKernel::gaussian(2.0, 6), &rows);
         for w in out.windows(2) {
             assert!(w[1].x <= w[0].x + 1e-12, "x must fall monotonically");
             assert!(w[1].y >= w[0].y - 1e-12, "y must rise monotonically");
@@ -190,42 +157,27 @@ mod tests {
     }
 
     #[test]
-    fn boxcar_is_moving_average() {
-        let rows: Vec<f64> = vec![0.0, 0.0, 3.0, 0.0, 0.0];
-        let out = BlurKernel::boxcar(1).convolve_scalar(&rows);
-        assert!((out[1] - 1.0).abs() < 1e-12);
-        assert!((out[2] - 1.0).abs() < 1e-12);
-        assert!((out[3] - 1.0).abs() < 1e-12);
-        assert!(out[0].abs() < 1e-12);
-    }
-
-    #[test]
     fn edge_clamping_preserves_boundary_level() {
-        let rows = vec![2.0; 8];
-        let out = BlurKernel::gaussian(3.0, 7).convolve_scalar(&rows);
-        for o in out {
-            assert!((o - 2.0).abs() < 1e-12);
+        // A kernel wider than the signal clamps at both ends of every row.
+        for o in blur(&BlurKernel::gaussian(3.0, 7), &signal(&[2.0; 8])) {
+            assert!((o.x - 2.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn empty_input_is_fine() {
-        assert!(BlurKernel::gaussian(1.0, 3).convolve_rows(&[]).is_empty());
-        assert!(BlurKernel::boxcar(2).convolve_scalar(&[]).is_empty());
+        assert!(blur(&BlurKernel::gaussian(1.0, 3), &[]).is_empty());
     }
 
     #[test]
-    fn convolve_into_reuses_stale_buffers_bit_exactly() {
+    fn stale_output_buffers_are_overwritten() {
         let rows: Vec<Xyz> = (0..16)
             .map(|i| Xyz::new(i as f64 * 0.1, 0.5, 0.2))
             .collect();
         for k in [BlurKernel::gaussian(1.5, 4), BlurKernel::identity()] {
-            let want = k.convolve_rows(&rows);
-            // A stale buffer must come back identical to the allocating
-            // path.
             let mut out = vec![Xyz::new(9.0, 9.0, 9.0); rows.len()];
             k.convolve_rows_into(&rows, &mut out);
-            assert_eq!(out, want);
+            assert_eq!(out, blur(&k, &rows));
         }
     }
 
@@ -247,12 +199,12 @@ mod tests {
                 })
                 .collect()
         };
-        for k in [BlurKernel::gaussian(1.5, 4), BlurKernel::boxcar(2)] {
+        for k in [BlurKernel::gaussian(1.5, 4), BlurKernel::gaussian(0.8, 2)] {
             for n in [1usize, 3, 8, 9, 10, 40] {
                 let rows: Vec<Xyz> = (0..n)
                     .map(|i| Xyz::new(((i * 7919) % 101) as f64 / 7.0, 0.5 + i as f64, 0.2))
                     .collect();
-                let fast = k.convolve_rows(&rows);
+                let fast = blur(&k, &rows);
                 let want = clamped(&k, &rows);
                 for (i, (a, b)) in fast.iter().zip(&want).enumerate() {
                     assert_eq!(
@@ -269,9 +221,13 @@ mod tests {
     fn wider_sigma_spreads_further() {
         let mut rows = vec![0.0; 41];
         rows[20] = 1.0;
-        let narrow = BlurKernel::gaussian(1.0, 10).convolve_scalar(&rows);
-        let wide = BlurKernel::gaussian(4.0, 10).convolve_scalar(&rows);
-        assert!(wide[14] > narrow[14], "wide kernel reaches row 14 more");
-        assert!(narrow[20] > wide[20], "narrow kernel keeps more at center");
+        let rows = signal(&rows);
+        let narrow = blur(&BlurKernel::gaussian(1.0, 10), &rows);
+        let wide = blur(&BlurKernel::gaussian(4.0, 10), &rows);
+        assert!(wide[14].x > narrow[14].x, "wide kernel reaches row 14 more");
+        assert!(
+            narrow[20].x > wide[20].x,
+            "narrow kernel keeps more at center"
+        );
     }
 }

@@ -98,7 +98,7 @@ impl OpticalChannel {
     /// Mean light arriving at the sensor plane over the window `[t0, t1]`:
     /// attenuated LED emission plus ambient. Blur is *not* applied here —
     /// it is a spatial effect across scanlines, applied by the camera via
-    /// [`BlurKernel::convolve_rows`].
+    /// [`BlurKernel::convolve_rows_into`].
     pub fn received_mean(&self, emitter: &LedEmitter, t0: f64, t1: f64) -> Xyz {
         let signal = emitter.mean(t0, t1).scale(self.path.gain());
         signal.add(self.ambient.irradiance())

@@ -49,17 +49,6 @@ impl Chromaticity {
     pub fn with_luminance(self, luminance: f64) -> Xyz {
         Xyz::from_xy_luminance(self, luminance)
     }
-
-    /// `true` if both coordinates are finite and inside the unit simplex
-    /// (`x ≥ 0`, `y ≥ 0`, `x + y ≤ 1`) — every physically realizable
-    /// chromaticity satisfies this (the spectral locus lies inside it).
-    pub fn is_physical(&self) -> bool {
-        self.x.is_finite()
-            && self.y.is_finite()
-            && self.x >= 0.0
-            && self.y >= 0.0
-            && self.x + self.y <= 1.0 + 1e-12
-    }
 }
 
 /// Barycentric coordinates of a point with respect to a [`GamutTriangle`].
@@ -303,13 +292,5 @@ mod tests {
         assert_eq!(a.lerp(b, 1.0), b);
         let m = a.lerp(b, 0.5);
         assert!((m.x - 0.3).abs() < 1e-15 && (m.y - 0.4).abs() < 1e-15);
-    }
-
-    #[test]
-    fn physical_check() {
-        assert!(Chromaticity::D65.is_physical());
-        assert!(!Chromaticity::new(0.8, 0.8).is_physical());
-        assert!(!Chromaticity::new(-0.1, 0.5).is_physical());
-        assert!(!Chromaticity::new(f64::NAN, 0.5).is_physical());
     }
 }

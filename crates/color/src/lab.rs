@@ -1,18 +1,13 @@
-//! CIELAB color space and ΔE color difference metrics.
+//! CIELAB color space and the CIE76 ΔE color difference.
 //!
 //! The ColorBars receiver demodulates in CIELAB (paper Section 7): frames are
 //! converted from RGB, the lightness channel `L` is discarded to remove
-//! non-uniform brightness (vignetting), and received symbols are matched to
-//! calibration references by Euclidean distance in the `(a, b)` plane — the
-//! paper's ΔE metric with the classical just-noticeable-difference threshold
-//! of 2.3.
+//! non-uniform brightness (vignetting), and each received symbol is matched
+//! to the nearest calibration reference by Euclidean distance in the
+//! `(a, b)` plane — the paper's CIE76 ΔE with `L` dropped. The receiver
+//! applies no ΔE threshold to that match.
 
 use crate::xyz::Xyz;
-
-/// The ΔE*ab value below which two colors are generally indistinguishable to
-/// a human observer — the threshold the paper uses both for color matching in
-/// demodulation and as the flicker-visibility criterion.
-pub const JND_DELTA_E: f64 = 2.3;
 
 /// A CIELAB color.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -74,110 +69,6 @@ impl Lab {
 /// CIE76 color difference: Euclidean distance in full Lab space.
 pub fn delta_e76(x: Lab, y: Lab) -> f64 {
     ((x.l - y.l).powi(2) + (x.a - y.a).powi(2) + (x.b - y.b).powi(2)).sqrt()
-}
-
-/// CIE94 color difference (graphic-arts weights), a perceptually more uniform
-/// refinement of CIE76. Provided for comparison experiments; the paper itself
-/// uses CIE76.
-pub fn delta_e94(x: Lab, y: Lab) -> f64 {
-    let dl = x.l - y.l;
-    let c1 = (x.a * x.a + x.b * x.b).sqrt();
-    let c2 = (y.a * y.a + y.b * y.b).sqrt();
-    let dc = c1 - c2;
-    let da = x.a - y.a;
-    let db = x.b - y.b;
-    let dh2 = (da * da + db * db - dc * dc).max(0.0);
-    let sl = 1.0;
-    let sc = 1.0 + 0.045 * c1;
-    let sh = 1.0 + 0.015 * c1;
-    ((dl / sl).powi(2) + (dc / sc).powi(2) + dh2 / (sh * sh)).sqrt()
-}
-
-/// CIEDE2000 color difference — the current CIE recommendation, correcting
-/// CIE76's non-uniformity in the blue region and for saturated colors.
-///
-/// Provided for demodulation-metric studies (the paper uses CIE76 with the
-/// 2.3 JND; ΔE2000 is the natural "what if" upgrade). Implementation
-/// follows the standard formulation (Sharma, Wu & Dalal 2005) with unit
-/// parametric factors kL = kC = kH = 1.
-pub fn delta_e2000(x: Lab, y: Lab) -> f64 {
-    let (l1, a1, b1) = (x.l, x.a, x.b);
-    let (l2, a2, b2) = (y.l, y.a, y.b);
-
-    let c1 = (a1 * a1 + b1 * b1).sqrt();
-    let c2 = (a2 * a2 + b2 * b2).sqrt();
-    let c_bar = 0.5 * (c1 + c2);
-    let c7 = c_bar.powi(7);
-    let g = 0.5 * (1.0 - (c7 / (c7 + 25.0f64.powi(7))).sqrt());
-
-    let ap1 = (1.0 + g) * a1;
-    let ap2 = (1.0 + g) * a2;
-    let cp1 = (ap1 * ap1 + b1 * b1).sqrt();
-    let cp2 = (ap2 * ap2 + b2 * b2).sqrt();
-
-    let hp = |ap: f64, b: f64| -> f64 {
-        if ap == 0.0 && b == 0.0 {
-            0.0
-        } else {
-            let h = b.atan2(ap).to_degrees();
-            if h < 0.0 {
-                h + 360.0
-            } else {
-                h
-            }
-        }
-    };
-    let hp1 = hp(ap1, b1);
-    let hp2 = hp(ap2, b2);
-
-    let dl = l2 - l1;
-    let dc = cp2 - cp1;
-    let dhp = if cp1 * cp2 == 0.0 {
-        0.0
-    } else {
-        let mut d = hp2 - hp1;
-        if d > 180.0 {
-            d -= 360.0;
-        } else if d < -180.0 {
-            d += 360.0;
-        }
-        d
-    };
-    let dh = 2.0 * (cp1 * cp2).sqrt() * (dhp.to_radians() / 2.0).sin();
-
-    let l_bar = 0.5 * (l1 + l2);
-    let cp_bar = 0.5 * (cp1 + cp2);
-    let hp_bar = if cp1 * cp2 == 0.0 {
-        hp1 + hp2
-    } else {
-        let sum = hp1 + hp2;
-        let diff = (hp1 - hp2).abs();
-        if diff <= 180.0 {
-            0.5 * sum
-        } else if sum < 360.0 {
-            0.5 * (sum + 360.0)
-        } else {
-            0.5 * (sum - 360.0)
-        }
-    };
-
-    let t = 1.0 - 0.17 * (hp_bar - 30.0).to_radians().cos()
-        + 0.24 * (2.0 * hp_bar).to_radians().cos()
-        + 0.32 * (3.0 * hp_bar + 6.0).to_radians().cos()
-        - 0.20 * (4.0 * hp_bar - 63.0).to_radians().cos();
-
-    let l50 = (l_bar - 50.0).powi(2);
-    let sl = 1.0 + 0.015 * l50 / (20.0 + l50).sqrt();
-    let sc = 1.0 + 0.045 * cp_bar;
-    let sh = 1.0 + 0.015 * cp_bar * t;
-
-    let d_theta = 30.0 * (-((hp_bar - 275.0) / 25.0).powi(2)).exp();
-    let cp7 = cp_bar.powi(7);
-    let rc = 2.0 * (cp7 / (cp7 + 25.0f64.powi(7))).sqrt();
-    let rt = -rc * (2.0 * d_theta).to_radians().sin();
-
-    let (fl, fc, fh) = (dl / sl, dc / sc, dh / sh);
-    (fl * fl + fc * fc + fh * fh + rt * fc * fh).sqrt()
 }
 
 const DELTA: f64 = 6.0 / 29.0;
@@ -367,58 +258,6 @@ mod tests {
         assert_eq!(delta_e76(a, a), 0.0);
         assert!((delta_e76(a, b) - delta_e76(b, a)).abs() < 1e-12);
         assert!(delta_e76(a, c) <= delta_e76(a, b) + delta_e76(b, c) + 1e-12);
-    }
-
-    #[test]
-    fn delta_e94_close_to_e76_near_neutral() {
-        let a = Lab::new(50.0, 1.0, -1.0);
-        let b = Lab::new(52.0, -1.0, 1.5);
-        let e76 = delta_e76(a, b);
-        let e94 = delta_e94(a, b);
-        assert!((e76 - e94).abs() < 0.25 * e76);
-    }
-
-    #[test]
-    fn delta_e94_compresses_chroma_differences() {
-        // For highly saturated colors, CIE94 down-weights chroma difference.
-        let a = Lab::new(50.0, 80.0, 0.0);
-        let b = Lab::new(50.0, 90.0, 0.0);
-        assert!(delta_e94(a, b) < delta_e76(a, b));
-    }
-
-    #[test]
-    fn delta_e2000_basics() {
-        let a = Lab::new(50.0, 10.0, -10.0);
-        let b = Lab::new(55.0, -5.0, 20.0);
-        // Identity and symmetry.
-        assert_eq!(delta_e2000(a, a), 0.0);
-        assert!((delta_e2000(a, b) - delta_e2000(b, a)).abs() < 1e-9);
-        // Small near-neutral differences agree with CIE76 within ~30%.
-        let p = Lab::new(50.0, 1.0, 1.0);
-        let q = Lab::new(51.0, 1.5, 0.5);
-        let e76 = delta_e76(p, q);
-        let e00 = delta_e2000(p, q);
-        assert!((e00 - e76).abs() < 0.3 * e76, "e00 {e00} vs e76 {e76}");
-    }
-
-    #[test]
-    fn delta_e2000_sharma_test_pair() {
-        // Pair 1 of the Sharma–Wu–Dalal CIEDE2000 test data set.
-        let a = Lab::new(50.0, 2.6772, -79.7751);
-        let b = Lab::new(50.0, 0.0, -82.7485);
-        let e = delta_e2000(a, b);
-        assert!((e - 2.0425).abs() < 0.01, "got {e}");
-    }
-
-    #[test]
-    fn delta_e2000_compresses_saturated_differences() {
-        // Like CIE94, chroma differences between saturated colors count
-        // for less than the same Euclidean step near neutral.
-        let sat_a = Lab::new(50.0, 80.0, 0.0);
-        let sat_b = Lab::new(50.0, 90.0, 0.0);
-        let neu_a = Lab::new(50.0, 0.0, 0.0);
-        let neu_b = Lab::new(50.0, 10.0, 0.0);
-        assert!(delta_e2000(sat_a, sat_b) < delta_e2000(neu_a, neu_b));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * [`LinearRgb`] / [`Srgb`] / [`RgbSpace`] — linear-light RGB with arbitrary
 //!   primaries (the LED's primaries, the camera's effective primaries, or
 //!   sRGB), and the sRGB transfer function used when a camera encodes frames.
-//! * [`Lab`] — CIELAB with the ΔE*ab (CIE76) and ΔE94 difference metrics. The
-//!   paper matches received symbols to calibration references with a CIE76
-//!   threshold of 2.3 (the classical just-noticeable difference).
+//! * [`Lab`] — CIELAB with the ΔE*ab (CIE76) difference metric. The paper
+//!   matches each received symbol to the nearest calibration reference by
+//!   CIE76 distance in the `(a, b)` plane.
 //! * [`Illuminant`] — standard white points (E, D65) used for constellation
 //!   white-balance and Lab normalization.
 //!
@@ -45,7 +45,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![allow(clippy::should_implement_trait)] // named math methods (add/sub/mul) on value types are a deliberate API
+#![allow(clippy::should_implement_trait)] // named math methods (add, scale) on value types are a deliberate API
 
 pub mod chromaticity;
 pub mod illuminant;
@@ -56,7 +56,7 @@ pub mod xyz;
 
 pub use chromaticity::{Chromaticity, GamutTriangle};
 pub use illuminant::Illuminant;
-pub use lab::{delta_e2000, delta_e76, delta_e94, Lab};
+pub use lab::{delta_e76, Lab};
 pub use matrix::{Mat3, Vec3};
 pub use rgb::{LinearRgb, RgbSpace, Srgb, SrgbQuantizer, SrgbToXyzLut};
 pub use xyz::Xyz;

@@ -23,11 +23,6 @@ impl Vec3 {
         Vec3([self.0[0] + o.0[0], self.0[1] + o.0[1], self.0[2] + o.0[2]])
     }
 
-    /// Component-wise subtraction.
-    pub fn sub(self, o: Vec3) -> Vec3 {
-        Vec3([self.0[0] - o.0[0], self.0[1] - o.0[1], self.0[2] - o.0[2]])
-    }
-
     /// Scalar multiplication.
     pub fn scale(self, s: f64) -> Vec3 {
         Vec3([self.0[0] * s, self.0[1] * s, self.0[2] * s])
@@ -229,7 +224,6 @@ mod tests {
         let a = Vec3::new(1.0, 2.0, 3.0);
         let b = Vec3::new(4.0, -5.0, 6.0);
         assert_eq!(a.add(b), Vec3::new(5.0, -3.0, 9.0));
-        assert_eq!(a.sub(b), Vec3::new(-3.0, 7.0, -3.0));
         assert_eq!(a.scale(2.0), Vec3::new(2.0, 4.0, 6.0));
         assert_eq!(a.dot(b), 4.0 - 10.0 + 18.0);
         assert!((Vec3::new(3.0, 4.0, 0.0).norm() - 5.0).abs() < 1e-15);

@@ -92,11 +92,6 @@ impl ReferenceStore {
         self.white
     }
 
-    /// The OFF lightness threshold.
-    pub fn off_threshold(&self) -> f64 {
-        self.off_l_threshold
-    }
-
     /// The OFF-symbol `(a, b)` reference (ambient tint).
     pub fn off_ab(&self) -> (f64, f64) {
         self.off_ab
@@ -483,7 +478,7 @@ mod tests {
         // The smoothed white must move toward the observed (14, 16).
         assert!((after.0 - 14.0).abs() < (before.0 - 14.0).abs());
         assert!((after.1 - 16.0).abs() < (before.1 - 16.0).abs());
-        assert!(s.off_threshold() > 0.0);
+        assert!(s.off_l_threshold > 0.0);
     }
 
     #[test]
@@ -492,7 +487,7 @@ mod tests {
         // The white symbol's L in the ideal model is far above the threshold.
         let white_y = mapper.emitted(Symbol::White).y;
         assert!(white_y > 0.0);
-        assert!(s.off_threshold() > 0.5);
-        assert!(s.off_threshold() < 40.0);
+        assert!(s.off_l_threshold > 0.5);
+        assert!(s.off_l_threshold < 40.0);
     }
 }

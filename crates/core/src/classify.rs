@@ -34,11 +34,6 @@ impl Label {
     pub fn is_white(self) -> bool {
         matches!(self, Label::White)
     }
-
-    /// `true` for a color label.
-    pub fn is_color(self) -> bool {
-        matches!(self, Label::Color(_))
-    }
 }
 
 /// The nearest constellation color index for a feature, ignoring the White
@@ -158,7 +153,6 @@ mod tests {
     fn label_predicates() {
         assert!(Label::Off.is_off());
         assert!(Label::White.is_white());
-        assert!(Label::Color(3).is_color());
-        assert!(!Label::White.is_color());
+        assert!(!Label::Color(3).is_white());
     }
 }

@@ -2,10 +2,13 @@
 //! on out of band.
 //!
 //! In the prototype these are compile-time constants of the LED firmware
-//! and the phone app (symbol rate, modulation order, white-ratio table);
-//! here they live in one struct that both ends of a simulated link share.
-//! Everything else the receiver needs — the actual colors as *it* sees them
-//! — arrives in-band via calibration packets.
+//! and the phone app (symbol rate, modulation order); here they live in one
+//! struct that both ends of a simulated link share. The two that every link
+//! shares stay constants: the transmitter platform
+//! ([`Platform::BEAGLEBONE_BLACK`]) and the white-ratio table
+//! ([`WhiteRatioTable::paper_fig3b`]). Everything else the receiver
+//! needs — the actual colors as *it* sees them — arrives in-band via
+//! calibration packets.
 
 use crate::constellation::{Constellation, CskOrder};
 use crate::equalizer::EqualizerKind;
@@ -13,7 +16,7 @@ use crate::error::LinkError;
 use crate::illumination::{white_count, WhiteRatioTable};
 use crate::packet::{max_group_pos, size_field_len, DATA_FLAG, GROUP_POS_DIGITS, IL_FLAG};
 use colorbars_led::{Platform, TriLed};
-use colorbars_rs::{ReedSolomon, RsPlan, RsPlanInput};
+use colorbars_rs::ReedSolomon;
 
 /// Cross-packet interleaving parameters (DESIGN.md §13).
 ///
@@ -45,10 +48,6 @@ pub struct LinkConfig {
     pub symbol_rate: f64,
     /// The tri-LED transmitter hardware.
     pub led: TriLed,
-    /// Transmitter platform limits.
-    pub platform: Platform,
-    /// White illumination-ratio table (Fig 3(b)).
-    pub white_table: WhiteRatioTable,
     /// Camera frame rate the RS plan is sized for.
     pub frame_rate: f64,
     /// Inter-frame loss ratio the RS plan is sized for (measured per
@@ -77,15 +76,12 @@ pub struct LinkConfig {
 
 impl LinkConfig {
     /// The paper's default operating point on a given device loss ratio:
-    /// BeagleBone platform, typical tri-LED, Fig 3(b) white table,
-    /// 5 calibration packets/s, 30 fps.
+    /// typical tri-LED, 5 calibration packets/s, 30 fps.
     pub fn paper_default(order: CskOrder, symbol_rate: f64, loss_ratio: f64) -> LinkConfig {
         LinkConfig {
             order,
             symbol_rate,
             led: TriLed::typical(),
-            platform: Platform::BEAGLEBONE_BLACK,
-            white_table: WhiteRatioTable::paper_fig3b(),
             frame_rate: 30.0,
             loss_ratio,
             calibration_rate: 5.0,
@@ -125,9 +121,10 @@ impl LinkConfig {
         }
     }
 
-    /// White ratio at the configured symbol rate.
+    /// White ratio at the configured symbol rate, from the paper's
+    /// Fig 3(b) table.
     pub fn white_ratio(&self) -> f64 {
-        self.white_table.ratio_at(self.symbol_rate)
+        WhiteRatioTable::paper_fig3b().ratio_at(self.symbol_rate)
     }
 
     /// Symbol period in seconds.
@@ -135,29 +132,19 @@ impl LinkConfig {
         1.0 / self.symbol_rate
     }
 
-    /// The RS plan for this configuration (paper Section 5 arithmetic).
-    pub fn rs_plan(&self) -> Result<RsPlan, colorbars_rs::planner::PlanError> {
-        RsPlan::derive(RsPlanInput {
-            symbol_rate: self.symbol_rate,
-            frame_rate: self.frame_rate,
-            loss_ratio: self.loss_ratio,
-            bits_per_symbol: self.order.bits_per_symbol(),
-            illumination_ratio: self.white_table.alpha_at(self.symbol_rate),
-        })
-    }
-
     /// Derive the frame-locked packet budget for this configuration.
     pub fn packet_budget(&self) -> Result<PacketBudget, LinkError> {
         PacketBudget::derive(self)
     }
 
-    /// Validate the configuration against the platform.
+    /// Validate the configuration against the prototype's platform.
     pub fn validate(&self) -> Result<(), LinkError> {
-        if !self.platform.supports_symbol_rate(self.symbol_rate) {
+        let platform = Platform::BEAGLEBONE_BLACK;
+        if !platform.supports_symbol_rate(self.symbol_rate) {
             return Err(LinkError::UnsupportedSymbolRate {
-                platform: self.platform.name.to_string(),
+                platform: platform.name.to_string(),
                 rate_hz: self.symbol_rate,
-                max_hz: self.platform.max_symbol_rate,
+                max_hz: platform.max_symbol_rate,
             });
         }
         if !(0.0..1.0).contains(&self.loss_ratio) {
@@ -318,12 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn rs_plan_reflects_white_table() {
+    fn packet_budget_reflects_white_table() {
         let c = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, 0.2312);
-        let plan = c.rs_plan().unwrap();
-        // α at 3 kHz is 1 − 0.27 = 0.73.
+        let b = c.packet_budget().unwrap();
+        // Fig 3(b): w at 3 kHz is 0.27, so α = 0.73 of the payload is data.
         assert!((c.white_ratio() - 0.27).abs() < 1e-12);
-        assert!(plan.rate() > 0.3 && plan.rate() < 0.7);
+        assert_eq!(
+            b.payload_symbols - b.data_slots,
+            white_count(b.payload_symbols, 0.27)
+        );
+        assert!(b.rate() > 0.3 && b.rate() < 0.7);
     }
 
     #[test]

@@ -153,12 +153,14 @@ impl Constellation {
     }
 
     /// The bit group a wire symbol index demodulates to (identity without
-    /// a bit mapping). The single conversion point every consumer of raw
-    /// wire indices must go through.
-    pub fn bit_group_of(&self, wire_index: u16) -> u16 {
+    /// a bit mapping), or `None` for an index past the constellation, which
+    /// no transmitted symbol carries. The single conversion point every
+    /// consumer of raw wire indices must go through.
+    pub fn bit_group_of(&self, wire_index: u16) -> Option<u16> {
+        let i = usize::from(wire_index);
         match &self.bit_map {
-            Some(m) => m.inverse[wire_index as usize],
-            None => wire_index,
+            Some(m) => m.inverse.get(i).copied(),
+            None => (i < self.points.len()).then_some(wire_index),
         }
     }
 
@@ -435,21 +437,6 @@ impl Constellation {
             }
         }
         mapping
-    }
-
-    /// Index of the nearest point to `c` (ideal-geometry classification,
-    /// used for receiver bootstrap before any calibration packet arrives).
-    pub fn nearest(&self, c: Chromaticity) -> usize {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, p) in self.points.iter().enumerate() {
-            let d = p.distance(c);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Pack a bit slice into symbol indices, MSB first, zero-padding the
@@ -759,14 +746,6 @@ mod tests {
                 refined >= raw_min * 0.999,
                 "{order}: refined {refined} < seed {raw_min}"
             );
-        }
-    }
-
-    #[test]
-    fn nearest_recovers_exact_points() {
-        let c = Constellation::ieee_style(CskOrder::Csk16, gamut());
-        for i in 0..16 {
-            assert_eq!(c.nearest(c.point(i)), i);
         }
     }
 

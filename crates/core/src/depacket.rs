@@ -926,12 +926,13 @@ fn reconstruct_codeword(
         if is_white_position(i, white_ratio) {
             continue;
         }
-        match slot {
+        // Map the wire index back to its bit group (inverse of the
+        // transmitter's optional Gray mapping). An index past the
+        // constellation — only a hostile or corrupted flight dump carries
+        // one — has no bit group and is erased like a lost slot.
+        match slot.and_then(|idx| constellation.bit_group_of(idx)) {
             None => bits.extend(std::iter::repeat_n(None, c)),
-            Some(idx) => {
-                // Map the wire index back to its bit group (inverse of
-                // the transmitter's optional Gray mapping).
-                let v = constellation.bit_group_of(*idx);
+            Some(v) => {
                 for k in (0..c).rev() {
                     bits.push(Some((v >> k) & 1 == 1));
                 }

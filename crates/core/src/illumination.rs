@@ -22,7 +22,7 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhiteRatioTable {
     /// `(symbol_rate_hz, white_ratio)` knots, sorted by rate.
-    knots: Vec<(f64, f64)>,
+    knots: &'static [(f64, f64)],
 }
 
 impl WhiteRatioTable {
@@ -30,7 +30,7 @@ impl WhiteRatioTable {
     /// minimum white percentage over ten volunteers at each frequency).
     pub fn paper_fig3b() -> WhiteRatioTable {
         WhiteRatioTable {
-            knots: vec![
+            knots: &[
                 (500.0, 0.60),
                 (1000.0, 0.45),
                 (2000.0, 0.33),
@@ -41,34 +41,10 @@ impl WhiteRatioTable {
         }
     }
 
-    /// A constant-ratio table (for controlled experiments).
-    pub fn constant(ratio: f64) -> WhiteRatioTable {
-        assert!((0.0..1.0).contains(&ratio), "ratio must be in [0, 1)");
-        WhiteRatioTable {
-            knots: vec![(0.0, ratio)],
-        }
-    }
-
-    /// Build from explicit knots.
-    ///
-    /// # Panics
-    /// Panics if the knots are empty, unsorted, or have ratios outside
-    /// `[0, 1)`.
-    pub fn from_knots(knots: Vec<(f64, f64)>) -> WhiteRatioTable {
-        assert!(!knots.is_empty(), "need at least one knot");
-        for w in knots.windows(2) {
-            assert!(w[0].0 < w[1].0, "knots must be sorted by frequency");
-        }
-        for &(_, r) in &knots {
-            assert!((0.0..1.0).contains(&r), "ratio {r} out of range");
-        }
-        WhiteRatioTable { knots }
-    }
-
     /// White ratio at a symbol rate (linear interpolation, clamped at the
     /// table ends).
     pub fn ratio_at(&self, symbol_rate: f64) -> f64 {
-        let k = &self.knots;
+        let k = self.knots;
         if symbol_rate <= k[0].0 {
             return k[0].1;
         }
@@ -84,12 +60,6 @@ impl WhiteRatioTable {
             }
         }
         unreachable!("clamped ends cover all cases")
-    }
-
-    /// The illumination ratio α_S = data/(data+white) used by the RS
-    /// planner (Section 5): `1 − w`.
-    pub fn alpha_at(&self, symbol_rate: f64) -> f64 {
-        1.0 - self.ratio_at(symbol_rate)
     }
 }
 
@@ -115,22 +85,6 @@ pub fn white_count(n: usize, w: f64) -> usize {
     } else {
         ((n as f64) * w).floor() as usize
     }
-}
-
-/// Number of payload slots needed to carry `data_symbols` data symbols at
-/// white ratio `w` (data slots = total − whites).
-pub fn payload_len_for_data(data_symbols: usize, w: f64) -> usize {
-    if w <= 0.0 {
-        return data_symbols;
-    }
-    // Smallest n with n − ⌊n·w⌋ ≥ data_symbols. The data-slot count is
-    // non-decreasing in n and grows by at most 1 per step, so walking up
-    // from n = data_symbols finds the exact minimum.
-    let mut n = data_symbols;
-    while n - white_count(n, w) < data_symbols {
-        n += 1;
-    }
-    n
 }
 
 #[cfg(test)]
@@ -166,14 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn alpha_complements_ratio() {
-        let t = WhiteRatioTable::paper_fig3b();
-        for rate in [500.0, 2500.0, 5000.0] {
-            assert!((t.alpha_at(rate) + t.ratio_at(rate) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn white_positions_match_quota_exactly() {
         for &w in &[0.0, 0.2, 1.0 / 3.0, 0.45, 0.5, 0.77] {
             for n in [1usize, 7, 33, 100, 1000] {
@@ -195,33 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn payload_len_carries_requested_data() {
-        for &w in &[0.0, 0.2, 0.45, 0.6] {
-            for data in [1usize, 5, 36, 100] {
-                let n = payload_len_for_data(data, w);
-                let data_slots = n - white_count(n, w);
-                assert!(
-                    data_slots >= data,
-                    "w={w} data={data}: n={n} gives {data_slots}"
-                );
-                // Minimality: one slot fewer must not fit.
-                if n > 1 {
-                    let fewer = (n - 1) - white_count(n - 1, w);
-                    assert!(fewer < data, "w={w} data={data}: n−1 also fits");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_ratio_has_no_whites() {
         assert!(!(0..100).any(|i| is_white_position(i, 0.0)));
-        assert_eq!(payload_len_for_data(42, 0.0), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_knots_panic() {
-        let _ = WhiteRatioTable::from_knots(vec![(2000.0, 0.3), (1000.0, 0.4)]);
+        assert_eq!(white_count(42, 0.0), 0);
     }
 }

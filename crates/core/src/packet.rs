@@ -259,19 +259,6 @@ impl Packet {
         out.extend_from_slice(&self.payload);
         out
     }
-
-    /// Wire length of this packet in symbols.
-    pub fn wire_len(&self, order: CskOrder) -> usize {
-        match (self.kind, self.group_pos) {
-            (PacketKind::Data, None) => {
-                DATA_FLAG.len() + size_field_len(order) + self.payload.len()
-            }
-            (PacketKind::Data, Some(_)) => {
-                IL_FLAG.len() + size_field_len(order) + GROUP_POS_DIGITS + self.payload.len()
-            }
-            (PacketKind::Calibration, _) => CAL_FLAG.len() + self.payload.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -357,19 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_matches_serialization() {
-        let order = CskOrder::Csk32;
-        let p = Packet::data(vec![Symbol::Color(3); 40]);
-        assert_eq!(p.wire_len(order), p.serialize(order).len());
-        let cons = crate::constellation::Constellation::ieee_style(
-            order,
-            colorbars_color::GamutTriangle::typical_tri_led(),
-        );
-        let c = Packet::calibration(&cons);
-        assert_eq!(c.wire_len(order), c.serialize(order).len());
-    }
-
-    #[test]
     #[should_panic(expected = "must not contain OFF")]
     fn off_in_payload_panics() {
         let _ = Packet::data(vec![Symbol::Off]).serialize(CskOrder::Csk8);
@@ -424,6 +398,5 @@ mod tests {
         assert_eq!(decode_size(order, &wire[9..12]), Some(3));
         assert_eq!(decode_group_pos(order, &wire[12..14]), Some(5));
         assert_eq!(&wire[14..], &payload[..]);
-        assert_eq!(p.wire_len(order), wire.len());
     }
 }

@@ -103,8 +103,11 @@ pub struct ReplayLink {
 
 impl ReplayLink {
     /// Rebuild the decode configuration from a flight-dump context object.
-    /// Fails with a description when the context is missing fields, names
-    /// an unknown modulation order, or describes an unrealizable link.
+    /// Fails with a description when the context is missing fields or
+    /// holds one of the wrong type, names an unknown modulation order,
+    /// describes a link the live receiver would have refused or cannot
+    /// realize, or records references or equalizer state that do not fit
+    /// the constellation.
     pub fn from_context(ctx: &obs::Value) -> Result<ReplayLink, String> {
         let u = |key: &str| -> Result<u64, String> {
             ctx.get(key)
@@ -138,6 +141,9 @@ impl ReplayLink {
         if fec_depth > 0 {
             config = config.with_fec(fec_depth);
         }
+        config
+            .validate()
+            .map_err(|e| format!("context describes an invalid link: {e}"))?;
         let coded = b("coded")?;
         let code = if coded {
             Some(
@@ -160,25 +166,27 @@ impl ReplayLink {
         let references = ctx
             .get("references")
             .and_then(|v| v.as_array())
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|row| {
-                        let row = row.as_array()?;
-                        Some((
-                            row.first()?.as_u64()? as usize,
-                            row.get(1)?.as_f64()?,
-                            row.get(2)?.as_f64()?,
-                        ))
-                    })
-                    .collect()
+            .ok_or("replay context missing array field `references`")?
+            .iter()
+            .map(|row| {
+                let row = row.as_array()?;
+                let i = row.first()?.as_u64()? as usize;
+                let (a, b) = (row.get(1)?.as_f64()?, row.get(2)?.as_f64()?);
+                (i < points && !a.is_nan() && !b.is_nan()).then_some((i, a, b))
             })
-            .unwrap_or_default();
-        // Equalizer fields are optional: pre-equalizer dumps (and plain
-        // nearest-neighbor links) replay exactly as before. A kind that is
-        // present but unknown is refused — replaying it as nearest-neighbor
-        // would silently drop the recorded weights.
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| {
+                format!(
+                    "replay context has a `references` row that is not [index < {points}, a*, b*]"
+                )
+            })?;
+        // Equalizer fields are optional: pre-equalizer dumps carry none of
+        // them and replay as nearest-neighbor. A kind that is missing while
+        // weights are recorded, or present but unknown, is refused —
+        // replaying it as nearest-neighbor would silently drop the weights.
         let eq_kind = match ctx.get("equalizer_kind") {
-            None => EqualizerKind::NearestNeighbor,
+            None if ctx.get("equalizer_weights").is_none() => EqualizerKind::NearestNeighbor,
+            None => return Err("replay context records equalizer weights but no kind".into()),
             Some(v) => v
                 .as_str()
                 .and_then(EqualizerKind::from_name)
@@ -211,11 +219,12 @@ impl ReplayLink {
                         .collect()
                 })
                 .unwrap_or_default();
-            Some(
-                TrainedEqualizer::from_weights(eq_kind, &weights, ideal).ok_or_else(|| {
-                    format!("malformed {} equalizer in replay context", eq_kind.as_str())
-                })?,
-            )
+            let equalizer = (ideal.len() == points)
+                .then(|| TrainedEqualizer::from_weights(eq_kind, &weights, ideal))
+                .flatten();
+            Some(equalizer.ok_or_else(|| {
+                format!("malformed {} equalizer in replay context", eq_kind.as_str())
+            })?)
         };
         Ok(ReplayLink {
             constellation: config.constellation(),
@@ -258,20 +267,6 @@ impl ReplayLink {
     /// demodulation, or a pre-equalizer dump).
     pub fn equalizer(&self) -> Option<&TrainedEqualizer> {
         self.equalizer.as_ref()
-    }
-
-    /// Re-demodulate one band feature exactly as the live receiver did:
-    /// through the rebuilt equalizer when one was active, else nearest
-    /// recorded reference. Byte-identical to the recorded `color_idx` for
-    /// bands demodulated after the dumped context was published.
-    pub fn classify_feature(&self, l: f64, a: f64, b: f64) -> u16 {
-        if let Some(eq) = &self.equalizer {
-            return eq.classify(colorbars_color::Lab::new(l, a, b));
-        }
-        self.nearest_references(a, b)
-            .first()
-            .map(|&(i, _)| i as u16)
-            .unwrap_or(0)
     }
 
     /// Squared CIELAB a*b* distance from a band feature to each recorded
@@ -325,6 +320,7 @@ impl ReplayLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::depacket::ParsedPacket;
 
     fn roundtrip(config: &LinkConfig, coded: bool, use_erasures: bool) -> ReplayLink {
         let mapper = crate::symbol::SymbolMapper::new(config.led, config.constellation());
@@ -390,6 +386,171 @@ mod tests {
         assert!(err.contains("unknown CSK order") || err.contains("missing"));
     }
 
+    /// A valid context that exercises every field the replay reads: a
+    /// coded, Gray-mapped, interleaved 16-CSK link with a trained ridge
+    /// equalizer.
+    fn full_context() -> obs::Value {
+        let mut config = LinkConfig::paper_default(CskOrder::Csk16, 3000.0, 0.2312)
+            .with_fec(4)
+            .with_equalizer(EqualizerKind::Ridge);
+        config.gray_mapping = true;
+        let mapper = crate::symbol::SymbolMapper::new(config.led, config.constellation());
+        let store = ReferenceStore::ideal(&mapper);
+        let ideal: Vec<(f64, f64)> = (0..store.len()).map(|i| store.ideal_reference(i)).collect();
+        let samples: Vec<(usize, colorbars_color::Lab)> = (0..2 * ideal.len())
+            .map(|k| {
+                let (a, b) = ideal[k % ideal.len()];
+                let lab = colorbars_color::Lab::new(50.0, 0.9 * a + 2.0, 0.85 * b - 1.0);
+                (k % ideal.len(), lab)
+            })
+            .collect();
+        let eq = TrainedEqualizer::fit(EqualizerKind::Ridge, &samples, &ideal)
+            .unwrap()
+            .unwrap();
+        let text = context_json(&config, true, true, &store, Some(&eq)).to_compact();
+        obs::Value::parse(&text).expect("valid json")
+    }
+
+    #[test]
+    fn hostile_context_fields_are_rejected_without_panicking() {
+        let base = full_context();
+        ReplayLink::from_context(&base).expect("the unmutated context replays");
+        let fields = base.as_object().expect("a context is an object").clone();
+        let with = |key: &str, value: Option<obs::Value>| {
+            let mut fields = fields.clone();
+            match value {
+                Some(value) => fields.insert(key.to_string(), value),
+                None => fields.remove(key),
+            };
+            obs::Value::Object(fields)
+        };
+        let references = |rows: Vec<(obs::Value, f64, f64)>| {
+            obs::Value::Array(
+                rows.into_iter()
+                    .map(|(i, a, b)| obs::Value::Array(vec![i, a.into(), b.into()]))
+                    .collect(),
+            )
+        };
+        let weights = fields["equalizer_weights"].as_array().unwrap();
+        let mut cases: Vec<(String, obs::Value)> = Vec::new();
+        // Every field the replay reads, dropped or given the wrong type.
+        // (`calibrations` and `white` are recorded for the reader only.)
+        for key in [
+            "order_points",
+            "symbol_rate",
+            "loss_ratio",
+            "frame_rate",
+            "gray_mapping",
+            "packet_wire_override",
+            "fec_depth",
+            "coded",
+            "use_erasures",
+            "white_ratio",
+            "references",
+            "equalizer_kind",
+            "equalizer_weights",
+            "equalizer_ideal",
+        ] {
+            cases.push((format!("{key} dropped"), with(key, None)));
+            let wrong = if key == "equalizer_kind" {
+                obs::Value::from(7u64)
+            } else {
+                obs::Value::from("7")
+            };
+            cases.push((format!("{key} of the wrong type"), with(key, Some(wrong))));
+        }
+        let hostile: Vec<(&str, obs::Value)> = vec![
+            ("order_points", 5u64.into()),
+            ("order_points", 0u64.into()),
+            ("order_points", 128u64.into()),
+            ("fec_depth", 65u64.into()),
+            ("fec_depth", u64::MAX.into()),
+            ("symbol_rate", 0.0.into()),
+            ("symbol_rate", (-3000.0).into()),
+            ("symbol_rate", f64::NAN.into()),
+            (
+                "references",
+                references(vec![(16u64.into(), 1.0, 2.0), (0u64.into(), 3.0, 4.0)]),
+            ),
+            ("references", references(vec![(3u64.into(), f64::NAN, 2.0)])),
+            ("references", references(vec![(3u64.into(), 1.0, f64::NAN)])),
+            (
+                "equalizer_weights",
+                obs::Value::Array(weights[1..].to_vec()),
+            ),
+            (
+                "equalizer_weights",
+                obs::Value::Array([weights, &[0.0.into()]].concat()),
+            ),
+        ];
+        for (key, value) in hostile {
+            let name = format!("{key} = {}", value.to_compact());
+            cases.push((name, with(key, Some(value))));
+        }
+        for (name, ctx) in cases {
+            let replay = std::panic::catch_unwind(|| ReplayLink::from_context(&ctx));
+            match replay {
+                Ok(Err(_)) => {}
+                Ok(Ok(_)) => panic!("{name}: the context was accepted"),
+                Err(_) => panic!("{name}: from_context panicked"),
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_wire_index_in_a_dump_is_an_erasure() {
+        // A flight dump's band records carry `color_idx` verbatim, so a
+        // hostile or corrupted dump can name a wire index past the
+        // constellation. Under Gray mapping no bit group maps to it: the
+        // slot must decode as an erasure, not index past the inverse map.
+        let mut config = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, 0.2312);
+        config.gray_mapping = true;
+        let link = roundtrip(&config, true, true);
+        let tx = crate::transmitter::Transmitter::new(config.clone()).unwrap();
+        let data: Vec<u8> = (0..tx.budget().k_bytes).map(|i| i as u8 ^ 0x5A).collect();
+        let tr = tx.transmit(&data);
+        let span = tr
+            .packets
+            .iter()
+            .find(|p| p.chunk.is_some())
+            .expect("one data packet");
+        let mut body: Vec<ObservedBand> = tr.symbols
+            [span.start + crate::packet::DATA_FLAG.len()..span.end]
+            .iter()
+            .map(|&s| {
+                let (label, idx) = match s {
+                    crate::symbol::Symbol::Color(c) => (crate::classify::Label::Color(c), c),
+                    crate::symbol::Symbol::White => (crate::classify::Label::White, 0),
+                    crate::symbol::Symbol::Off => (crate::classify::Label::Off, 0),
+                };
+                ObservedBand {
+                    label,
+                    color_idx: idx,
+                    nn_idx: idx,
+                    feature: colorbars_color::Lab::new(50.0, 0.0, 0.0),
+                    frame_index: 0,
+                }
+            })
+            .collect();
+        let clean = link.decode_data(&body);
+        assert!(clean.erasures.is_empty());
+        assert!(matches!(&clean.packet, ParsedPacket::Data { chunk, .. } if chunk == &data));
+        // Payload slot 0 is a data slot, and its bits open byte 0.
+        let header = crate::packet::size_field_len(config.order);
+        assert!(!crate::illumination::is_white_position(
+            0,
+            config.white_ratio()
+        ));
+        body[header].color_idx = config.order.points() as u16;
+        let decode = link.decode_data(&body);
+        assert_eq!(decode.erasures, [0]);
+        assert!(
+            matches!(&decode.packet, ParsedPacket::Data { chunk, erasures_recovered: 1, .. } if chunk == &data),
+            "{:?}",
+            decode.packet
+        );
+    }
+
     #[test]
     fn context_roundtrip_rebuilds_the_equalizer_bit_identically() {
         let config = LinkConfig::paper_default(CskOrder::Csk64, 3000.0, 0.2312)
@@ -418,7 +579,7 @@ mod tests {
         assert_eq!(rebuilt, &eq, "weights and geometry are bit-identical");
         for (i, (_, f)) in samples.iter().enumerate() {
             assert_eq!(
-                link.classify_feature(f.l, f.a, f.b),
+                rebuilt.classify(*f),
                 eq.classify(*f),
                 "verdict {i} must replay byte-identically"
             );
@@ -430,24 +591,7 @@ mod tests {
         // A real ridge context with its kind rewritten: replaying it as
         // nearest-neighbor would drop the recorded weights, so it must fail
         // and name the kind.
-        let config = LinkConfig::paper_default(CskOrder::Csk8, 3000.0, 0.2312)
-            .with_equalizer(EqualizerKind::Ridge);
-        let mapper = crate::symbol::SymbolMapper::new(config.led, config.constellation());
-        let store = ReferenceStore::ideal(&mapper);
-        let ideal: Vec<(f64, f64)> = (0..store.len()).map(|i| store.ideal_reference(i)).collect();
-        let samples: Vec<(usize, colorbars_color::Lab)> = (0..2 * ideal.len())
-            .map(|k| {
-                let (a, b) = ideal[k % ideal.len()];
-                (
-                    k % ideal.len(),
-                    colorbars_color::Lab::new(50.0, 0.9 * a + 2.0, 0.85 * b - 1.0),
-                )
-            })
-            .collect();
-        let eq = TrainedEqualizer::fit(EqualizerKind::Ridge, &samples, &ideal)
-            .unwrap()
-            .unwrap();
-        let text = context_json(&config, false, true, &store, Some(&eq)).to_compact();
+        let text = full_context().to_compact();
         assert!(text.contains(r#""equalizer_kind":"ridge""#));
         let parsed = obs::Value::parse(
             &text.replace(r#""equalizer_kind":"ridge""#, r#""equalizer_kind":"mlp""#),

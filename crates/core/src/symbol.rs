@@ -39,11 +39,6 @@ impl Symbol {
     pub fn is_white(self) -> bool {
         matches!(self, Symbol::White)
     }
-
-    /// `true` for a data-carrying color symbol.
-    pub fn is_color(self) -> bool {
-        matches!(self, Symbol::Color(_))
-    }
 }
 
 /// Maps symbols to tri-LED drive levels and builds emitter schedules.
@@ -232,7 +227,6 @@ mod tests {
     fn symbol_predicates() {
         assert!(Symbol::Off.is_off());
         assert!(Symbol::White.is_white());
-        assert!(Symbol::Color(7).is_color());
         assert!(!Symbol::Color(7).is_white());
     }
 

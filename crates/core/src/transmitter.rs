@@ -11,7 +11,7 @@ use crate::error::LinkError;
 use crate::illumination::is_white_position;
 use crate::packet::{Packet, PacketKind, CAL_FLAG, DELIMITER};
 use crate::symbol::{Symbol, SymbolMapper};
-use colorbars_led::LedEmitter;
+use colorbars_led::{LedEmitter, Platform};
 use colorbars_obs as obs;
 use colorbars_rs::ReedSolomon;
 use rand::rngs::StdRng;
@@ -234,7 +234,7 @@ impl Transmitter {
     ) -> Result<Transmission, LinkError> {
         let _span = obs::span!("tx.transmit_raw");
         config.validate()?;
-        let w = config.white_table.ratio_at(config.symbol_rate);
+        let w = config.white_ratio();
         let per_frame = (config.symbol_rate / config.frame_rate).round() as usize;
         let header = crate::packet::DATA_FLAG.len() + crate::packet::size_field_len(config.order);
         if per_frame <= header + 2 {
@@ -291,7 +291,7 @@ impl Transmitter {
         mapper.schedule(
             &t.symbols,
             self.config.symbol_rate,
-            self.config.platform.pwm_frequency,
+            Platform::BEAGLEBONE_BLACK.pwm_frequency,
         )
     }
 
@@ -302,7 +302,7 @@ impl Transmitter {
         mapper.schedule(
             &t.symbols,
             config.symbol_rate,
-            config.platform.pwm_frequency,
+            Platform::BEAGLEBONE_BLACK.pwm_frequency,
         )
     }
 }

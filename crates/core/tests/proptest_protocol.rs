@@ -1,13 +1,16 @@
 //! Property-based tests for the ColorBars protocol layer: bit↔symbol
-//! mappings, packet framing, illumination positions, and the transmit→
-//! parse round-trip under lossless and gap-lossy observation.
+//! mappings, packet framing, illumination positions, the transmit→
+//! parse round-trip under lossless and gap-lossy observation, and the
+//! parser's behaviour on hostile band streams.
 
 use colorbars_color::{GamutTriangle, Lab};
 use colorbars_core::depacket::{Depacketizer, ObservedBand, ParsedPacket};
+use colorbars_core::packet::{CAL_FLAG, DATA_FLAG, IL_FLAG};
 use colorbars_core::{
     is_white_position, Constellation, CskOrder, EqualizerKind, Label, LinkConfig, Receiver, Symbol,
     Transmitter,
 };
+use colorbars_fec::Interleaver;
 use proptest::prelude::*;
 
 fn any_order() -> impl Strategy<Value = CskOrder> {
@@ -56,6 +59,61 @@ fn observe(symbols: &[Symbol], lost: Option<std::ops::Range<usize>>) -> Vec<Obse
         });
     }
     out
+}
+
+/// A run of bands as a hostile or corrupted capture could hand the
+/// parser: one band with any label, color indices in and past every
+/// constellation, a feature that need not be finite, and a frame index
+/// that is 0 three times in four and arbitrary otherwise (the caller adds
+/// the frame's own index), preceded one time in eight by a whole flag run
+/// of a random kind. Small indices and color labels are common enough
+/// that headers parse, so packets of every framing open and close
+/// throughout the stream.
+fn hostile_bands() -> impl Strategy<Value = Vec<ObservedBand>> {
+    let index = || prop_oneof![0u16..4, 0u16..40, any::<u16>()];
+    let coord = || {
+        prop_oneof![
+            -150.0f64..150.0,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ]
+    };
+    let label = prop_oneof![
+        Just(Label::Off),
+        Just(Label::White),
+        index().prop_map(Label::Color),
+        index().prop_map(Label::Color),
+    ];
+    let band = (
+        label,
+        index(),
+        index(),
+        (coord(), coord(), coord()),
+        prop_oneof![Just(0usize), Just(0), Just(0), any::<usize>()],
+    )
+        .prop_map(
+            |(label, color_idx, nn_idx, (l, a, b), frame_index)| ObservedBand {
+                label,
+                color_idx,
+                nn_idx,
+                feature: Lab::new(l, a, b),
+                frame_index,
+            },
+        );
+    (0u8..24, band).prop_map(|(flag, band)| {
+        let flag: &[Symbol] = match flag {
+            0 => &DATA_FLAG,
+            1 => &CAL_FLAG,
+            2 => &IL_FLAG,
+            _ => &[],
+        };
+        let flag_band = |s: &Symbol| ObservedBand {
+            label: if s.is_off() { Label::Off } else { Label::White },
+            ..band
+        };
+        flag.iter().map(flag_band).chain([band]).collect()
+    })
 }
 
 fn depacketizer_for(cfg: &LinkConfig, tx: &Transmitter) -> Depacketizer {
@@ -208,5 +266,64 @@ proptest! {
             seen[i as usize] = true;
         }
         prop_assert!(seen.into_iter().all(|s| s));
+    }
+}
+
+proptest! {
+    // Few random streams parse a header intact, so this property runs
+    // more cases than the others.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_band_streams_never_panic_the_parser(
+        order in any_order(),
+        gray in any::<bool>(),
+        framing in 0u8..3,
+        depth in 2usize..9,
+        frames in proptest::collection::vec(
+            proptest::collection::vec(hostile_bands(), 0..301),
+            1..7,
+        ),
+    ) {
+        // Raw (framing 0), per-packet RS (1) or interleaved (2) parsing of
+        // 1–6 frames of up to 300 arbitrary bands: every packet comes back
+        // as a typed outcome, and neither `push_frame` nor `finish` panics.
+        let mut cfg = LinkConfig::paper_default(order, 3000.0, 0.2312);
+        cfg.gray_mapping = gray;
+        if framing == 2 {
+            cfg = cfg.with_fec(depth);
+        }
+        let code = match framing {
+            0 => None,
+            _ => Some(cfg.packet_budget().expect("3 kHz budgets are realizable").code()),
+        };
+        let gap_symbols = cfg.loss_ratio * cfg.symbol_rate / cfg.frame_rate;
+        let mut de = Depacketizer::new(
+            cfg.constellation(),
+            code.clone(),
+            cfg.white_ratio(),
+            gap_symbols,
+            colorbars_core::transmitter::cal_copies(&cfg),
+        );
+        if let Some(code) = code.filter(|_| framing == 2) {
+            de = de.with_fec(Interleaver::new(depth, code).expect("depth within the wire limit"));
+        }
+        let mut packets = Vec::new();
+        for (k, frame) in frames.iter().enumerate() {
+            let bands: Vec<ObservedBand> = frame
+                .iter()
+                .flatten()
+                .map(|&b| ObservedBand { frame_index: b.frame_index.wrapping_add(k), ..b })
+                .take(300)
+                .collect();
+            packets.extend(de.push_frame(&bands));
+        }
+        packets.extend(de.finish());
+        let m = order.points();
+        for p in &packets {
+            if let ParsedPacket::Calibration { features } = p {
+                prop_assert!(features.iter().all(|&(i, _)| i < m));
+            }
+        }
     }
 }

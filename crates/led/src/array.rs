@@ -74,13 +74,6 @@ impl TriLedArray {
         self.element.full_drive_white().scale(self.count as f64)
     }
 
-    /// The distance-multiplier the array buys under inverse-square path
-    /// loss: a receiver sees the same irradiance at `√N ×` the single-LED
-    /// distance.
-    pub fn range_multiplier(&self) -> f64 {
-        (self.count as f64).sqrt()
-    }
-
     /// The array's gamut (same as the element's: chromaticity is unchanged).
     pub fn gamut(&self) -> colorbars_color::GamutTriangle {
         self.element.gamut()
@@ -104,13 +97,6 @@ mod tests {
         let c1 = one.chromaticity();
         let c4 = four.chromaticity();
         assert!(c1.distance(c4) < 1e-12, "chromaticity unchanged");
-    }
-
-    #[test]
-    fn range_multiplier_is_sqrt_n() {
-        let a = TriLedArray::new(TriLed::typical(), 9);
-        assert!((a.range_multiplier() - 3.0).abs() < 1e-12);
-        assert_eq!(a.count(), 9);
     }
 
     #[test]

@@ -135,33 +135,6 @@ impl LedEmitter {
         &self.led
     }
 
-    /// Index of the slot active at time `t`, if any.
-    pub fn slot_at(&self, t: f64) -> Option<usize> {
-        if t < 0.0 || t >= self.duration() || self.slots.is_empty() {
-            return None;
-        }
-        // partition_point gives the first start > t; the active slot is the
-        // one before it.
-        let idx = self.starts.partition_point(|&s| s <= t);
-        Some(idx - 1)
-    }
-
-    /// Instantaneous emitted light at `t` (PWM square wave included).
-    pub fn emit_at(&self, t: f64) -> Xyz {
-        match self.slot_at(t) {
-            None => Xyz::BLACK,
-            Some(i) => {
-                let d = self.slots[i];
-                let level = |duty: f64| PwmChannel::new(self.pwm_frequency, duty).level_at(t);
-                self.led.emit(DriveLevels::new(
-                    level(d.r) * d_sign(d.r),
-                    level(d.g) * d_sign(d.g),
-                    level(d.b) * d_sign(d.b),
-                ))
-            }
-        }
-    }
-
     /// Exact integral of emitted light over `[t0, t1]`, in XYZ·seconds.
     ///
     /// This is the quantity a photodiode accumulates over an exposure
@@ -389,15 +362,6 @@ fn on_prefix(frequency: f64, duty: f64, t: f64) -> f64 {
     whole * on_time + frac.min(on_time)
 }
 
-/// Helper: duty 0 must emit nothing even at phase 0 where level_at = 1.
-fn d_sign(duty: f64) -> f64 {
-    if duty > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,16 +383,6 @@ mod tests {
     fn duration_is_sum_of_slots() {
         let e = emitter(&[(1.0, 0.0, 0.0, 0.001), (0.0, 1.0, 0.0, 0.002)]);
         assert!((e.duration() - 0.003).abs() < 1e-15);
-    }
-
-    #[test]
-    fn slot_lookup() {
-        let e = emitter(&[(1.0, 0.0, 0.0, 0.001), (0.0, 1.0, 0.0, 0.002)]);
-        assert_eq!(e.slot_at(0.0), Some(0));
-        assert_eq!(e.slot_at(0.0005), Some(0));
-        assert_eq!(e.slot_at(0.0015), Some(1));
-        assert_eq!(e.slot_at(0.003), None);
-        assert_eq!(e.slot_at(-0.001), None);
     }
 
     #[test]
@@ -596,8 +550,8 @@ mod tests {
 
     #[test]
     fn prefix_sum_handles_duty_zero_dies() {
-        // A die at duty 0 must contribute nothing even though level_at(0)
-        // of a zero-duty PWM reports phase-0 as ON.
+        // A die at duty 0 must contribute nothing, not even the instant
+        // at the start of each PWM period.
         let e = emitter(&[(0.0, 0.7, 0.0, 0.002), (0.0, 0.0, 0.0, 0.001)]);
         let got = e.integrate(0.0, e.duration());
         let green_only = e.led().emit(DriveLevels::new(0.0, 1.0, 0.0));
@@ -692,14 +646,5 @@ mod tests {
     fn row_means_of_an_empty_schedule_are_dark() {
         let e = LedEmitter::new(TriLed::typical(), 200_000.0, &[]);
         assert_row_means_match(&e, -1e-3, 1e-5, 4e-5, 10);
-    }
-
-    #[test]
-    fn instantaneous_emission_follows_pwm() {
-        // Duty 0 die never emits even at t = 0.
-        let e = emitter(&[(0.0, 1.0, 0.0, 0.001)]);
-        let at0 = e.emit_at(0.0);
-        let green_only = e.led().emit(DriveLevels::new(0.0, 1.0, 0.0));
-        assert!(at0.to_vec3().max_abs_diff(green_only.to_vec3()) < 1e-12);
     }
 }

@@ -27,22 +27,9 @@ impl Platform {
         pwm_frequency: 200_000.0,
     };
 
-    /// An idealized unconstrained controller, for what-if sweeps beyond the
-    /// prototype hardware.
-    pub const IDEAL: Platform = Platform {
-        name: "ideal controller",
-        max_symbol_rate: f64::INFINITY,
-        pwm_frequency: 1_000_000.0,
-    };
-
     /// `true` when the platform can emit symbols at `rate` Hz.
     pub fn supports_symbol_rate(&self, rate: f64) -> bool {
         rate.is_finite() && rate > 0.0 && rate <= self.max_symbol_rate
-    }
-
-    /// Clamp a requested symbol rate to what the platform supports.
-    pub fn clamp_symbol_rate(&self, rate: f64) -> f64 {
-        rate.min(self.max_symbol_rate)
     }
 }
 
@@ -67,17 +54,5 @@ mod tests {
         assert!(!p.supports_symbol_rate(-100.0));
         assert!(!p.supports_symbol_rate(f64::NAN));
         assert!(!p.supports_symbol_rate(f64::INFINITY));
-    }
-
-    #[test]
-    fn clamp_caps_at_platform_maximum() {
-        let p = Platform::BEAGLEBONE_BLACK;
-        assert_eq!(p.clamp_symbol_rate(10_000.0), 4500.0);
-        assert_eq!(p.clamp_symbol_rate(3000.0), 3000.0);
-    }
-
-    #[test]
-    fn ideal_platform_is_unbounded() {
-        assert!(Platform::IDEAL.supports_symbol_rate(1e6));
     }
 }

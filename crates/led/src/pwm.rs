@@ -50,13 +50,10 @@ impl PwmChannel {
         self.duty
     }
 
-    /// Change the duty cycle (clamped to `[0, 1]`).
-    pub fn set_duty(&mut self, duty: f64) {
-        self.duty = duty.clamp(0.0, 1.0);
-    }
-
-    /// Instantaneous output at time `t`: `1.0` when ON, `0.0` when OFF.
-    pub fn level_at(&self, t: f64) -> f64 {
+    /// Instantaneous output at time `t`: `1.0` when ON, `0.0` when OFF —
+    /// the square wave the tests sample to check [`PwmChannel::integrate`].
+    #[cfg(test)]
+    pub(crate) fn level_at(&self, t: f64) -> f64 {
         if self.duty >= 1.0 {
             return 1.0;
         }
@@ -97,14 +94,6 @@ impl PwmChannel {
             whole * on_time + frac.min(on_time)
         };
         prefix(t1) - prefix(t0)
-    }
-
-    /// Mean output level over `[t0, t1]` (integral divided by the window).
-    pub fn mean_level(&self, t0: f64, t1: f64) -> f64 {
-        if t1 <= t0 {
-            return 0.0;
-        }
-        self.integrate(t0, t1) / (t1 - t0)
     }
 }
 
@@ -169,9 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_level_converges_to_duty_for_long_windows() {
+    fn long_windows_average_to_the_duty() {
         let p = PwmChannel::new(100_000.0, 0.64);
-        let mean = p.mean_level(0.0, 0.05);
+        let mean = p.integrate(0.0, 0.05) / 0.05;
         assert!((mean - 0.64).abs() < 1e-3);
     }
 
@@ -180,16 +169,13 @@ mod tests {
         let p = PwmChannel::new(1000.0, 0.5);
         assert_eq!(p.integrate(0.5, 0.5), 0.0);
         assert_eq!(p.integrate(0.6, 0.5), 0.0);
-        assert_eq!(p.mean_level(0.6, 0.5), 0.0);
     }
 
     #[test]
     fn duty_is_clamped() {
         let p = PwmChannel::new(1000.0, 1.7);
         assert_eq!(p.duty(), 1.0);
-        let mut q = PwmChannel::new(1000.0, 0.5);
-        q.set_duty(-3.0);
-        assert_eq!(q.duty(), 0.0);
+        assert_eq!(PwmChannel::new(1000.0, -3.0).duty(), 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   attenuation, ambient), with guard gaps and optional bleed between
 //!   adjacent spans. `Scene` implements the camera substrate's
 //!   [`colorbars_camera::SceneRadiance`] contract, so
-//!   [`colorbars_camera::CameraRig::capture_frame_scene`] renders it with
+//!   [`colorbars_camera::CameraRig::capture_video_scene`] renders it with
 //!   the full sensor model. A one-transmitter, zero-guard, zero-bleed
 //!   scene is byte-identical to capturing its emitter through the rig's
 //!   single-emitter entry points.

@@ -85,7 +85,6 @@ pub struct MultiLinkSimulator {
     device: DeviceProfile,
     channels: Vec<OpticalChannel>,
     layout: SceneLayout,
-    background: AmbientLight,
     capture: CaptureConfig,
 }
 
@@ -118,7 +117,6 @@ impl MultiLinkSimulator {
             device,
             channels,
             layout,
-            background: AmbientLight::dim_indoor(),
             capture,
         })
     }
@@ -157,11 +155,6 @@ impl MultiLinkSimulator {
         self.channels.len()
     }
 
-    /// Override the guard-gap background light (default: dim indoor).
-    pub fn set_background(&mut self, background: AmbientLight) {
-        self.background = background;
-    }
-
     /// Run ~`seconds` of airtime on every transmitter and decode all links.
     pub fn run(
         &self,
@@ -184,7 +177,8 @@ impl MultiLinkSimulator {
                 channel: channel.clone(),
             });
         }
-        let scene = Scene::compose(scene_txs, self.layout, self.background)
+        // The guard gaps show the dim indoor ambient of the paper's setup.
+        let scene = Scene::compose(scene_txs, self.layout, AmbientLight::dim_indoor())
             .expect("layout validated at construction");
         obs::counter!("scene.transmitters", n);
 
@@ -503,7 +497,7 @@ mod tests {
             guard_cols: 4,
             bleed: 0.0,
         };
-        let mut sim = MultiLinkSimulator::new(
+        let sim = MultiLinkSimulator::new(
             config,
             device,
             vec![OpticalChannel::ideal(); 2],
@@ -511,7 +505,6 @@ mod tests {
             capture,
         )
         .unwrap();
-        sim.set_background(AmbientLight::none());
         let m = sim.run(SceneMode::Raw, 0.08, 7).unwrap();
         assert_eq!(m.per_tx.len(), 2);
         assert_eq!(m.detected, 2, "both transmitters located: {:?}", m.per_tx);

@@ -10,7 +10,7 @@
 //!
 //! [`Scene`] implements [`SceneRadiance`], so a
 //! [`colorbars_camera::CameraRig`] renders it through the full sensor
-//! model via `capture_frame_scene`. The degenerate one-transmitter,
+//! model via `capture_video_scene`. The degenerate one-transmitter,
 //! zero-guard, zero-bleed scene performs exactly the per-row operations of
 //! the [`colorbars_camera::UniformScene`] that the rig's single-emitter
 //! entry points capture, and is pinned byte-identical by tests.
@@ -49,13 +49,6 @@ impl Default for SceneLayout {
             guard_cols: 4,
             bleed: 0.0,
         }
-    }
-}
-
-impl SceneLayout {
-    /// Total ROI columns needed for `tx_count` transmitters.
-    pub fn total_width(&self, tx_count: usize) -> usize {
-        tx_count * self.cols_per_tx + self.guard_cols * tx_count.saturating_sub(1)
     }
 }
 
@@ -171,11 +164,6 @@ impl Scene {
     /// The layout the scene was composed with.
     pub fn layout(&self) -> &SceneLayout {
         &self.layout
-    }
-
-    /// The transmitters, in left-to-right span order.
-    pub fn transmitters(&self) -> &[SceneTransmitter] {
-        &self.txs
     }
 
     /// Column span `[start, end)` of transmitter `k`.
@@ -322,7 +310,6 @@ mod tests {
         ];
         let scene = Scene::compose(txs, layout, AmbientLight::none()).unwrap();
         assert_eq!(scene.width(), 3 * 8 + 2 * 3);
-        assert_eq!(layout.total_width(3), scene.width());
         assert_eq!(scene.tx_span(0), (0, 8));
         assert_eq!(scene.tx_span(1), (11, 19));
         assert_eq!(scene.tx_span(2), (22, 30));
