@@ -16,7 +16,6 @@
 //!
 //! ```text
 //! ext_fec                   # full sweep: device × order × depth, 5 seeds
-//! ext_fec --smoke           # reduced grid for CI (gated by obs-diff)
 //! ext_fec --burst-negative  # deterministic over-budget burst: the decode
 //!                           # layer must fail loud and the doctor must
 //!                           # attribute every loss to unrecoverable-burst
@@ -24,7 +23,9 @@
 //!
 //! `--burst-negative` exits nonzero when the attribution is missing or the
 //! doctor's ledgers go inconsistent — CI runs it as a can't-fool-the-gate
-//! check, the FEC analogue of `obs-diff --inject-ser-regression`.
+//! check, the FEC analogue of `obs-diff --inject-ser-regression`. The
+//! sweep itself is held by CI's results gate: its transcript byte for
+//! byte, and its report's rows and counters by identity.
 
 use colorbars_bench::{
     cell, devices, run_pool, sweep_threads, AveragedMetrics, Reporter, ResultRow, SEEDS,
@@ -58,8 +59,8 @@ struct FecPoint {
 }
 
 impl FecPoint {
-    /// Row key for reports: the depth is folded into the device name so
-    /// `obs-diff` keys each depth as its own operating point.
+    /// Row key for reports: the depth is folded into the device name, so
+    /// each depth reads as its own operating point.
     fn device_key(&self) -> String {
         if self.depth == 0 {
             self.name.to_string()
@@ -71,7 +72,6 @@ impl FecPoint {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     if args.iter().any(|a| a == "--burst-negative") {
         return match burst_negative() {
             Ok(report) => {
@@ -85,7 +85,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    sweep(smoke);
+    sweep();
     ExitCode::SUCCESS
 }
 
@@ -112,20 +112,14 @@ fn run_fec_seed(point: &FecPoint, seconds: f64, seed: u64) -> Option<LinkMetrics
 
 /// The depth sweep: every `(point, seed)` cell drains through one bounded
 /// worker pool, exactly like `run_grid`.
-fn sweep(smoke: bool) {
+fn sweep() {
     let mut reporter = Reporter::new("ext_fec");
-    let (orders, depths, seconds): (Vec<CskOrder>, Vec<usize>, f64) = if smoke {
-        (vec![CskOrder::Csk8], vec![0, 8], 1.2)
-    } else {
-        (vec![CskOrder::Csk8, CskOrder::Csk16], DEPTHS.to_vec(), 2.0)
-    };
+    let orders = [CskOrder::Csk8, CskOrder::Csk16];
+    let seconds = 2.0;
     let mut points = Vec::new();
     for (name, device) in devices() {
-        if smoke && name != "iPhone 5S" {
-            continue;
-        }
         for &order in &orders {
-            for &depth in &depths {
+            for &depth in &DEPTHS {
                 points.push(FecPoint {
                     name,
                     device: device.clone(),
@@ -137,10 +131,9 @@ fn sweep(smoke: bool) {
     }
     reporter.set_config(Value::object([
         ("rate_hz", Value::from(RATE_HZ)),
-        ("smoke", Value::from(smoke)),
         (
             "depths",
-            Value::Array(depths.iter().map(|&d| Value::from(d)).collect()),
+            Value::Array(DEPTHS.iter().map(|&d| Value::from(d)).collect()),
         ),
         ("seconds", Value::from(seconds)),
     ]));
@@ -175,14 +168,11 @@ fn sweep(smoke: bool) {
     let mut best_uplift: Option<(f64, String)> = None;
     let mut it = points.iter().zip(&averaged);
     for (name, _) in devices() {
-        if smoke && name != "iPhone 5S" {
-            continue;
-        }
         reporter.header(
             &format!("Ext (FEC, {name}): goodput vs interleave depth @ 3 kHz"),
             &["order", "depth", "goodput", "±", "thrpt", "ser", "uplift"],
         );
-        for _ in 0..orders.len() * depths.len() {
+        for _ in 0..orders.len() * DEPTHS.len() {
             let (p, m) = it.next().expect("grid matches print order");
             let uplift = m.as_ref().and_then(|m| {
                 baseline_of(p.name, p.order.points()).map(|base| {

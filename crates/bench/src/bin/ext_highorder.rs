@@ -22,7 +22,7 @@
 //! ext_highorder                        # full sweep: device × classifier ×
 //!                                      # {32, 64}-CSK, 5 seeds
 //! ext_highorder --smoke                # 64-CSK only, both devices — the CI
-//!                                      # gate for "ridge beats NN" (obs-diff)
+//!                                      # gate for "ridge beats NN" (exit code)
 //! ext_highorder --degenerate-negative  # degenerate calibration preamble:
 //!                                      # training must fail typed, fall back
 //!                                      # to NN, and never produce NaN weights
@@ -64,8 +64,8 @@ struct HighOrderPoint {
 }
 
 impl HighOrderPoint {
-    /// Row key for reports: the classifier is folded into the device name
-    /// so `obs-diff` keys each classifier as its own operating point.
+    /// Row key for reports: the classifier is folded into the device name,
+    /// so each classifier reads as its own operating point.
     fn device_key(&self) -> String {
         match self.classifier {
             EqualizerKind::NearestNeighbor => self.name.to_string(),
@@ -189,7 +189,8 @@ fn average(samples: &[LinkMetrics]) -> Option<HighOrderAvg> {
 
 /// The classifier × order × device sweep. In smoke mode the grid narrows to
 /// 64-CSK (the smallest beyond-paper order) on both devices — the operating
-/// point the acceptance criterion and the obs-diff baseline pin.
+/// point the acceptance criterion pins. CI's results gate holds the full
+/// sweep's rows and counters by identity.
 fn sweep(smoke: bool) -> ExitCode {
     let mut reporter = Reporter::new("ext_highorder");
     let (orders, seconds): (Vec<CskOrder>, f64) = if smoke {

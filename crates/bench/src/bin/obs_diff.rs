@@ -1,10 +1,9 @@
 //! `obs-diff` — the run-report regression gate.
 //!
-//! Structurally diffs two run reports (or a fresh smoke run against the
-//! committed baseline under `results/baselines/`), classifying every gated
-//! metric delta as improvement / noise / regression using the per-seed
-//! standard deviations recorded in each row's `AveragedMetrics` (DESIGN.md
-//! §10's noise-band policy).
+//! Compares two run reports (or a fresh smoke run against the committed
+//! baseline under `results/baselines/`) with [`diff_reports`]: every row
+//! value and counter must be identical, and only the gateway's p99 frame
+//! latency is judged against a noise band (DESIGN.md §10).
 //!
 //! ```text
 //! obs-diff <baseline.json> <candidate.json> [--inject-latency-regression]
@@ -17,20 +16,17 @@
 //! gateway latency gate (a report without that metric is an error).
 //! `--smoke` runs the deterministic smoke scenario (Nexus 5, 8-CSK,
 //! 3 kHz, 0.4 s raw sweep over the standard seeds) and gates it against
-//! `results/baselines/smoke.json`: the metrics within their noise bands,
-//! and every counter equal to the baseline's (an absent key counts as 0;
-//! `camera.pool.*` is skipped, since pool traffic depends on thread
-//! scheduling). `--record` rewrites that baseline
+//! `results/baselines/smoke.json`. `--record` rewrites that baseline
 //! instead of gating. `--inject-ser-regression` corrupts the candidate's
 //! SER before the diff — CI's negative test. `--write-report` also saves
 //! the candidate report (rows + counters) for the doctor to consume.
 //!
-//! Exit codes: 0 — gate passed; 1 — regression (or missing baseline row);
-//! 2 — usage or I/O error.
+//! Exit codes: 0 — gate passed; 1 — a changed fact or a latency
+//! regression; 2 — usage or I/O error.
 
 use colorbars_bench::{devices, run_point, ResultRow, SweepMode};
 use colorbars_core::CskOrder;
-use colorbars_obs::diff::{counter_mismatches, diff_reports, DiffConfig};
+use colorbars_obs::diff::diff_reports;
 use colorbars_obs::{self as obs, Value};
 use std::process::ExitCode;
 
@@ -39,13 +35,8 @@ const DEFAULT_BASELINE: &str = "results/baselines/smoke.json";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(passed) => {
-            if passed {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
         Err(err) => {
             eprintln!("obs-diff: {err}");
             eprintln!(
@@ -86,77 +77,59 @@ fn run(args: &[String]) -> Result<bool, String> {
         }
     }
 
-    if smoke {
-        if paths.len() > 1 {
+    let (baseline, candidate) = if smoke {
+        if !paths.is_empty() {
             return Err("--smoke takes no positional report paths".to_string());
         }
         if inject_latency {
             return Err("--inject-latency-regression needs two report paths".to_string());
         }
         let baseline_path = baseline_path.unwrap_or_else(|| DEFAULT_BASELINE.to_string());
-        return smoke_gate(&baseline_path, record, inject, write_report.as_deref());
-    }
-
-    if record || inject || write_report.is_some() {
-        return Err("--record/--inject-ser-regression/--write-report need --smoke".to_string());
-    }
-    let [baseline, candidate] = paths.as_slice() else {
-        return Err("need exactly a baseline and a candidate report".to_string());
-    };
-    let base = parse_file(baseline)?;
-    let mut cand = parse_file(candidate)?;
-    if inject_latency {
-        worsen_metric(&mut cand, "p99_frame_latency_ms", |ms| 2.0 * ms)?;
-        eprintln!("obs-diff: doubled the candidate's p99 frame latency");
-    }
-    let diff = diff_reports(&base, &cand, &DiffConfig::default())?;
-    print!("{}", diff.render_text());
-    Ok(!diff.has_regressions())
-}
-
-/// Run the deterministic smoke scenario and gate (or record) it.
-fn smoke_gate(
-    baseline_path: &str,
-    record: bool,
-    inject: bool,
-    write_report: Option<&str>,
-) -> Result<bool, String> {
-    let mut report = smoke_run()?;
-    if inject {
-        worsen_metric(&mut report, "ser", |ser| ser * 10.0 + 0.25)?;
-        eprintln!("obs-diff: injected a synthetic SER regression into the candidate");
-    }
-    if let Some(path) = write_report {
-        write_json(path, &report)?;
-        eprintln!("obs-diff: candidate report written to {path}");
-    }
-    if record {
-        if let Some(dir) = std::path::Path::new(baseline_path).parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+        let mut report = smoke_run()?;
+        if inject {
+            worsen_metric(&mut report, "ser", |ser| ser * 10.0 + 0.25)?;
+            eprintln!("obs-diff: injected a synthetic SER regression into the candidate");
         }
-        write_json(baseline_path, &report)?;
-        println!("baseline recorded: {baseline_path}");
-        return Ok(true);
-    }
-    let baseline = parse_file(baseline_path)
-        .map_err(|e| format!("{e} (run `obs-diff --smoke --record` to create the baseline)"))?;
-    let diff = diff_reports(&baseline, &report, &DiffConfig::default())?;
-    print!("{}", diff.render_text());
-    let moved = counter_mismatches(&baseline, &report, "camera.pool.")?;
-    for line in &moved {
-        println!("  counter changed: {line}");
-    }
-    if moved.is_empty() {
-        println!("  counters: PASS (identical to the baseline; camera.pool.* skipped)");
+        if let Some(path) = &write_report {
+            write_json(path, &report)?;
+            eprintln!("obs-diff: candidate report written to {path}");
+        }
+        if record {
+            if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
+                std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+            }
+            write_json(&baseline_path, &report)?;
+            println!("baseline recorded: {baseline_path}");
+            return Ok(true);
+        }
+        let baseline = parse_file(&baseline_path)
+            .map_err(|e| format!("{e} (run `obs-diff --smoke --record` to create the baseline)"))?;
+        (baseline, report)
     } else {
-        println!("  counters: FAIL ({} changed)", moved.len());
-    }
-    Ok(!diff.has_regressions() && moved.is_empty())
+        if record || inject || write_report.is_some() || baseline_path.is_some() {
+            return Err(
+                "--record/--inject-ser-regression/--write-report/--baseline need --smoke"
+                    .to_string(),
+            );
+        }
+        let [baseline, candidate] = paths.as_slice() else {
+            return Err("need exactly a baseline and a candidate report".to_string());
+        };
+        let mut candidate = parse_file(candidate)?;
+        if inject_latency {
+            worsen_metric(&mut candidate, "p99_frame_latency_ms", |ms| 2.0 * ms)?;
+            eprintln!("obs-diff: doubled the candidate's p99 frame latency");
+        }
+        (parse_file(baseline)?, candidate)
+    };
+    let diff = diff_reports(&baseline, &candidate)?;
+    print!("{}", diff.render_text());
+    Ok(diff.passed())
 }
 
 /// One deterministic operating point through the real sweep pool: the
 /// simulation is seed-deterministic, so a rerun on unchanged code produces
-/// an identical report and the gate's noise band is exercised at zero.
+/// an identical report.
 fn smoke_run() -> Result<Value, String> {
     obs::init(obs::ObsConfig::from_env());
     obs::reset();

@@ -318,6 +318,21 @@ mod tests {
     }
 
     #[test]
+    fn parity_is_the_papers_two_bits_per_gap_bit() {
+        // Paper Section 5: at 4.5 kHz the table's 20% white leaves
+        // α_S = 0.8, a 0.2 loss ratio at 30 fps loses L_S = 0.2 · 150 = 30
+        // symbols per gap, and 8-CSK (C = 3) reserves
+        // 2t = 2·α_S·C·L_S = 144 bits = 18 parity bytes.
+        let c = LinkConfig::paper_default(CskOrder::Csk8, 4500.0, 0.2);
+        c.validate().unwrap();
+        assert!((1.0 - c.white_ratio() - 0.8).abs() < 1e-12);
+        let b = c.packet_budget().unwrap();
+        assert!((b.gap_symbols - 30.0).abs() < 1e-9);
+        assert_eq!(b.parity_bytes(), 18);
+        assert_eq!(b.parity_bytes() * 8, (2.0 * 0.8 * 3.0 * 30.0) as usize);
+    }
+
+    #[test]
     fn constellation_matches_order() {
         let c = LinkConfig::paper_default(CskOrder::Csk16, 2000.0, 0.23);
         assert_eq!(c.constellation().points().len(), 16);

@@ -9,7 +9,7 @@
 //! ## Pipeline (paper Fig 2(b))
 //!
 //! **Transmit** — [`transmitter::Transmitter`]:
-//! data bytes → Reed–Solomon blocks ([`colorbars_rs::RsPlan`]) → packets
+//! data bytes → Reed–Solomon blocks ([`config::PacketBudget`]) → packets
 //! ([`packet`]: `owo`-style delimiters/flags, size header) → CSK symbols
 //! ([`constellation`]) → white illumination symbols interleaved
 //! ([`illumination`]) → tri-LED drive schedule ([`symbol::SymbolMapper`]).

@@ -1,317 +1,165 @@
-//! Structural run-report diffing: the regression gate behind `obs-diff`.
+//! Run-report diffing: the regression gate behind `obs-diff`.
 //!
-//! Two `results/<experiment>.json` run reports (see [`crate::report`]) are
-//! compared row by row. Rows are matched on their operating point —
-//! `(experiment, device, order, rate_hz)` — and each gated metric's delta
-//! is classified as **improvement**, **noise**, or **regression** against a
-//! statistically derived noise band.
+//! Every simulated run is seed-deterministic (DESIGN.md §1): a rerun of
+//! unchanged code reproduces its report exactly. So [`diff_reports`]
+//! compares two `results/<experiment>.json` run reports (see
+//! [`crate::report`]) by identity. Every value in `rows`, numbers as exact
+//! `f64`s, and every counter (an absent one counts as 0) must match. A
+//! value that changed, appeared or disappeared fails the gate, whichever
+//! way it moved, because an unchanged simulation cannot move it.
 //!
-//! ## Noise-band policy
+//! Identity skips what the clock or the scheduler decides:
+//! - the counters under `camera.pool.`, since frame-pool traffic depends
+//!   on thread scheduling;
+//! - the row fields in `WALL_CLOCK_FIELDS`, at any depth of a row. Only
+//!   their values are skipped: one that appears or disappears still fails.
 //!
-//! The sweep harness averages every operating point over its seed set and
-//! records per-seed sample standard deviations (`ser_std`,
-//! `throughput_bps_std`, `goodput_bps_std`) plus the run count. The noise
-//! band for a delta of means is
+//! The gateway's p99 frame latency is the one wall-clock fact with a
+//! gate. A row whose `metrics` carry `p99_frame_latency_ms` fails when the
+//! candidate's p99 exceeds the baseline's by more than
 //!
 //! ```text
-//! band = max( sigma * sqrt(s_base² + s_cand²) / sqrt(runs),
-//!             rel_floor * max(|base|, |cand|),
-//!             abs_floor(metric) )
+//! band = max( 4 · sqrt(s_base² + s_cand²) / sqrt(runs),   // session spread
+//!             0.02 · max(|base|, |cand|),                 // relative floor
+//!             15 ms )                                     // absolute floor
 //! ```
 //!
-//! i.e. `sigma` standard errors of the difference of means, floored both
-//! relatively (formatting/rounding jitter) and absolutely (metrics near
-//! zero, where a relative band collapses). The simulation itself is
-//! deterministic per seed, so a same-code rerun produces *identical* means
-//! and always lands in the band; the band exists to absorb legitimate
-//! numeric drift (reordered float accumulation, changed seed pools) without
-//! letting a real shift through.
-//!
-//! Deltas outside the band are classified by direction: SER and loss move
-//! *up* for a regression; throughput and goodput move *down*. A row present
-//! in the baseline but missing from the candidate is a regression (coverage
-//! loss); a new row is reported but never fails the gate.
+//! where `s` is the row's `p99_frame_latency_ms_std` across its `runs`
+//! sessions. A faster candidate never fails.
 
 use crate::json::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Gated metrics: `(metric key, std key, higher_is_better)`.
-const GATED_METRICS: &[(&str, &str, bool)] = &[
-    ("ser", "ser_std", false),
-    ("throughput_bps", "throughput_bps_std", true),
-    ("goodput_bps", "goodput_bps_std", true),
-    ("p99_frame_latency_ms", "p99_frame_latency_ms_std", false),
+/// Row fields whose values the wall clock decides: the gateway's latency
+/// and session rate. Identity skips their values; the p99 has its band.
+const WALL_CLOCK_FIELDS: &[&str] = &[
+    "p99_frame_latency_ms",
+    "p99_frame_latency_ms_std",
+    "sessions_per_sec_per_core",
 ];
 
-/// Noise-band parameters.
+/// Counters whose values depend on thread scheduling.
+const SCHEDULED_COUNTERS: &str = "camera.pool.";
+
+/// The latency band, in standard errors of the difference of the two
+/// session-averaged p99s.
+const LATENCY_SIGMA: f64 = 4.0;
+/// The latency band's floor relative to the larger p99.
+const LATENCY_REL_FLOOR: f64 = 0.02;
+/// The latency band's absolute floor. Ten `gateway --smoke` runs on a
+/// 2-vCPU VM read a p99 of 20.2–29.1 ms (interquartile range 3.7 ms), so
+/// the floor is 1.7 times that whole range, and a doubled p99 still fails.
+const LATENCY_FLOOR_MS: f64 = 15.0;
+
+/// The latency band's verdict on one row.
 #[derive(Debug, Clone)]
-pub struct DiffConfig {
-    /// Band width in standard errors of the difference of means.
-    pub sigma: f64,
-    /// Relative floor on the band, as a fraction of the larger magnitude.
-    pub rel_floor: f64,
-    /// Absolute floor for rate-like metrics (bits/s).
-    pub abs_floor_bps: f64,
-    /// Absolute floor for ratio-like metrics (SER).
-    pub abs_floor_ratio: f64,
-    /// Absolute floor for latency-like metrics (milliseconds). Wall-clock
-    /// tail latency jitters far more than the deterministic link metrics:
-    /// ten `gateway --smoke` runs on a 2-vCPU VM read a p99 of 20.2–29.1 ms
-    /// (interquartile range 3.7 ms), so the floor is 1.7 times that whole
-    /// range, and a doubled p99 (~23 ms more) still fails the gate.
-    pub abs_floor_ms: f64,
+struct LatencyDelta {
+    row: usize,
+    baseline: f64,
+    candidate: f64,
+    band: f64,
 }
 
-impl Default for DiffConfig {
-    fn default() -> DiffConfig {
-        DiffConfig {
-            sigma: 4.0,
-            rel_floor: 0.02,
-            abs_floor_bps: 5.0,
-            abs_floor_ratio: 0.002,
-            abs_floor_ms: 15.0,
-        }
-    }
-}
-
-impl DiffConfig {
-    fn abs_floor(&self, metric: &str) -> f64 {
-        if metric.ends_with("_bps") {
-            self.abs_floor_bps
-        } else if metric.ends_with("_ms") {
-            self.abs_floor_ms
-        } else {
-            self.abs_floor_ratio
-        }
-    }
-}
-
-/// Verdict for one metric at one operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaClass {
-    /// Outside the noise band, in the good direction.
-    Improvement,
-    /// Within the noise band.
-    Noise,
-    /// Outside the noise band, in the bad direction.
-    Regression,
-}
-
-impl DeltaClass {
-    fn as_str(self) -> &'static str {
-        match self {
-            DeltaClass::Improvement => "improvement",
-            DeltaClass::Noise => "noise",
-            DeltaClass::Regression => "regression",
-        }
-    }
-}
-
-/// One classified metric delta.
-#[derive(Debug, Clone)]
-pub struct MetricDelta {
-    /// Operating-point key (`device/M-CSK/rate`).
-    pub row: String,
-    /// Metric name (`ser`, `throughput_bps`, `goodput_bps`).
-    pub metric: &'static str,
-    /// Baseline mean.
-    pub baseline: f64,
-    /// Candidate mean.
-    pub candidate: f64,
-    /// The noise band the delta was judged against.
-    pub band: f64,
-    /// The verdict.
-    pub class: DeltaClass,
-}
-
-impl MetricDelta {
-    /// Candidate − baseline.
-    pub fn delta(&self) -> f64 {
+impl LatencyDelta {
+    fn delta(&self) -> f64 {
         self.candidate - self.baseline
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("row", Value::from(self.row.as_str())),
-            ("metric", Value::from(self.metric)),
-            ("baseline", Value::from(self.baseline)),
-            ("candidate", Value::from(self.candidate)),
-            ("delta", Value::from(self.delta())),
-            ("band", Value::from(self.band)),
-            ("class", Value::from(self.class.as_str())),
-        ])
+    fn regressed(&self) -> bool {
+        self.delta() > self.band
     }
 }
 
-/// The full structural diff of two run reports.
+/// The comparison of two run reports.
 #[derive(Debug, Clone)]
 pub struct ReportDiff {
-    /// Experiment name (from the candidate report).
-    pub experiment: String,
-    /// All classified metric deltas, in row order.
-    pub deltas: Vec<MetricDelta>,
-    /// Operating points present only in the baseline (coverage loss —
-    /// fails the gate).
-    pub rows_only_in_baseline: Vec<String>,
-    /// Operating points present only in the candidate (reported, never
-    /// fails the gate).
-    pub rows_only_in_candidate: Vec<String>,
-    /// Rows skipped because they lack the `(device, order, rate_hz,
-    /// metrics)` shape (free-form rows).
-    pub rows_skipped: usize,
+    experiment: String,
+    /// Each deterministic fact that differs, as `path: baseline -> candidate`.
+    changed: Vec<String>,
+    /// How many row values and counters identity compared.
+    compared: usize,
+    latency: Vec<LatencyDelta>,
 }
 
 impl ReportDiff {
-    /// Deltas classified as regressions.
-    pub fn regressions(&self) -> impl Iterator<Item = &MetricDelta> {
-        self.deltas
-            .iter()
-            .filter(|d| d.class == DeltaClass::Regression)
+    /// Whether the gate passes: no deterministic fact moved, and no p99
+    /// rose past its band.
+    pub fn passed(&self) -> bool {
+        self.changed.is_empty() && !self.latency.iter().any(LatencyDelta::regressed)
     }
 
-    /// Whether the gate fails: any metric regression or any baseline row
-    /// missing from the candidate.
-    pub fn has_regressions(&self) -> bool {
-        self.regressions().next().is_some() || !self.rows_only_in_baseline.is_empty()
+    /// Record every leaf under `path` where the two sides differ.
+    fn compare(&mut self, path: &str, base: Option<&Value>, cand: Option<&Value>) {
+        match (base, cand) {
+            (Some(Value::Object(b)), Some(Value::Object(c))) => {
+                for key in b.keys().chain(c.keys()).collect::<BTreeSet<_>>() {
+                    let (bv, cv) = (b.get(key), c.get(key));
+                    if WALL_CLOCK_FIELDS.contains(&key.as_str()) && bv.is_some() == cv.is_some() {
+                        continue;
+                    }
+                    self.compare(&format!("{path}.{key}"), bv, cv);
+                }
+            }
+            (Some(Value::Array(b)), Some(Value::Array(c))) => {
+                for i in 0..b.len().max(c.len()) {
+                    self.compare(&format!("{path}[{i}]"), b.get(i), c.get(i));
+                }
+            }
+            _ => {
+                self.compared += 1;
+                if base != cand {
+                    let show = |v: Option<&Value>| v.map_or("absent".into(), Value::to_compact);
+                    self.changed
+                        .push(format!("{path}: {} -> {}", show(base), show(cand)));
+                }
+            }
+        }
     }
 
-    /// Serialize the verdict.
-    pub fn to_json(&self) -> Value {
-        Value::object([
-            ("experiment", Value::from(self.experiment.as_str())),
-            (
-                "deltas",
-                Value::Array(self.deltas.iter().map(MetricDelta::to_json).collect()),
-            ),
-            (
-                "rows_only_in_baseline",
-                Value::Array(
-                    self.rows_only_in_baseline
-                        .iter()
-                        .map(|r| Value::from(r.as_str()))
-                        .collect(),
-                ),
-            ),
-            (
-                "rows_only_in_candidate",
-                Value::Array(
-                    self.rows_only_in_candidate
-                        .iter()
-                        .map(|r| Value::from(r.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("rows_skipped", Value::from(self.rows_skipped)),
-            (
-                "regressions",
-                Value::from(self.regressions().count() as u64),
-            ),
-            ("gate_passed", Value::from(!self.has_regressions())),
-        ])
-    }
-
-    /// Human-readable verdict table.
+    /// Human-readable verdict.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "obs-diff — {}", self.experiment);
-        for d in &self.deltas {
-            let marker = match d.class {
-                DeltaClass::Regression => "REGRESSION",
-                DeltaClass::Improvement => "improved",
-                DeltaClass::Noise => "ok",
+        for line in &self.changed {
+            let _ = writeln!(out, "  CHANGED    {line}");
+        }
+        for d in &self.latency {
+            let marker = if d.regressed() {
+                "REGRESSION"
+            } else if -d.delta() > d.band {
+                "improved"
+            } else {
+                "ok"
             };
             let _ = writeln!(
                 out,
-                "  {:<10} {:<28} {:<16} {:>12.4} -> {:>12.4}  (delta {:+.4}, band {:.4})",
-                marker,
+                "  {marker:<10} rows[{}] p99 latency {:.3} -> {:.3} ms (delta {:+.3}, band {:.3})",
                 d.row,
-                d.metric,
                 d.baseline,
                 d.candidate,
                 d.delta(),
                 d.band
             );
         }
-        for row in &self.rows_only_in_baseline {
-            let _ = writeln!(out, "  REGRESSION {row:<28} row missing from candidate");
-        }
-        for row in &self.rows_only_in_candidate {
-            let _ = writeln!(out, "  note       {row:<28} new row in candidate");
-        }
-        if self.rows_skipped > 0 {
-            let _ = writeln!(out, "  ({} free-form rows not gated)", self.rows_skipped);
-        }
-        let verdict = if self.has_regressions() {
-            "FAIL"
-        } else {
-            "PASS"
-        };
         let _ = writeln!(
             out,
-            "  gate: {} ({} regressions over {} gated deltas)",
-            verdict,
-            self.regressions().count() + self.rows_only_in_baseline.len(),
-            self.deltas.len()
+            "  gate: {} ({} of {} row values and counters changed; {} of {} p99s past the band)",
+            if self.passed() { "PASS" } else { "FAIL" },
+            self.changed.len(),
+            self.compared,
+            self.latency.iter().filter(|d| d.regressed()).count(),
+            self.latency.len()
         );
         out
     }
 }
 
-/// One keyed row's gated metrics.
-struct KeyedRow {
-    key: String,
-    metrics: BTreeMap<&'static str, (f64, f64)>, // metric -> (mean, std)
-    runs: f64,
-}
-
-fn keyed_rows(report: &Value) -> (Vec<KeyedRow>, usize) {
-    let mut rows = Vec::new();
-    let mut skipped = 0;
-    let Some(items) = report.get("rows").and_then(Value::as_array) else {
-        return (rows, skipped);
-    };
-    for item in items {
-        let device = item.get("device").and_then(Value::as_str);
-        let order = item.get("order").and_then(Value::as_u64);
-        let rate = item.get("rate_hz").and_then(Value::as_f64);
-        let metrics = item.get("metrics");
-        let (Some(device), Some(order), Some(rate), Some(metrics)) = (device, order, rate, metrics)
-        else {
-            skipped += 1;
-            continue;
-        };
-        let mut gated = BTreeMap::new();
-        for &(metric, std_key, _) in GATED_METRICS {
-            let mean = metrics.get(metric).and_then(Value::as_f64);
-            let std = metrics.get(std_key).and_then(Value::as_f64).unwrap_or(0.0);
-            if let Some(mean) = mean {
-                gated.insert(metric, (mean, std));
-            }
-        }
-        let runs = metrics
-            .get("runs")
-            .and_then(Value::as_f64)
-            .unwrap_or(1.0)
-            .max(1.0);
-        rows.push(KeyedRow {
-            key: format!("{device}/{order}-CSK/{rate}Hz"),
-            metrics: gated,
-            runs,
-        });
-    }
-    (rows, skipped)
-}
-
-/// Structurally diff two parsed run reports.
+/// Compare two parsed run reports.
 ///
-/// Errors when either document is not a run report (no `rows` array), or
-/// when the two reports are for different experiments.
-pub fn diff_reports(
-    baseline: &Value,
-    candidate: &Value,
-    config: &DiffConfig,
-) -> Result<ReportDiff, String> {
+/// Errors when either document is not a run report (no `"experiment"`, or
+/// no `"counters"` object), or when the two are for different experiments.
+pub fn diff_reports(baseline: &Value, candidate: &Value) -> Result<ReportDiff, String> {
     let base_exp = baseline
         .get("experiment")
         .and_then(Value::as_str)
@@ -326,369 +174,271 @@ pub fn diff_reports(
         ));
     }
 
-    let (base_rows, base_skipped) = keyed_rows(baseline);
-    let (cand_rows, cand_skipped) = keyed_rows(candidate);
-    let base_by_key: BTreeMap<&str, &KeyedRow> =
-        base_rows.iter().map(|r| (r.key.as_str(), r)).collect();
-    let cand_by_key: BTreeMap<&str, &KeyedRow> =
-        cand_rows.iter().map(|r| (r.key.as_str(), r)).collect();
-
-    let mut deltas = Vec::new();
-    let mut rows_only_in_baseline = Vec::new();
-    for base in &base_rows {
-        let Some(cand) = cand_by_key.get(base.key.as_str()) else {
-            rows_only_in_baseline.push(base.key.clone());
-            continue;
-        };
-        for &(metric, _, higher_is_better) in GATED_METRICS {
-            let (Some(&(b_mean, b_std)), Some(&(c_mean, c_std))) =
-                (base.metrics.get(metric), cand.metrics.get(metric))
-            else {
-                continue;
-            };
-            let runs = base.runs.min(cand.runs);
-            let stderr = (b_std * b_std + c_std * c_std).sqrt() / runs.sqrt();
-            let band = (config.sigma * stderr)
-                .max(config.rel_floor * b_mean.abs().max(c_mean.abs()))
-                .max(config.abs_floor(metric));
-            let delta = c_mean - b_mean;
-            let class = if delta.abs() <= band {
-                DeltaClass::Noise
-            } else if (delta > 0.0) == higher_is_better {
-                DeltaClass::Improvement
-            } else {
-                DeltaClass::Regression
-            };
-            deltas.push(MetricDelta {
-                row: base.key.clone(),
-                metric,
-                baseline: b_mean,
-                candidate: c_mean,
-                band,
-                class,
-            });
-        }
-    }
-    let rows_only_in_candidate = cand_rows
-        .iter()
-        .filter(|r| !base_by_key.contains_key(r.key.as_str()))
-        .map(|r| r.key.clone())
-        .collect();
-
-    Ok(ReportDiff {
+    let mut diff = ReportDiff {
         experiment: cand_exp.to_string(),
-        deltas,
-        rows_only_in_baseline,
-        rows_only_in_candidate,
-        rows_skipped: base_skipped + cand_skipped,
-    })
-}
+        changed: Vec::new(),
+        compared: 0,
+        latency: Vec::new(),
+    };
+    let (base_rows, cand_rows) = (baseline.get("rows"), candidate.get("rows"));
+    diff.compare("rows", base_rows, cand_rows);
 
-/// Every counter whose value differs between two run reports, as
-/// `name: baseline -> candidate` lines; an absent key counts as 0, and
-/// names starting with `skip` are not compared. The stage ledgers of a
-/// deterministic run must not move, so the smoke gate requires this empty.
-pub fn counter_mismatches(
-    baseline: &Value,
-    candidate: &Value,
-    skip: &str,
-) -> Result<Vec<String>, String> {
     let base = crate::report::counters(baseline)?;
     let cand = crate::report::counters(candidate)?;
     let names: BTreeSet<&String> = base.keys().chain(cand.keys()).collect();
-    Ok(names
-        .into_iter()
-        .filter(|name| !name.starts_with(skip))
-        .filter_map(|name| {
-            let b = base.get(name).copied().unwrap_or(0);
-            let c = cand.get(name).copied().unwrap_or(0);
-            (b != c).then(|| format!("{name}: {b} -> {c}"))
-        })
-        .collect())
+    for name in names {
+        if name.starts_with(SCHEDULED_COUNTERS) {
+            continue;
+        }
+        diff.compared += 1;
+        let b = base.get(name).copied().unwrap_or(0);
+        let c = cand.get(name).copied().unwrap_or(0);
+        if b != c {
+            diff.changed.push(format!("counters.{name}: {b} -> {c}"));
+        }
+    }
+
+    let base_rows = base_rows.and_then(Value::as_array).unwrap_or_default();
+    let cand_rows = cand_rows.and_then(Value::as_array).unwrap_or_default();
+    for (row, (b, c)) in base_rows.iter().zip(cand_rows).enumerate() {
+        if let (Some(b), Some(c)) = (b.get("metrics"), c.get("metrics")) {
+            diff.latency.extend(latency_delta(row, b, c));
+        }
+    }
+    Ok(diff)
+}
+
+/// The band verdict on one row's p99, when both sides' metrics carry one.
+fn latency_delta(row: usize, base: &Value, cand: &Value) -> Option<LatencyDelta> {
+    let num = |m: &Value, key: &str| m.get(key).and_then(Value::as_f64);
+    let (baseline, candidate) = (
+        num(base, "p99_frame_latency_ms")?,
+        num(cand, "p99_frame_latency_ms")?,
+    );
+    let spread = |m: &Value| num(m, "p99_frame_latency_ms_std").unwrap_or(0.0);
+    let runs = |m: &Value| num(m, "runs").unwrap_or(1.0).max(1.0);
+    let stderr = spread(base).hypot(spread(cand)) / runs(base).min(runs(cand)).sqrt();
+    let band = (LATENCY_SIGMA * stderr)
+        .max(LATENCY_REL_FLOOR * baseline.abs().max(candidate.abs()))
+        .max(LATENCY_FLOOR_MS);
+    Some(LatencyDelta {
+        row,
+        baseline,
+        candidate,
+        band,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn metrics(ser: f64, tput: f64, good: f64) -> Value {
+    fn metrics(ser: f64, goodput: f64) -> Value {
         Value::object([
             ("ser", Value::from(ser)),
-            ("throughput_bps", Value::from(tput)),
-            ("goodput_bps", Value::from(good)),
+            ("goodput_bps", Value::from(goodput)),
             ("ser_std", Value::from(0.01)),
-            ("throughput_bps_std", Value::from(20.0)),
-            ("goodput_bps_std", Value::from(20.0)),
             ("runs", Value::from(5u64)),
         ])
     }
 
-    fn row(device: &str, order: u64, rate: f64, m: Value) -> Value {
+    fn row(device: &str, m: Value) -> Value {
         Value::object([
             ("experiment", Value::from("unit")),
             ("device", Value::from(device)),
-            ("order", Value::from(order)),
-            ("rate_hz", Value::from(rate)),
+            ("order", Value::from(8u64)),
+            ("rate_hz", Value::from(3000.0)),
             ("metrics", m),
         ])
     }
 
-    fn report(rows: Vec<Value>) -> Value {
+    fn report_with(rows: Vec<Value>, counters: Value) -> Value {
         Value::object([
             ("experiment", Value::from("unit")),
             ("rows", Value::Array(rows)),
+            ("counters", counters),
         ])
+    }
+
+    fn report(rows: Vec<Value>) -> Value {
+        report_with(
+            rows,
+            Value::object([
+                ("rx.frames", Value::from(65u64)),
+                ("camera.pool.misses", Value::from(30u64)),
+            ]),
+        )
+    }
+
+    fn nexus(ser: f64) -> Value {
+        report(vec![row("Nexus 5", metrics(ser, 7000.0))])
+    }
+
+    /// A gateway-shaped report: one per-session row and the aggregate row.
+    fn gateway(p99: f64, p99_std: f64, rate: Option<f64>, pool_misses: u64) -> Value {
+        let mut m = metrics(0.0, 695.7);
+        m.insert("p99_frame_latency_ms", Value::from(p99));
+        m.insert("p99_frame_latency_ms_std", Value::from(p99_std));
+        if let Some(rate) = rate {
+            m.insert("sessions_per_sec_per_core", Value::from(rate));
+        }
+        let session = Value::object([
+            ("session", Value::from("s0")),
+            ("p99_frame_latency_ms", Value::from(p99 + 1.0)),
+        ]);
+        report_with(
+            vec![session, row("Nexus 5", m)],
+            Value::object([
+                ("rx.frames", Value::from(104u64)),
+                ("camera.pool.hits", Value::from(300 - pool_misses)),
+                ("camera.pool.misses", Value::from(pool_misses)),
+            ]),
+        )
     }
 
     #[test]
     fn identical_reports_pass_the_gate() {
-        let r = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let diff = diff_reports(&r, &r, &DiffConfig::default()).unwrap();
-        assert!(!diff.has_regressions());
-        assert_eq!(diff.deltas.len(), 3);
-        assert!(diff.deltas.iter().all(|d| d.class == DeltaClass::Noise));
+        let r = nexus(0.02);
+        let diff = diff_reports(&r, &r).unwrap();
+        assert!(diff.passed());
+        assert!(diff.changed.is_empty());
+        // Eight row leaves plus one counter; the pool counter is skipped.
+        assert_eq!(diff.compared, 9);
         assert!(diff.render_text().contains("gate: PASS"));
     }
 
     #[test]
-    fn ser_jump_is_a_regression_and_drop_an_improvement() {
-        let base = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let worse = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.20, 9000.0, 7000.0),
-        )]);
-        let diff = diff_reports(&base, &worse, &DiffConfig::default()).unwrap();
-        let ser = diff.deltas.iter().find(|d| d.metric == "ser").unwrap();
-        assert_eq!(ser.class, DeltaClass::Regression);
-        assert!(diff.has_regressions());
-        assert!(diff.render_text().contains("REGRESSION"));
-
-        // The same magnitude in the other direction is an improvement,
-        // not a regression: the gate is direction-aware.
-        let better = diff_reports(&worse, &base, &DiffConfig::default()).unwrap();
-        let ser = better.deltas.iter().find(|d| d.metric == "ser").unwrap();
-        assert_eq!(ser.class, DeltaClass::Improvement);
-        assert!(!better.has_regressions());
-    }
-
-    #[test]
-    fn throughput_drop_is_a_regression() {
-        let base = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let cand = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 7500.0, 7000.0),
-        )]);
-        let diff = diff_reports(&base, &cand, &DiffConfig::default()).unwrap();
-        let tput = diff
-            .deltas
-            .iter()
-            .find(|d| d.metric == "throughput_bps")
-            .unwrap();
-        assert_eq!(tput.class, DeltaClass::Regression);
-    }
-
-    #[test]
-    fn per_seed_stddev_widens_the_band() {
-        // Delta of 0.05 on SER: a regression with tight per-seed spread,
-        // noise with a wide one.
-        let tight = DiffConfig::default();
-        let mut noisy_metrics = metrics(0.07, 9000.0, 7000.0);
-        let base = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let cand_tight = report(vec![row("Nexus 5", 8, 3000.0, noisy_metrics.clone())]);
-        let d = diff_reports(&base, &cand_tight, &tight).unwrap();
-        assert!(d.has_regressions(), "0.05 over a ~0.018 band must fail");
-
-        // Same means, per-seed std of 0.05 → band ≈ 4*sqrt(2*0.0025/5) ≈ 0.126.
-        if let Value::Object(m) = &mut noisy_metrics {
-            m.insert("ser_std".into(), Value::from(0.05));
+    fn a_nested_value_moved_by_its_last_bit_fails_either_way() {
+        let ser = 0.02_f64;
+        let next = f64::from_bits(ser.to_bits() + 1);
+        for (base, cand) in [(ser, next), (next, ser)] {
+            let diff = diff_reports(&nexus(base), &nexus(cand)).unwrap();
+            assert!(!diff.passed());
+            assert_eq!(
+                diff.changed,
+                [format!("rows[0].metrics.ser: {base} -> {cand}")]
+            );
+            let text = diff.render_text();
+            assert!(text.contains("CHANGED    rows[0].metrics.ser"), "{text}");
+            assert!(text.contains("gate: FAIL"), "{text}");
         }
-        let base_noisy = {
-            let mut m = metrics(0.02, 9000.0, 7000.0);
-            if let Value::Object(obj) = &mut m {
-                obj.insert("ser_std".into(), Value::from(0.05));
-            }
-            report(vec![row("Nexus 5", 8, 3000.0, m)])
-        };
-        let cand_noisy = report(vec![row("Nexus 5", 8, 3000.0, noisy_metrics)]);
-        let d = diff_reports(&base_noisy, &cand_noisy, &tight).unwrap();
-        assert!(
-            !d.has_regressions(),
-            "wide per-seed spread absorbs the same delta: {}",
-            d.render_text()
+    }
+
+    #[test]
+    fn a_changed_or_new_counter_fails_and_absent_counts_as_zero() {
+        let with = |counters: Value| report_with(vec![], counters);
+        let base = with(Value::object([
+            ("rx.frames", Value::from(65u64)),
+            ("rx.rs.errors_corrected", Value::from(0u64)),
+        ]));
+        let same = with(Value::object([("rx.frames", Value::from(65u64))]));
+        assert!(diff_reports(&base, &same).unwrap().passed());
+        let moved = with(Value::object([
+            ("rx.frames", Value::from(64u64)),
+            ("rx.eq.trained", Value::from(1u64)),
+        ]));
+        let diff = diff_reports(&base, &moved).unwrap();
+        assert!(!diff.passed());
+        assert_eq!(
+            diff.changed,
+            [
+                "counters.rx.eq.trained: 0 -> 1",
+                "counters.rx.frames: 65 -> 64"
+            ]
         );
     }
 
     #[test]
-    fn missing_row_fails_the_gate_and_new_row_does_not() {
+    fn an_added_or_removed_row_fails() {
+        let one = nexus(0.02);
         let two = report(vec![
-            row("Nexus 5", 8, 3000.0, metrics(0.02, 9000.0, 7000.0)),
-            row("iPhone 5S", 8, 3000.0, metrics(0.03, 8000.0, 6000.0)),
+            row("Nexus 5", metrics(0.02, 7000.0)),
+            row("iPhone 5S", metrics(0.03, 6000.0)),
         ]);
-        let one = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let shrink = diff_reports(&two, &one, &DiffConfig::default()).unwrap();
-        assert!(shrink.has_regressions());
-        assert_eq!(shrink.rows_only_in_baseline, vec!["iPhone 5S/8-CSK/3000Hz"]);
-
-        let grow = diff_reports(&one, &two, &DiffConfig::default()).unwrap();
-        assert!(!grow.has_regressions());
-        assert_eq!(grow.rows_only_in_candidate, vec!["iPhone 5S/8-CSK/3000Hz"]);
+        for (base, cand) in [(&two, &one), (&one, &two)] {
+            let diff = diff_reports(base, cand).unwrap();
+            assert!(!diff.passed());
+            assert_eq!(diff.changed.len(), 1, "{}", diff.render_text());
+            assert!(diff.changed[0].starts_with("rows[1]: "));
+        }
+        // A row of any shape is compared like any other.
+        let note = |text: &str| report(vec![Value::object([("note", Value::from(text))])]);
+        assert!(diff_reports(&note("a"), &note("a")).unwrap().passed());
+        assert!(!diff_reports(&note("a"), &note("b")).unwrap().passed());
     }
 
     #[test]
-    fn free_form_rows_are_skipped_not_fatal() {
-        let r = report(vec![
-            row("Nexus 5", 8, 3000.0, metrics(0.02, 9000.0, 7000.0)),
-            Value::object([("note", Value::from("free-form"))]),
-        ]);
-        let diff = diff_reports(&r, &r, &DiffConfig::default()).unwrap();
-        assert!(!diff.has_regressions());
-        assert_eq!(diff.rows_skipped, 2); // one per side
-        assert!(diff.render_text().contains("not gated"));
+    fn pool_counters_and_wall_clock_values_are_ignored() {
+        let diff = diff_reports(
+            &gateway(22.8, 5.5, Some(6.5), 54),
+            &gateway(24.1, 3.2, Some(12.4), 62),
+        )
+        .unwrap();
+        assert!(diff.passed(), "{}", diff.render_text());
+        assert!(diff.changed.is_empty());
+        assert_eq!(diff.latency.len(), 1);
+
+        // A wall-clock field that disappears is a changed fact.
+        let diff = diff_reports(
+            &gateway(22.8, 5.5, Some(6.5), 54),
+            &gateway(22.8, 5.5, None, 54),
+        )
+        .unwrap();
+        assert_eq!(
+            diff.changed,
+            ["rows[1].metrics.sessions_per_sec_per_core: 6.5 -> absent"]
+        );
     }
 
     #[test]
     fn p99_latency_is_gated_lower_is_better_with_a_wide_floor() {
-        let with_latency = |ms: f64| {
-            let mut m = metrics(0.02, 9000.0, 7000.0);
-            if let Value::Object(obj) = &mut m {
-                obj.insert("p99_frame_latency_ms".into(), Value::from(ms));
-                obj.insert("p99_frame_latency_ms_std".into(), Value::from(1.0));
-            }
-            report(vec![row("Nexus 5", 8, 3000.0, m)])
+        let verdict = |base: f64, cand: f64, std: f64| {
+            let diff = diff_reports(
+                &gateway(base, std, Some(6.5), 54),
+                &gateway(cand, std, Some(6.5), 54),
+            )
+            .unwrap();
+            assert!(diff.changed.is_empty(), "{}", diff.render_text());
+            assert_eq!(diff.latency.len(), 1);
+            diff
         };
-        let base = with_latency(40.0);
 
         // A jump well past the absolute millisecond floor is a regression;
         // the same magnitude downward is an improvement.
-        let slow = with_latency(40.0 + 2.0 * DiffConfig::default().abs_floor_ms);
-        let diff = diff_reports(&base, &slow, &DiffConfig::default()).unwrap();
-        let lat = diff
-            .deltas
-            .iter()
-            .find(|d| d.metric == "p99_frame_latency_ms")
-            .unwrap();
-        assert_eq!(lat.class, DeltaClass::Regression);
-        let diff = diff_reports(&slow, &base, &DiffConfig::default()).unwrap();
-        let lat = diff
-            .deltas
-            .iter()
-            .find(|d| d.metric == "p99_frame_latency_ms")
-            .unwrap();
-        assert_eq!(lat.class, DeltaClass::Improvement);
+        let slow = 40.0 + 2.0 * LATENCY_FLOOR_MS;
+        let diff = verdict(40.0, slow, 1.0);
+        assert!(!diff.passed());
+        assert!(diff.render_text().contains("REGRESSION rows[1] p99"));
+        let diff = verdict(slow, 40.0, 1.0);
+        assert!(diff.passed());
+        assert!(diff.render_text().contains("improved   rows[1] p99"));
 
-        // Wall-clock jitter inside the millisecond floor is noise, even
-        // though the same relative move on SER would fail the gate.
-        let jitter = with_latency(40.0 + 0.5 * DiffConfig::default().abs_floor_ms);
-        let diff = diff_reports(&base, &jitter, &DiffConfig::default()).unwrap();
-        let lat = diff
-            .deltas
-            .iter()
-            .find(|d| d.metric == "p99_frame_latency_ms")
-            .unwrap();
-        assert_eq!(lat.class, DeltaClass::Noise);
-        assert!(!diff.has_regressions());
+        // Wall-clock jitter inside the millisecond floor passes, although
+        // any move of a deterministic metric fails.
+        let diff = verdict(40.0, 40.0 + 0.5 * LATENCY_FLOOR_MS, 1.0);
+        assert!(diff.passed());
+        assert!(diff.render_text().contains("ok         rows[1] p99"));
 
-        // Reports without the latency column still diff cleanly (the
-        // metric is optional, not required).
-        let plain = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let diff = diff_reports(&plain, &plain, &DiffConfig::default()).unwrap();
-        assert_eq!(diff.deltas.len(), 3);
+        // The session-spread term widens the band past the floor:
+        // 4 · sqrt(2 · 10²) / sqrt(5) ≈ 25.3 ms.
+        assert!(verdict(40.0, 65.0, 10.0).passed());
+        assert!(!verdict(40.0, 66.0, 10.0).passed());
+
+        // Reports without the latency column have nothing to band.
+        let plain = nexus(0.02);
+        assert!(diff_reports(&plain, &plain).unwrap().latency.is_empty());
     }
 
     #[test]
     fn mismatched_or_malformed_reports_error() {
         let a = report(vec![]);
         let mut b = report(vec![]);
-        if let Value::Object(m) = &mut b {
-            m.insert("experiment".into(), Value::from("other"));
-        }
-        assert!(diff_reports(&a, &b, &DiffConfig::default())
+        b.insert("experiment", Value::from("other"));
+        assert!(diff_reports(&a, &b)
             .unwrap_err()
             .contains("different experiments"));
-        assert!(diff_reports(&Value::Null, &a, &DiffConfig::default()).is_err());
-    }
-
-    #[test]
-    fn counter_mismatches_treat_absent_as_zero_and_honor_the_skip_prefix() {
-        let with = |counters: Value| {
-            Value::object([("experiment", Value::from("unit")), ("counters", counters)])
-        };
-        let base = with(Value::object([
-            ("rx.frames", Value::from(65u64)),
-            ("rx.rs.errors_corrected", Value::from(0u64)),
-            ("camera.pool.misses", Value::from(30u64)),
-        ]));
-        let same = with(Value::object([
-            ("rx.frames", Value::from(65u64)),
-            ("camera.pool.misses", Value::from(41u64)),
-            ("camera.pool.hits", Value::from(300u64)),
-        ]));
-        assert!(counter_mismatches(&base, &same, "camera.pool.")
-            .unwrap()
-            .is_empty());
-        let moved = with(Value::object([
-            ("rx.frames", Value::from(64u64)),
-            ("rx.eq.trained", Value::from(1u64)),
-        ]));
-        assert_eq!(
-            counter_mismatches(&base, &moved, "camera.pool.").unwrap(),
-            ["rx.eq.trained: 0 -> 1", "rx.frames: 65 -> 64"]
-        );
-        assert!(counter_mismatches(&base, &report(vec![]), "camera.pool.").is_err());
-    }
-
-    #[test]
-    fn diff_serializes_with_verdict() {
-        let base = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.02, 9000.0, 7000.0),
-        )]);
-        let cand = report(vec![row(
-            "Nexus 5",
-            8,
-            3000.0,
-            metrics(0.30, 9000.0, 7000.0),
-        )]);
-        let diff = diff_reports(&base, &cand, &DiffConfig::default()).unwrap();
-        let doc = diff.to_json().to_pretty();
-        let parsed = Value::parse(&doc).unwrap();
-        assert_eq!(parsed.get("gate_passed"), Some(&Value::Bool(false)));
-        assert_eq!(parsed.get("regressions").and_then(Value::as_u64), Some(1));
+        assert!(diff_reports(&Value::Null, &a).is_err());
+        let no_counters = Value::object([("experiment", Value::from("unit"))]);
+        assert!(diff_reports(&a, &no_counters).is_err());
     }
 }

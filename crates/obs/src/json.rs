@@ -451,7 +451,8 @@ impl<'a> Parser<'a> {
                                     return Err(self.err("unpaired surrogate"));
                                 }
                             } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
+                                // Only a lone low surrogate is not a char.
+                                char::from_u32(hi).ok_or_else(|| self.err("unpaired surrogate"))?
                             };
                             out.push(c);
                             // hex4 leaves pos one past the last digit.
@@ -477,16 +478,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Four hex digits; advances past them and returns the code unit.
+    /// Four ASCII hex digits; advances past them and returns the code
+    /// unit. Anything else, a sign included, is an invalid escape.
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut v = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + digit;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(v)
     }
 
@@ -608,6 +614,29 @@ mod tests {
     fn parse_string_escapes() {
         let v = Value::parse(r#""a\"b\\c\ndA😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA\u{1F600}"));
+    }
+
+    #[test]
+    fn parse_unicode_escapes() {
+        assert_eq!(Value::parse(r#""\u0041""#).unwrap(), Value::from("A"));
+        assert_eq!(
+            Value::parse(r#""\ud83d\ude00""#).unwrap(),
+            Value::from("\u{1F600}")
+        );
+        let err = |offset: usize, message: &str| ParseError {
+            offset,
+            message: message.to_string(),
+        };
+        for (bad, want) in [
+            (r#""\u+041""#, err(3, "invalid \\u escape")),
+            (r#""\u12""#, err(3, "truncated \\u escape")),
+            (r#"["\u12", 1]"#, err(4, "invalid \\u escape")),
+            (r#""\ud800""#, err(7, "unpaired surrogate")),
+            (r#""\ud800\u0041""#, err(13, "invalid low surrogate")),
+            (r#""\udc00""#, err(7, "unpaired surrogate")),
+        ] {
+            assert_eq!(Value::parse(bad), Err(want), "{bad}");
+        }
     }
 
     #[test]

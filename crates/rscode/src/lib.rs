@@ -4,7 +4,8 @@
 //! sized to recover the symbols lost during the camera's *inter-frame gap*:
 //! the camera spends part of every frame period reading out and processing
 //! the previous frame, and every LED symbol transmitted in that window is
-//! simply never captured.
+//! simply never captured. The link sizes that code from its own packet
+//! budget (`colorbars_core::config::PacketBudget`); this crate is the codec.
 //!
 //! This crate is a from-scratch RS implementation over GF(2⁸):
 //!
@@ -15,14 +16,9 @@
 //!   Berlekamp–Massey with erasure initialization, Chien search and Forney's
 //!   algorithm. Handles errors, erasures, and mixes of both up to the
 //!   `2·errors + erasures ≤ n − k` bound.
-//! * [`planner`] — the paper's code-rate arithmetic: given symbol rate,
-//!   frame rate, measured inter-frame loss ratio, CSK bits-per-symbol and
-//!   the illumination ratio α_S, compute the RS(n, k) parameters of
-//!   Section 5 (`n = α_S·C·(F_S + L_S)`, `k = α_S·C·(F_S − L_S)`).
 //!
 //! The paper counts n and k in *bits*; like every practical deployment we
-//! encode over byte symbols and round the planner's bit counts up to whole
-//! bytes (documented in [`planner::RsPlan`]).
+//! encode over byte symbols.
 //!
 //! ```
 //! use colorbars_rs::code::ReedSolomon;
@@ -41,9 +37,7 @@
 
 pub mod code;
 pub mod gf256;
-pub mod planner;
 pub mod poly;
 
 pub use code::{DecodeError, Decoded, ReedSolomon};
 pub use gf256::Gf256;
-pub use planner::{RsPlan, RsPlanInput};

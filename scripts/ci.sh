@@ -47,20 +47,8 @@ echo "==> ext_multi_tx --smoke at one pool worker (pool width cannot change the 
 COLORBARS_RESULTS_DIR="$CI_TMP/serial" COLORBARS_SWEEP_THREADS=1 \
     cargo run --release -p colorbars-bench --bin ext_multi_tx -- --smoke
 diff -u "$CI_TMP/results/ext_multi_tx.txt" "$CI_TMP/serial/ext_multi_tx.txt"
-python3 - "$CI_TMP/results/ext_multi_tx.json" "$CI_TMP/serial/ext_multi_tx.json" <<'PY'
-import json, sys
-parallel, serial = (json.load(open(path))["rows"] for path in sys.argv[1:])
-if parallel != serial:
-    sys.exit("ERROR: ext_multi_tx rows depend on the sweep pool's width")
-PY
-
-echo "==> ext_fec --smoke (cross-packet interleaved RS end to end)"
-COLORBARS_RESULTS_DIR="$CI_TMP/results" \
-    cargo run --release -p colorbars-bench --bin ext_fec -- --smoke
-
-echo "==> obs-diff ext_fec gate (interleave goodput vs committed baseline)"
 cargo run --release -p colorbars-bench --bin obs-diff -- \
-    results/baselines/ext_fec_smoke.json "$CI_TMP/results/ext_fec.json"
+    "$CI_TMP/results/ext_multi_tx.json" "$CI_TMP/serial/ext_multi_tx.json"
 
 echo "==> ext_fec negative test (over-budget burst must be attributed, not silent)"
 cargo run --release -p colorbars-bench --bin ext_fec -- --burst-negative
@@ -69,14 +57,10 @@ echo "==> ext_highorder --smoke (learned equalizer must beat NN at a functional 
 COLORBARS_RESULTS_DIR="$CI_TMP/results" \
     cargo run --release -p colorbars-bench --bin ext_highorder -- --smoke
 
-echo "==> obs-diff ext_highorder gate (equalizer SER vs committed baseline)"
-cargo run --release -p colorbars-bench --bin obs-diff -- \
-    results/baselines/ext_highorder_smoke.json "$CI_TMP/results/ext_highorder.json"
-
 echo "==> ext_highorder negative test (degenerate preamble must demote, never NaN)"
 cargo run --release -p colorbars-bench --bin ext_highorder -- --degenerate-negative
 
-echo "==> obs-diff --smoke (regression gate vs committed baseline)"
+echo "==> obs-diff --smoke (rows and counters identical to the committed baseline)"
 cargo run --release -p colorbars-bench --bin obs-diff -- --smoke
 
 echo "==> obs-diff negative test (injected SER regression must fail the gate)"
@@ -119,7 +103,7 @@ echo "==> doctor --live (fleet review of the gateway's snapshot stream)"
 cargo run --release -p colorbars-bench --bin doctor -- \
     --live "$CI_TMP/gateway_live.jsonl" --threshold 0.5
 
-echo "==> obs-diff gateway gate (p99 latency + link metrics vs committed baseline)"
+echo "==> obs-diff gateway gate (link metrics and counters identical, p99 latency within its band)"
 cargo run --release -p colorbars-bench --bin obs-diff -- \
     results/baselines/gateway_smoke.json "$CI_TMP/results/gateway.json"
 
@@ -138,9 +122,11 @@ test -f "$CI_TMP/results/flight/gateway.fdr.json" || {
 cargo run --release -p colorbars-bench --bin postmortem -- \
     "$CI_TMP/results/flight/gateway.fdr.json" --replay
 
-echo "==> results gate (deterministic bins reprint their committed results/*.txt)"
-# Every committed transcript must be what this tree prints. gateway is not
-# gated: its latencies vary from run to run.
+echo "==> results gate (deterministic bins reprint their committed results/*.txt and *.json)"
+# Every committed transcript must be what this tree prints, and every
+# committed run report's rows and counters what it records. gateway is not
+# here: its latencies vary from run to run, and the gateway gate above
+# holds its deterministic facts.
 RESULTS_BINS="raw_grid coded_grid ablations fig1_constellations fig3b_flicker
     fig3c_bandwidth fig6_diversity fig8b_lab_variance ext_constellation_opt
     ext_distance_sweep ext_fec ext_gray_mapping ext_highorder ext_multi_tx"
@@ -148,11 +134,14 @@ for bin in $RESULTS_BINS; do
     COLORBARS_RESULTS_DIR="$CI_TMP/fresh" \
         cargo run --release -q -p colorbars-bench --bin "$bin" > /dev/null
 done
-# $1: a directory of transcripts to hold the fresh ones against.
+# $1: a directory of transcripts and run reports to hold the fresh ones
+# against.
 results_match() {
     local status=0
     for bin in $RESULTS_BINS; do
         diff -u "$1/$bin.txt" "$CI_TMP/fresh/$bin.txt" || status=1
+        cargo run --release -q -p colorbars-bench --bin obs-diff -- \
+            "$1/$bin.json" "$CI_TMP/fresh/$bin.json" || status=1
     done
     return "$status"
 }
@@ -174,6 +163,23 @@ if cmp -s results/raw_grid.txt "$CI_TMP/edited/raw_grid.txt"; then
 fi
 if results_match "$CI_TMP/edited" > /dev/null; then
     echo "ERROR: results gate failed to fail on an edited Fig 9 cell" >&2
+    exit 1
+fi
+
+echo "==> results gate JSON drill (one SER raised by 0.0001 must fail obs-diff)"
+# raw_grid's first row, in a copy of its run report. Exit 1 is the gate
+# flagging the changed fact; 2 would be a usage or parse error.
+python3 - results/raw_grid.json "$CI_TMP/edited/raw_grid.json" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+report["rows"][0]["metrics"]["ser"] += 0.0001
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+PY
+status=0
+cargo run --release -q -p colorbars-bench --bin obs-diff -- \
+    results/raw_grid.json "$CI_TMP/edited/raw_grid.json" > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: results gate did not fail on a raised SER (exit $status)" >&2
     exit 1
 fi
 

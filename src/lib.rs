@@ -6,7 +6,7 @@
 //! This facade crate re-exports the whole workspace under one name:
 //!
 //! * [`color`] — CIE color science (XYZ, chromaticity, CIELAB, ΔE).
-//! * [`rs`] — Reed–Solomon coding over GF(2⁸) and the paper's code planner.
+//! * [`rs`] — Reed–Solomon coding over GF(2⁸).
 //! * [`led`] — tri-LED transmitter hardware model (PWM, chromaticity mixing).
 //! * [`camera`] — rolling-shutter camera simulation with device profiles.
 //! * [`channel`] — optical channel (attenuation, ambient light, blur).
