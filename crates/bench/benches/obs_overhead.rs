@@ -16,8 +16,8 @@
 //! checked in CI output.
 //!
 //! The `registry_write` group measures the live-telemetry plane's
-//! per-write cost (counter increment, sliding-window rate record, latency
-//! histogram record) in both states. The disabled path of every live
+//! per-write cost (counter increment, latency histogram record) in both
+//! states. The disabled path of every live
 //! instrument is contractually a single relaxed atomic load — the group
 //! asserts the no-op behaviorally (no state changes) and prints the
 //! disabled-vs-enabled timing so the claim is auditable in CI output.
@@ -110,16 +110,12 @@ fn obs_overhead(c: &mut Criterion) {
 fn registry_writes(c: &mut Criterion) {
     let registry = Registry::new();
     let counter = registry.counter("bench.live.counter", &[("session", "0")]);
-    let rate = registry.rate("bench.live.rate", &[("session", "0")]);
     let hist = registry.histogram_ms("bench.live.hist", &[("session", "0")]);
 
     let mut g = c.benchmark_group("registry_write");
 
     obs::disable();
     g.bench_function("counter_inc/disabled", |b| b.iter(|| counter.inc()));
-    g.bench_function("rate_record/disabled", |b| {
-        b.iter(|| rate.record_at(1, black_box(0)))
-    });
     g.bench_function("histogram_record/disabled", |b| {
         b.iter(|| hist.record_ms(black_box(1.5)))
     });
@@ -127,21 +123,14 @@ fn registry_writes(c: &mut Criterion) {
     // nothing else: millions of benchmark iterations must leave every
     // instrument untouched.
     assert_eq!(counter.get(), 0, "disabled counter write must be a no-op");
-    assert_eq!(rate.total(), 0, "disabled rate record must be a no-op");
     assert_eq!(hist.count(), 0, "disabled histogram record must be a no-op");
 
     obs::init(obs::ObsConfig::default());
     g.bench_function("counter_inc/enabled", |b| b.iter(|| counter.inc()));
-    // The enabled rate uses the registry clock, exactly as the session
-    // worker's `rate_record` hot path does.
-    g.bench_function("rate_record/enabled", |b| {
-        b.iter(|| registry.rate_record(&rate, 1))
-    });
     g.bench_function("histogram_record/enabled", |b| {
         b.iter(|| hist.record_ms(black_box(1.5)))
     });
     assert!(counter.get() > 0, "enabled counter writes must land");
-    assert!(rate.total() > 0, "enabled rate records must land");
     assert!(hist.count() > 0, "enabled histogram records must land");
     obs::disable();
     obs::reset();

@@ -16,6 +16,7 @@ use colorbars_core::{CskOrder, LinkConfig, LinkSimulator, Symbol};
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("ablations");
     ablate_calibration(&mut reporter);
     ablate_erasures(&mut reporter);

@@ -25,6 +25,7 @@ use colorbars_obs::Value;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("coded_grid");
     let grid = measure_paper_grid(&mut reporter, CODED_SECONDS, SweepMode::Coded);
     print_grid_tables(

@@ -5,9 +5,11 @@
 //! exposure/blur segmentation vs calibration bootstrap vs header loss vs
 //! RS failures vs multi-TX cross-talk — see DESIGN.md §10). Optionally
 //! validates an exported Chrome `trace.json` against the same run, or
-//! reviews a live-telemetry JSONL stream (the `COLORBARS_OBS_LIVE`
-//! snapshot format) fleet-wide, flagging sessions whose loss attribution
-//! diverges from the fleet median:
+//! reviews a live-telemetry JSONL stream (the gateway's
+//! `COLORBARS_OBS_LIVE` file): every line must parse, no counter may fall
+//! or vanish from one line to the next, and the last line is reviewed
+//! fleet-wide, flagging sessions whose loss attribution diverges from the
+//! fleet median:
 //!
 //! ```text
 //! doctor <report.json> [--trace <trace.json>] [--min-tracks N]
@@ -21,10 +23,11 @@
 //! agreement is `postmortem --replay`'s check.
 //!
 //! Exit codes: 0 — diagnosis consistent (and trace valid, when given; no
-//! fleet outliers, when `--live`); 1 — an invariant violated (attributed
-//! losses don't sum to totals, the trace is malformed / has fewer tracks
-//! than `--min-tracks`, or a live session diverges from the fleet); 2 —
-//! usage or I/O error.
+//! fleet outliers or counter regressions, when `--live`); 1 — an invariant
+//! violated (attributed losses don't sum to totals, the trace is malformed
+//! / has fewer tracks than `--min-tracks`, a live session diverges from
+//! the fleet, or a live counter fell or vanished between lines); 2 —
+//! usage or I/O error, or a live line that does not parse.
 
 use colorbars_obs::doctor::{review_live_jsonl, Doctor};
 use colorbars_obs::Value;
@@ -147,12 +150,13 @@ fn run(args: &[String]) -> Result<bool, String> {
     Ok(healthy)
 }
 
-/// `--live` mode: fleet-review the last snapshot of a live JSONL stream.
+/// `--live` mode: check a live JSONL stream's counters line to line and
+/// fleet-review its last snapshot.
 fn review_live(path: &str, threshold: f64) -> Result<bool, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let review = review_live_jsonl(&body, threshold)?;
+    let review = review_live_jsonl(&body, threshold).map_err(|e| format!("{path}: {e}"))?;
     print!("{}", review.render_text());
-    let healthy = review.flagged().is_empty();
+    let healthy = review.is_healthy();
     println!("doctor: {}", if healthy { "ok" } else { "UNHEALTHY" });
     Ok(healthy)
 }

@@ -15,6 +15,7 @@ use colorbars_led::TriLed;
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("ext_constellation_opt");
     let led = TriLed::typical();
     let gamut = led.gamut();

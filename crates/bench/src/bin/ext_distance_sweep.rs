@@ -15,6 +15,7 @@ use colorbars_led::TriLedArray;
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("ext_distance_sweep");
     let device = DeviceProfile::nexus5();
     let distances_cm = [3.0, 4.0, 5.0, 6.0, 8.0, 10.0];

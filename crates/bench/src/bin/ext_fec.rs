@@ -71,8 +71,7 @@ impl FecPoint {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--burst-negative") {
+    if colorbars_bench::flags(&["--burst-negative"]).contains(&"--burst-negative") {
         return match burst_negative() {
             Ok(report) => {
                 print!("{report}");

@@ -14,6 +14,7 @@ use colorbars_led::TriLed;
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("ext_gray_mapping");
     let gamut = TriLed::typical().gamut();
     reporter.header(

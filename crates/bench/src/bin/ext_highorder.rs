@@ -132,9 +132,9 @@ impl HighOrderAvg {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a == "--degenerate-negative") {
+    let args = colorbars_bench::flags(&["--smoke", "--degenerate-negative"]);
+    let smoke = args.contains(&"--smoke");
+    if args.contains(&"--degenerate-negative") {
         return match degenerate_negative() {
             Ok(report) => {
                 print!("{report}");

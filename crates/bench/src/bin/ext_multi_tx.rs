@@ -23,7 +23,7 @@ const TX_COUNTS: [usize; 4] = [1, 2, 3, 4];
 const RATE_HZ: f64 = 2000.0;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = colorbars_bench::flags(&["--smoke"]).contains(&"--smoke");
     let mut reporter = Reporter::new("ext_multi_tx");
 
     let (device_list, orders, tx_counts, seconds, seeds): (

@@ -12,6 +12,7 @@ use colorbars_led::TriLed;
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("fig1_constellations");
     let led = TriLed::typical();
     let gamut = led.gamut();

@@ -14,6 +14,7 @@ use colorbars_flicker::{minimum_white_ratio, WhiteRatioExperiment};
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("fig3b_flicker");
     let frequencies = [500.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0];
     let exp = WhiteRatioExperiment {

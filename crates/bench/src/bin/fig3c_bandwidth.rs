@@ -14,6 +14,7 @@ use colorbars_core::{CskOrder, LinkConfig, Transmitter};
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("fig3c_bandwidth");
     reporter.header(
         "Fig 3(c): color band width vs symbol rate",

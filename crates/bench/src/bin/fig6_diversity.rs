@@ -18,6 +18,7 @@ use colorbars_led::{LedEmitter, ScheduledColor, TriLed};
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("fig6_diversity");
     fig6a(&mut reporter);
     fig6bc(&mut reporter);

@@ -16,6 +16,7 @@ use colorbars_led::{LedEmitter, ScheduledColor, TriLed};
 use colorbars_obs::Value;
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("fig8b_lab_variance");
     let device = DeviceProfile::nexus5();
     let led = TriLed::typical();

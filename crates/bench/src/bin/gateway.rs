@@ -2,31 +2,29 @@
 //!
 //! Multiplexes N simulated LED-to-camera feeds through concurrent
 //! streaming [`LinkSession`]s sharing the process-wide live-telemetry
-//! registry ([`colorbars_obs::live::global`]), scrapes it in Prometheus
-//! text format mid-run and again after the run, and reports
-//! sessions/sec/core plus p99 frame-to-bytes latency in a
-//! `results/gateway.json` run report. Every streamed decode is
-//! checked byte-identical against the batch [`LinkSimulator`] decode of
-//! the same captured frames — the gateway proves the streaming path
-//! changes *when* bytes arrive, never *which* bytes arrive.
+//! registry ([`colorbars_obs::live::global`]), snapshots it mid-run and
+//! again after the run, and reports sessions/sec/core plus p99
+//! frame-to-bytes latency in a `results/gateway.json` run report. Every
+//! streamed decode is checked byte-identical against the batch
+//! [`LinkSimulator`] decode of the same captured frames — the gateway
+//! proves the streaming path changes *when* bytes arrive, never *which*
+//! bytes arrive.
 //!
 //! ```text
-//! gateway --smoke [--watch] [--expo <stem>] [--record] [--flight]
-//! gateway [--sessions N] [--seconds S] [--watch] [--expo <stem>] [--flight]
-//! gateway --validate <scrape1.prom> <scrape2.prom>
+//! gateway --smoke [--record] [--flight]
+//! gateway [--sessions N] [--seconds S] [--flight]
 //! ```
 //!
 //! `--smoke` is the CI scenario: 4 concurrent sessions on the standard
 //! smoke operating point (Nexus 5, 8-CSK, 3 kHz, coded, 0.4 s payloads,
-//! one standard seed per session). `--expo <stem>` saves the two scrapes
-//! as `<stem>.1.prom` / `<stem>.2.prom`; `--validate` re-parses two saved
-//! scrapes with the strict exposition parser and checks counters are
-//! monotone between them. `--record` copies the finished run report to
-//! `results/baselines/gateway_smoke.json`, which `obs-diff` gates CI's
-//! smoke run against: the link metrics and counters by identity, the p99
-//! latency within its noise band (the one wall-clock fact gated). With
-//! `COLORBARS_OBS_LIVE` set, periodic JSONL registry snapshots stream to
-//! that path while sessions decode (`doctor --live` consumes them).
+//! one standard seed per session). `--record` copies the finished run
+//! report to `results/baselines/gateway_smoke.json`, which `obs-diff`
+//! gates CI's smoke run against: the link metrics and counters by
+//! identity, the p99 latency within its noise band (the one wall-clock
+//! fact gated). With `COLORBARS_OBS_LIVE=<path>` set, the gateway creates
+//! that file at the start of the run and writes its two snapshots there as
+//! JSON lines: the mid-run one, flushed before the feeders drain, then the
+//! final one. `doctor --live` reviews the stream.
 //!
 //! `--flight` arms the failure flight recorder
 //! (`results/flight/gateway.fdr.json`) and deterministically corrupts a
@@ -36,12 +34,13 @@
 //! decode failure exercises the trigger → dump → `postmortem --replay`
 //! round trip. The registry reads the journey-ring and trigger totals
 //! (`journey.*` / `flight.*`), like the frame pool's `camera.pool.*`, at
-//! scrape time.
+//! snapshot time.
 //!
-//! Exit codes: 0 — all sessions matched batch and both scrapes valid
-//! (and, with `--flight`, the dump was written); 1 — a mismatch, an
-//! invalid/non-monotone scrape, or a missing flight dump; 2 — usage or
-//! I/O error.
+//! Exit codes: 0 — all sessions matched batch and were live at the mid-run
+//! snapshot (and, with `--flight`, the dump was written); 1 — a mismatch,
+//! a session not live mid-run, a steady-state pool miss under `--smoke`,
+//! or a missing flight dump; 2 — usage or I/O error (an unwritable
+//! `COLORBARS_OBS_LIVE` stream among them).
 
 use colorbars_bench::{devices, mean_std, Reporter, SEEDS};
 use colorbars_camera::{Frame, FramePool};
@@ -49,14 +48,12 @@ use colorbars_core::{
     CapturedRun, CskOrder, LinkMetrics, LinkSession, LinkSimulator, ReceiverReport, SessionConfig,
     DEFAULT_QUEUE_CAPACITY,
 };
-use colorbars_obs::live::{
-    check_monotone_counters, validate_exposition, ExpoSample, LiveSnapshot, SnapshotWriter,
-};
-use colorbars_obs::Value;
+use colorbars_obs::{LiveSnapshot, Value};
+use std::fs::File;
+use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The smoke operating point (the standard CI smoke scenario).
 const SMOKE_ORDER: CskOrder = CskOrder::Csk8;
@@ -73,9 +70,8 @@ fn main() -> ExitCode {
         Ok(false) => ExitCode::from(1),
         Err(err) => {
             eprintln!("gateway: {err}");
-            eprintln!("usage: gateway --smoke [--watch] [--expo <stem>] [--record] [--flight]");
-            eprintln!("       gateway [--sessions N] [--seconds S] [--watch] [--expo <stem>]");
-            eprintln!("       gateway --validate <scrape1.prom> <scrape2.prom>");
+            eprintln!("usage: gateway --smoke [--record] [--flight]");
+            eprintln!("       gateway [--sessions N] [--seconds S] [--flight]");
             ExitCode::from(2)
         }
     }
@@ -85,8 +81,6 @@ struct Options {
     sessions: usize,
     seconds: f64,
     smoke: bool,
-    watch: bool,
-    expo_stem: Option<String>,
     record: bool,
     flight: bool,
 }
@@ -95,16 +89,12 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut sessions = SMOKE_SESSIONS;
     let mut seconds = SMOKE_SECONDS;
     let mut smoke = false;
-    let mut watch = false;
     let mut record = false;
     let mut flight = false;
-    let mut expo_stem: Option<String> = None;
-    let mut validate_paths: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--watch" => watch = true,
             "--record" => record = true,
             "--flight" => flight = true,
             "--sessions" => {
@@ -121,24 +111,11 @@ fn run(args: &[String]) -> Result<bool, String> {
                     .parse()
                     .map_err(|_| "--seconds needs a number".to_string())?;
             }
-            "--expo" => {
-                expo_stem = Some(it.next().ok_or("--expo needs a path stem")?.clone());
-            }
-            "--validate" => {
-                validate_paths.push(it.next().ok_or("--validate needs two paths")?.clone());
-                validate_paths.push(it.next().ok_or("--validate needs two paths")?.clone());
-            }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
 
-    if !validate_paths.is_empty() {
-        if smoke || watch || record || flight || expo_stem.is_some() {
-            return Err("--validate takes no other flags".to_string());
-        }
-        return validate_files(&validate_paths[0], &validate_paths[1]);
-    }
     if smoke {
         sessions = SMOKE_SESSIONS;
         seconds = SMOKE_SECONDS;
@@ -153,8 +130,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         sessions,
         seconds,
         smoke,
-        watch,
-        expo_stem,
         record,
         flight,
     })
@@ -171,7 +146,14 @@ struct SessionOutcome {
 fn run_gateway(options: &Options) -> Result<bool, String> {
     let mut reporter = Reporter::new("gateway");
     let registry = colorbars_obs::live::global();
-    let mut snapshots = SnapshotWriter::from_env();
+    let mut live = match std::env::var("COLORBARS_OBS_LIVE") {
+        Ok(path) if !path.is_empty() => {
+            let file = File::create(&path)
+                .map_err(|e| format!("cannot create live snapshot file {path}: {e}"))?;
+            Some((path, file))
+        }
+        _ => None,
+    };
 
     // --flight: arm the failure flight recorder (which also turns on
     // journey provenance) and enable the global obs ledger so the dump's
@@ -215,87 +197,60 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
 
     // One feeder thread per session: capture, batch-decode, then stream
     // the same frames through a LinkSession. Three rendezvous order the
-    // feeders against the shared frame pool and the scraper (DESIGN.md
-    // §11); every feeder reaches all three on its error paths too.
+    // feeders against the shared frame pool and the mid-run snapshot
+    // (DESIGN.md §11); every feeder reaches all three on its error paths
+    // too.
     let gates = Gates {
         captured: Barrier::new(options.sessions),
         live: Barrier::new(options.sessions + 1),
-        scraped: Barrier::new(options.sessions + 1),
+        snapshotted: Barrier::new(options.sessions + 1),
     };
-    let done = AtomicUsize::new(0);
     let started = Instant::now();
 
     let mut warmup_misses = 0u64;
     let mut outcomes: Vec<Result<SessionOutcome, String>> = Vec::new();
-    let mut scrape1_text = String::new();
     let mut mid_run_live = true;
+    let mut mid_run_written = Ok(());
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(options.sessions);
         for i in 0..options.sessions {
             let seed = SEEDS[i % SEEDS.len()] + 1000 * (i / SEEDS.len()) as u64;
             let gates = &gates;
-            let done = &done;
             // Failure injection targets exactly one session: the rest stay
             // healthy so the smoke gates (batch match, mid-run liveness)
             // keep their meaning.
             let corrupt = options.flight && i == 0;
-            handles.push(scope.spawn(move || {
-                let outcome = feed_session(i, seed, device, options.seconds, corrupt, gates);
-                done.fetch_add(1, Ordering::Release);
-                outcome
-            }));
+            handles.push(
+                scope.spawn(move || feed_session(i, seed, device, options.seconds, corrupt, gates)),
+            );
         }
 
         // Rendezvous: every feeder has a live session with ≥1 decoded
-        // frame (or has failed) — scrape now, while the feeders wait at the
-        // next gate, so no session can finish before it is scraped.
+        // frame (or has failed) — snapshot now, while the feeders wait at
+        // the next gate, so no session can finish before it is seen live.
         // Capture and session warmup are over: from here on the pixel
         // arena must serve every checkout from its freelist, so this
-        // scrape is the zero-point for the steady-state miss assertion.
+        // snapshot is the zero-point for the steady-state miss assertion.
         gates.live.wait();
         let snap = registry.snapshot();
         warmup_misses = unlabeled_counter(&snap, "camera.pool.misses");
-        scrape1_text = snap.render_prometheus();
         mid_run_live = check_mid_run(&snap, options.sessions);
-        if let Some(writer) = snapshots.as_mut() {
-            writer.tick(registry);
-        }
-        gates.scraped.wait();
-
-        // Drain phase: feeders push their remaining frames while the
-        // gateway keeps the live plane ticking (and narrates in --watch).
-        let mut last_watch = Instant::now() - Duration::from_secs(1);
-        while done.load(Ordering::Acquire) < options.sessions {
-            if let Some(writer) = snapshots.as_mut() {
-                writer.tick(registry);
-            }
-            if options.watch && last_watch.elapsed() >= Duration::from_millis(200) {
-                println!("{}", watch_line(&registry.snapshot(), started.elapsed()));
-                last_watch = Instant::now();
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        mid_run_written = append_line(&mut live, &snap);
+        gates.snapshotted.wait();
 
         outcomes = handles.into_iter().map(|h| h.join().unwrap()).collect();
     });
     let elapsed = started.elapsed().as_secs_f64();
+    mid_run_written?;
 
-    // Final scrape + a forced JSONL snapshot: with COLORBARS_OBS_LIVE set
-    // the stream always carries at least two lines (the mid-run tick and
-    // this one), so `doctor --live` has a complete final state to review.
-    // The report rows and the steady-state assertion take the pool ledger
-    // from this scrape, so they describe the same instant it does.
+    // The final snapshot is the stream's second line. The report rows and
+    // the steady-state assertion take the pool ledger from it, so they
+    // describe the same instant it does.
     let final_snap = registry.snapshot();
+    append_line(&mut live, &final_snap)?;
     let pool_hits = unlabeled_counter(&final_snap, "camera.pool.hits");
     let pool_misses = unlabeled_counter(&final_snap, "camera.pool.misses");
     let steady_misses = pool_misses - warmup_misses;
-    let scrape2_text = final_snap.render_prometheus();
-    if let Some(writer) = snapshots.as_mut() {
-        writer.force(registry);
-        eprintln!("live snapshots written: {}", writer.lines_written());
-    }
-
-    let scrapes_ok = check_scrapes(&scrape1_text, &scrape2_text, options.expo_stem.as_deref())?;
 
     let mut sessions_ok = true;
     let mut per_session: Vec<SessionOutcome> = Vec::new();
@@ -402,7 +357,7 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
     }
 
     if !mid_run_live {
-        eprintln!("gateway: mid-run scrape did not show every session live");
+        eprintln!("gateway: mid-run snapshot did not show every session live");
     }
     // The zero-allocation claim the frame pool exists for: once every
     // session is past warmup, the drain phase must never allocate a pixel
@@ -427,32 +382,35 @@ fn run_gateway(options: &Options) -> Result<bool, String> {
             println!("flight dump: {path} ({kept} trigger(s), {dropped} dropped)");
         }
     }
-    Ok(sessions_ok
-        && scrapes_ok
-        && mid_run_live
-        && pool_ok
-        && flight_ok
-        && per_session.len() == options.sessions)
+    Ok(
+        sessions_ok
+            && mid_run_live
+            && pool_ok
+            && flight_ok
+            && per_session.len() == options.sessions,
+    )
 }
 
-/// The rendezvous between the feeders and the scraper.
+/// The rendezvous between the feeders and the mid-run snapshot.
 struct Gates {
     /// Every feeder has captured (feeders only). Captured frames keep
     /// their pixel buffers for the whole run, so a session still capturing
     /// would take the buffers another session prefilled for its in-flight
     /// frames: prefill waits for this gate.
     captured: Barrier,
-    /// Every session is live with ≥ 1 decoded frame: scrape #1 may start.
+    /// Every session is live with ≥ 1 decoded frame: the mid-run snapshot
+    /// may be taken.
     live: Barrier,
-    /// Scrape #1 and the warmup miss count are taken: feeders may drain.
-    /// Without it a short session can finish before it is scraped.
-    scraped: Barrier,
+    /// The mid-run snapshot and the warmup miss count are taken: feeders
+    /// may drain. Without it a short session can finish before it is seen
+    /// live.
+    snapshotted: Barrier,
 }
 
 /// One feeder thread's whole life: capture a coded transmission, decode
 /// it in batch, then stream the identical frames through a [`LinkSession`]
 /// and compare. Every gate is reached on the error paths too — a
-/// deadlocked scraper would hang the whole gateway on one bad session.
+/// deadlocked gate would hang the whole gateway on one bad session.
 fn feed_session(
     index: usize,
     seed: u64,
@@ -466,7 +424,7 @@ fn feed_session(
     gates.captured.wait();
     let prep = captured.and_then(|(sim, run)| start_session(&label, sim, run));
     gates.live.wait();
-    gates.scraped.wait();
+    gates.snapshotted.wait();
     let (sim, run, session, batch_report, fed) = prep.map_err(|e| format!("{label}: {e}"))?;
 
     for frame in &run.frames[fed..] {
@@ -603,9 +561,9 @@ fn channel_rotated(frame: &Frame) -> Frame {
     Frame::new(w, h, pixels, frame.meta)
 }
 
-/// Mid-run health of scrape #1: every session live (non-zero decoded
-/// frames and a non-zero frames/sec window) and the queue-depth gauges
-/// registered per session.
+/// Mid-run health: every session live (a non-zero `rx.frames` counter)
+/// with its queue-depth gauge registered, and the active-session gauge at
+/// the session count.
 fn check_mid_run(snap: &LiveSnapshot, sessions: usize) -> bool {
     let mut ok = true;
     let active = snap
@@ -614,123 +572,44 @@ fn check_mid_run(snap: &LiveSnapshot, sessions: usize) -> bool {
         .find(|g| g.id.name == "sessions.active")
         .map_or(0.0, |g| g.value);
     if (active - sessions as f64).abs() > f64::EPSILON {
-        eprintln!("gateway: scrape 1 shows {active} active sessions, want {sessions}");
+        eprintln!("gateway: mid-run snapshot shows {active} active sessions, want {sessions}");
         ok = false;
     }
     for i in 0..sessions {
         let label = format!("s{i}");
-        let rate = snap
-            .rates
+        let ours = |id: &colorbars_obs::live::MetricId, name: &str| {
+            id.name == name && id.label("session") == Some(&label)
+        };
+        if !snap
+            .counters
             .iter()
-            .find(|r| r.id.name == "session.frames" && r.id.label("session") == Some(&label));
-        match rate {
-            Some(r) if r.total > 0 && r.rate_10s > 0.0 => {}
-            _ => {
-                eprintln!("gateway: scrape 1 shows no live frame rate for session {label}");
-                ok = false;
-            }
+            .any(|c| ours(&c.id, "rx.frames") && c.value > 0)
+        {
+            eprintln!("gateway: mid-run snapshot shows no decoded frame for session {label}");
+            ok = false;
         }
         if !snap
             .gauges
             .iter()
-            .any(|g| g.id.name == "session.queue_depth" && g.id.label("session") == Some(&label))
+            .any(|g| ours(&g.id, "session.queue_depth"))
         {
-            eprintln!("gateway: scrape 1 missing queue-depth gauge for session {label}");
+            eprintln!("gateway: mid-run snapshot has no queue-depth gauge for session {label}");
             ok = false;
         }
     }
     ok
 }
 
-/// Validate both scrapes with the strict exposition parser, check counter
-/// monotonicity between them, and save them when `--expo` asked for it.
-fn check_scrapes(scrape1: &str, scrape2: &str, expo_stem: Option<&str>) -> Result<bool, String> {
-    if let Some(stem) = expo_stem {
-        std::fs::write(format!("{stem}.1.prom"), scrape1)
-            .map_err(|e| format!("cannot write {stem}.1.prom: {e}"))?;
-        std::fs::write(format!("{stem}.2.prom"), scrape2)
-            .map_err(|e| format!("cannot write {stem}.2.prom: {e}"))?;
-        eprintln!("exposition scrapes written: {stem}.1.prom {stem}.2.prom");
-    }
-    let ok = match (validate_exposition(scrape1), validate_exposition(scrape2)) {
-        (Ok(s1), Ok(s2)) => match check_monotone_counters(&s1, &s2) {
-            Ok(()) => {
-                println!(
-                    "exposition: ok ({} then {} samples, counters monotone)",
-                    s1.len(),
-                    s2.len()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("gateway: counter monotonicity violated: {e}");
-                false
-            }
-        },
-        (r1, r2) => {
-            for (which, r) in [("1", r1), ("2", r2)] {
-                if let Err(e) = r {
-                    eprintln!("gateway: scrape {which} invalid: {e}");
-                }
-            }
-            false
-        }
+/// Append one snapshot to the `COLORBARS_OBS_LIVE` stream, when set, as a
+/// JSON line. `File` keeps no buffer of its own, so a reader of the file
+/// sees the whole line once this returns.
+fn append_line(live: &mut Option<(String, File)>, snap: &LiveSnapshot) -> Result<(), String> {
+    let Some((path, file)) = live else {
+        return Ok(());
     };
-    Ok(ok)
-}
-
-/// `--validate` mode: re-parse two saved scrapes and check monotonicity.
-fn validate_files(path1: &str, path2: &str) -> Result<bool, String> {
-    let read = |path: &str| -> Result<Vec<ExpoSample>, String> {
-        let body = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        validate_exposition(&body).map_err(|e| format!("{path}: {e}"))
-    };
-    let s1 = read(path1)?;
-    let s2 = read(path2)?;
-    match check_monotone_counters(&s1, &s2) {
-        Ok(()) => {
-            println!(
-                "exposition: ok ({} then {} samples, counters monotone)",
-                s1.len(),
-                s2.len()
-            );
-            Ok(true)
-        }
-        Err(e) => {
-            eprintln!("gateway: counter monotonicity violated: {e}");
-            Ok(false)
-        }
-    }
-}
-
-/// One `--watch` summary line from a live snapshot.
-fn watch_line(snap: &LiveSnapshot, elapsed: Duration) -> String {
-    let active = snap
-        .gauges
-        .iter()
-        .find(|g| g.id.name == "sessions.active")
-        .map_or(0.0, |g| g.value);
-    let queued: f64 = snap
-        .gauges
-        .iter()
-        .filter(|g| g.id.name == "session.queue_depth")
-        .map(|g| g.value.max(0.0))
-        .sum();
-    let fps: f64 = snap
-        .rates
-        .iter()
-        .filter(|r| r.id.name == "session.frames")
-        .map(|r| r.ewma)
-        .sum();
-    let p99 = snap
-        .histograms
-        .iter()
-        .find(|h| h.id.name == "session.frame_latency_ms" && h.id.labels.is_empty())
-        .map_or(0.0, |h| h.p99_ms);
-    format!(
-        "[{:6.2}s] sessions={active:.0} frames/s={fps:7.1} queued={queued:.0} p99={p99:.3} ms",
-        elapsed.as_secs_f64()
-    )
+    let line = format!("{}\n", snap.to_json().to_compact());
+    file.write_all(line.as_bytes())
+        .map_err(|e| format!("cannot write live snapshot to {path}: {e}"))
 }
 
 /// Per-session p99 from the final snapshot's labeled latency histogram.

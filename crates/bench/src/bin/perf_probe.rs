@@ -108,7 +108,7 @@ fn long_schedule(symbols: usize) -> LedEmitter {
 }
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = colorbars_bench::flags(&["--smoke"]).contains(&"--smoke");
     let reps = if smoke { 5 } else { 51 };
     let mut fields: Vec<(&str, Value)> = vec![("smoke", Value::from(smoke))];
 

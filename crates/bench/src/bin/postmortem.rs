@@ -15,9 +15,12 @@
 //! * `rx.fec_group` journeys replay through a rebuilt
 //!   [`colorbars_fec::Interleaver`] on the recorded segment observations.
 //!
+//! A trigger's pinned copy of its journey (the record its causal chain
+//! prints) must equal the ring's record of the same id; one whose id the
+//! ring has evicted is replayed in the ring record's place.
+//!
 //! `--replay` also cross-checks the journey ring against the dump's
-//! packet-ledger counters (`colorbars_obs::doctor::cross_check_journeys`),
-//! exactly as `doctor --flight` does.
+//! packet-ledger counters (`colorbars_obs::doctor::cross_check_journeys`).
 //!
 //! ```text
 //! postmortem <dump.fdr.json> [--replay] [--bands N]
@@ -321,12 +324,37 @@ fn print_ambiguous_bands(bands: &[BandRecord], link: &ReplayLink, bands_shown: u
 }
 
 /// Re-run every replayable decode in the dump and assert byte-identical
-/// verdicts. Returns false on any mismatch.
+/// verdicts, with each trigger's pinned journey held to the ring's record
+/// of its id, or replayed when the ring evicted it. Returns false on any
+/// mismatch.
 fn replay_dump(dump: &Value, links: &BTreeMap<String, ReplayLink>) -> Result<bool, String> {
-    let journeys = parse_journeys(dump);
+    let mut journeys = parse_journeys(dump);
     let mut replayed = 0usize;
     let mut skipped = 0usize;
     let mut mismatches = 0usize;
+    let pinned = dump
+        .get("triggers")
+        .and_then(Value::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|t| t.get("journey_record"))
+        .filter_map(JourneyRecord::from_json);
+    for record in pinned {
+        match journeys.get(&record.id) {
+            None => {
+                journeys.insert(record.id, record);
+            }
+            Some(ring) if *ring != record => {
+                eprintln!(
+                    "postmortem: journey {} pinned by a trigger MISMATCHES its ring record \
+                     (verdict {:?}, ring {:?})",
+                    record.id, record.verdict, ring.verdict
+                );
+                mismatches += 1;
+            }
+            Some(_) => {}
+        }
+    }
     for journey in journeys.values() {
         let Some(link) = links.get(&journey.namespace) else {
             if journey.stage == "rx.data" || journey.stage == "rx.fec_group" {

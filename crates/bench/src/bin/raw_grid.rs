@@ -24,6 +24,7 @@ const NEXUS: &str = "Nexus 5";
 const IPHONE: &str = "iPhone 5S";
 
 fn main() {
+    colorbars_bench::flags(&[]);
     let mut reporter = Reporter::new("raw_grid");
     let grid = measure_paper_grid(&mut reporter, RAW_SECONDS, SweepMode::Raw);
     table1(&mut reporter, &grid);

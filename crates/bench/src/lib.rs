@@ -333,6 +333,30 @@ impl ResultRow {
     }
 }
 
+/// The flags a bin was run with, each one of `known`. Any other argument
+/// prints a usage line and exits 2 before the bin writes anything, so a
+/// mistyped or stale flag cannot run a sweep over committed results.
+pub fn flags(known: &[&'static str]) -> Vec<&'static str> {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin)
+        .file_name()
+        .map_or(bin.clone(), |name| name.to_string_lossy().into_owned());
+    args.map(|arg| {
+        known
+            .iter()
+            .copied()
+            .find(|k| *k == arg)
+            .unwrap_or_else(|| {
+                let usage: String = known.iter().map(|k| format!(" [{k}]")).collect();
+                eprintln!("{bin}: unknown argument {arg:?}");
+                eprintln!("usage: {bin}{usage}");
+                std::process::exit(2)
+            })
+    })
+    .collect()
+}
+
 /// Directory run reports are written to (`COLORBARS_RESULTS_DIR`, default
 /// `results/`).
 pub fn results_dir() -> String {

@@ -22,7 +22,7 @@
 //!
 //! Pool pressure is observable: [`FramePool::hits`] / [`FramePool::misses`]
 //! count checkouts served from the arena vs. fresh allocations (the global
-//! obs registry reads the [`FramePool::global`] pair at scrape time as
+//! obs registry reads the [`FramePool::global`] pair at snapshot time as
 //! `camera.pool.hits` / `camera.pool.misses`), and the gateway smoke run
 //! asserts zero misses at steady state.
 //!

@@ -19,8 +19,6 @@
 //! When built with a [`Registry`], a session maintains (labels
 //! `session="<name>"`):
 //!
-//! * `session.frames` / `session.symbols` — sliding-window rates
-//!   (frames/sec and detected bands/sec over 1 s and 10 s windows).
 //! * `session.frame_latency_ms` — enqueue-to-decoded latency histogram
 //!   (p50/p99), plus an unlabeled aggregate across all sessions.
 //! * `session.queue_depth` gauge and `session.backpressure_stalls`
@@ -30,7 +28,8 @@
 //!   `rx.packets.*`, `rx.rs.*`, …), published from [`Receiver::stats`]
 //!   after every frame by [`ReceiverStats::publish`], so `doctor --live`
 //!   can attribute losses per session mid-run. A counter appears once it
-//!   is non-zero.
+//!   is non-zero; `rx.frames` and `rx.bands.segmented` are the session's
+//!   frame and band totals.
 //! * A shared unlabeled `sessions.active` gauge.
 //!
 //! All recording funnels through `colorbars-obs`'s global gate: with
@@ -41,7 +40,7 @@
 use crate::receiver::{Receiver, ReceiverReport, ReceiverStats};
 use colorbars_camera::Frame;
 use colorbars_obs as obs;
-use colorbars_obs::live::{Counter, Gauge, LatencyHistogram, Registry, WindowRate};
+use colorbars_obs::live::{Counter, Gauge, LatencyHistogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -108,8 +107,6 @@ impl SessionConfig {
 /// per-frame path is pure atomic writes (no registry map lookups).
 struct Instruments {
     registry: Registry,
-    frames: WindowRate,
-    symbols: WindowRate,
     latency: LatencyHistogram,
     latency_all: LatencyHistogram,
     queue_depth: Gauge,
@@ -122,8 +119,6 @@ impl Instruments {
     fn new(registry: Registry, label: &str) -> Instruments {
         let l: &[(&str, &str)] = &[("session", label)];
         Instruments {
-            frames: registry.rate("session.frames", l),
-            symbols: registry.rate("session.symbols", l),
             latency: registry.histogram_ms("session.frame_latency_ms", l),
             latency_all: registry.histogram_ms("session.frame_latency_ms", &[]),
             queue_depth: registry.gauge("session.queue_depth", l),
@@ -134,13 +129,8 @@ impl Instruments {
         }
     }
 
-    /// Record the rates, latency and queue drain of one decoded frame that
-    /// held `bands` bands.
-    fn on_frame(&self, bands: usize, enqueued_at: Instant) {
-        self.registry.rate_record(&self.frames, 1);
-        if bands > 0 {
-            self.registry.rate_record(&self.symbols, bands as u64);
-        }
+    /// Record the latency and queue drain of one decoded frame.
+    fn on_frame(&self, enqueued_at: Instant) {
         let latency = enqueued_at.elapsed();
         self.latency.record(latency);
         self.latency_all.record(latency);
@@ -222,12 +212,10 @@ impl LinkSession {
                             }
                         },
                     };
-                    let bands_before = rx.stats().bands;
                     rx.process_frame(&job.frame);
                     if let Some(i) = &instruments {
-                        let stats = rx.stats();
-                        i.on_frame(stats.bands - bands_before, job.enqueued_at);
-                        stats.publish(&mut published, &i.registry, labels);
+                        i.on_frame(job.enqueued_at);
+                        rx.stats().publish(&mut published, &i.registry, labels);
                     }
                     processed.fetch_add(1, Ordering::Release);
                 }
@@ -259,7 +247,7 @@ impl LinkSession {
 
     /// Frames fully decoded so far. Tracked independently of the
     /// observability gate, so callers can synchronize on decode progress
-    /// (e.g. "scrape once every session has processed a frame") even with
+    /// (e.g. "snapshot once every session has processed a frame") even with
     /// telemetry off.
     pub fn frames_processed(&self) -> u64 {
         self.frames_processed.load(Ordering::Acquire)

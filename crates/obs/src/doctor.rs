@@ -6,7 +6,7 @@
 //! SER from RS-coded goodput. The counters recorded along the pipeline
 //! (`tx.symbols` → `rx.bands.segmented` → … → `rx.packets.ok`) contain the
 //! same accounting implicitly; this module makes it explicit. Given a
-//! [`crate::Snapshot`] or a parsed `results/<experiment>.json` run report,
+//! [`crate::snapshot`] or a parsed `results/<experiment>.json` run report,
 //! [`Doctor::diagnose`] produces a [`Diagnosis`]: every loss category with
 //! its magnitude and share, ranked, plus invariant checks that the
 //! attributed losses telescope exactly to the total observed losses.
@@ -44,7 +44,7 @@
 //! scheduled color (cross-talk) vs everything else.
 
 use crate::json::Value;
-use crate::Snapshot;
+use crate::LiveSnapshot;
 use std::collections::BTreeMap;
 
 /// Which accounting stream a category belongs to.
@@ -250,8 +250,9 @@ pub struct Doctor {
 }
 
 impl Doctor {
-    /// Diagnose a live [`Snapshot`].
-    pub fn from_snapshot(snapshot: &Snapshot) -> Doctor {
+    /// Diagnose a snapshot's counters (unlabeled ones, as
+    /// [`crate::snapshot`] returns them).
+    pub fn from_snapshot(snapshot: &LiveSnapshot) -> Doctor {
         Doctor {
             counters: snapshot
                 .counters
@@ -618,6 +619,9 @@ pub struct FleetReview {
     pub medians: Vec<(&'static str, f64)>,
     /// Divergence threshold used (absolute difference in share).
     pub threshold: f64,
+    /// Counters that fell, or vanished, from one snapshot line to the
+    /// next, one message each.
+    pub regressions: Vec<String>,
 }
 
 impl FleetReview {
@@ -628,6 +632,11 @@ impl FleetReview {
             .iter()
             .filter(|s| !s.divergent.is_empty() || !s.diagnosis.is_consistent())
             .collect()
+    }
+
+    /// No session flagged and no counter regressed.
+    pub fn is_healthy(&self) -> bool {
+        self.regressions.is_empty() && self.flagged().is_empty()
     }
 
     /// Human-readable report.
@@ -667,45 +676,107 @@ impl FleetReview {
                 let _ = writeln!(out, "      invariant: {v}");
             }
         }
+        if self.regressions.is_empty() {
+            let _ = writeln!(out, "  counters: none fell or vanished between lines");
+        }
+        for r in &self.regressions {
+            let _ = writeln!(out, "  COUNTER REGRESSION: {r}");
+        }
         out
     }
 }
 
-/// Review a live-telemetry JSONL snapshot stream (the
-/// [`crate::live::SnapshotWriter`] format): take the **last** snapshot
-/// line, group its counters by `session` label, diagnose each session with
-/// the standard ledgers, and flag sessions whose non-advisory loss shares
-/// diverge from the fleet median by more than `threshold`.
-///
-/// Counters without a `session` label (aggregates) are ignored.
-pub fn review_live_jsonl(text: &str, threshold: f64) -> Result<FleetReview, String> {
-    let last_line = text
-        .lines()
-        .rfind(|l| !l.trim().is_empty())
-        .ok_or("live snapshot stream is empty")?;
-    let snapshot =
-        Value::parse(last_line).map_err(|e| format!("unparseable snapshot line: {e}"))?;
-    let counters = snapshot
+/// One snapshot line's counters, by name and labels.
+type LineCounters = BTreeMap<(String, BTreeMap<String, String>), u64>;
+
+/// Parse one snapshot line's `"counters"` array; any entry without a
+/// string name, string labels and an unsigned value refuses the line.
+fn line_counters(line: &str) -> Result<LineCounters, String> {
+    let snapshot = Value::parse(line).map_err(|e| format!("unparseable snapshot line: {e}"))?;
+    let entries = snapshot
         .get("counters")
         .and_then(Value::as_array)
         .ok_or("snapshot has no \"counters\" array")?;
+    let mut counters = LineCounters::new();
+    for entry in entries {
+        let name = entry.get("name").and_then(Value::as_str);
+        let labels = entry
+            .get("labels")
+            .and_then(Value::as_object)
+            .and_then(|labels| {
+                labels
+                    .iter()
+                    .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                    .collect::<Option<BTreeMap<_, _>>>()
+            });
+        let value = entry.get("value").and_then(Value::as_u64);
+        let (Some(name), Some(labels), Some(value)) = (name, labels, value) else {
+            return Err(format!("malformed counter entry {}", entry.to_compact()));
+        };
+        counters.insert((name.to_string(), labels), value);
+    }
+    Ok(counters)
+}
+
+/// A counter as a message names it: `name{label="value",…}`.
+fn counter_name((name, labels): &(String, BTreeMap<String, String>)) -> String {
+    if labels.is_empty() {
+        return name.clone();
+    }
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+    format!("{name}{{{}}}", pairs.join(","))
+}
+
+/// Review a live-telemetry JSONL snapshot stream (the gateway's
+/// `COLORBARS_OBS_LIVE` file, one [`LiveSnapshot::to_json`] per line).
+///
+/// Every line must parse, or the stream is refused. A counter present in
+/// one line must be present in the next with a value no smaller —
+/// registry counters only grow — and each that fell or vanished is a
+/// [`FleetReview::regressions`] entry naming both values. The **last**
+/// line's counters are then grouped by `session` label, each session
+/// diagnosed with the standard ledgers, and sessions whose non-advisory
+/// loss shares diverge from the fleet median by more than `threshold`
+/// flagged. Counters without a `session` label (aggregates) are checked
+/// for regressions but not reviewed.
+pub fn review_live_jsonl(text: &str, threshold: f64) -> Result<FleetReview, String> {
+    let lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            line_counters(line)
+                .map(|counters| (i + 1, counters))
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut regressions = Vec::new();
+    for pair in lines.windows(2) {
+        let ((n0, earlier), (n1, later)) = (&pair[0], &pair[1]);
+        for (id, &before) in earlier {
+            match later.get(id) {
+                None => regressions.push(format!(
+                    "counter {} ({before} at line {n0}) is missing from line {n1}",
+                    counter_name(id)
+                )),
+                Some(&after) if after < before => regressions.push(format!(
+                    "counter {} fell from {before} at line {n0} to {after} at line {n1}",
+                    counter_name(id)
+                )),
+                Some(_) => {}
+            }
+        }
+    }
+    let (_, last) = lines.last().ok_or("live snapshot stream is empty")?;
 
     let mut per_session: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
-    for entry in counters {
-        let Some(name) = entry.get("name").and_then(Value::as_str) else {
-            continue;
-        };
-        let Some(labels) = entry.get("labels").and_then(Value::as_object) else {
-            continue;
-        };
-        let Some(session) = labels.get("session").and_then(Value::as_str) else {
-            continue;
-        };
-        let value = entry.get("value").and_then(Value::as_u64).unwrap_or(0);
-        per_session
-            .entry(session.to_string())
-            .or_default()
-            .insert(name.to_string(), value);
+    for ((name, labels), &value) in last {
+        if let Some(session) = labels.get("session") {
+            per_session
+                .entry(session.clone())
+                .or_default()
+                .insert(name.clone(), value);
+        }
     }
     if per_session.is_empty() {
         return Err("no session-labeled counters in the last snapshot".into());
@@ -766,6 +837,7 @@ pub fn review_live_jsonl(text: &str, threshold: f64) -> Result<FleetReview, Stri
         sessions,
         medians,
         threshold,
+        regressions,
     })
 }
 
@@ -1160,7 +1232,7 @@ mod tests {
     }
 
     /// One JSONL snapshot line with per-session counters shaped like the
-    /// live writer's output. `gap` tunes each session's inter-frame-gap
+    /// gateway's stream. `segmented` tunes each session's inter-frame-gap
     /// share.
     fn live_line(sessions: &[(&str, u64, u64)]) -> String {
         let counters: Vec<Value> = sessions
@@ -1195,7 +1267,7 @@ mod tests {
         // Three healthy sessions at ~23% gap loss, one outlier at 80%.
         let text = format!(
             "{}\n{}\n",
-            live_line(&[("s0", 1000, 770)]), // stale first line: ignored
+            live_line(&[("s0", 1000, 770)]), // checked for regressions only
             live_line(&[
                 ("s0", 1000, 770),
                 ("s1", 1000, 760),
@@ -1242,6 +1314,83 @@ mod tests {
         .to_compact();
         assert!(review_live_jsonl(&line, 0.25).is_err());
         assert!(review_live_jsonl("not json", 0.25).is_err());
+        // Every line must parse, not just the last one reviewed.
+        let good = live_line(&[("a", 1000, 770)]);
+        let err = review_live_jsonl(&format!("not json\n{good}\n"), 0.25).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+        // So must every counter entry.
+        let bad_value = good.replace("\"value\":770", "\"value\":-1");
+        assert_ne!(bad_value, good);
+        assert!(review_live_jsonl(&bad_value, 0.25).is_err());
+    }
+
+    #[test]
+    fn monotone_counter_check_catches_regressions() {
+        let first = live_line(&[("s0", 1000, 770), ("s1", 1000, 760)]);
+        let stream = |later: &str| format!("{first}\n{later}\n");
+
+        // Counters that grow from line to line pass.
+        let grown = live_line(&[("s0", 1500, 1100), ("s1", 1400, 1000)]);
+        let review = review_live_jsonl(&stream(&grown), 0.5).unwrap();
+        assert!(review.regressions.is_empty(), "{:?}", review.regressions);
+        assert!(review.is_healthy(), "{}", review.render_text());
+
+        // A counter lower in a later line fails, naming both values.
+        let lowered = live_line(&[("s0", 1500, 700), ("s1", 1400, 1000)]);
+        let review = review_live_jsonl(&stream(&lowered), 0.5).unwrap();
+        assert!(!review.is_healthy());
+        assert!(
+            review.regressions.contains(
+                &"counter rx.bands.segmented{session=\"s0\"} fell from 770 at line 1 \
+                  to 700 at line 2"
+                    .to_string()
+            ),
+            "{:?}",
+            review.regressions
+        );
+        assert!(review.render_text().contains("COUNTER REGRESSION"));
+
+        // A counter missing from a later line fails.
+        let missing = live_line(&[("s0", 1500, 1100)]);
+        let review = review_live_jsonl(&stream(&missing), 0.5).unwrap();
+        assert_eq!(review.regressions.len(), 5, "{:?}", review.regressions);
+        assert!(review.regressions.iter().all(
+            |r| r.contains("session=\"s1\"") && r.contains("at line 1) is missing from line 2")
+        ));
+    }
+
+    #[test]
+    fn monotone_check_catches_a_registry_reset() {
+        let _guard = crate::test_lock::hold();
+        crate::init(crate::ObsConfig::default());
+        let registry = crate::live::Registry::new();
+        let line = || registry.snapshot().to_json().to_compact();
+        let s0: &[(&str, &str)] = &[("session", "s0")];
+        registry.counter("tx.symbols", s0).add(1000);
+        registry.counter("rx.bands.segmented", s0).add(770);
+        let first = line();
+        registry.counter("rx.bands.segmented", s0).add(10);
+        let grown = line();
+        // A registry cleared between two snapshots (a restarted gateway, a
+        // stray `obs::reset`): whatever it counts again starts from zero.
+        registry.clear();
+        registry.counter("tx.symbols", s0).add(3);
+        let cleared = line();
+        crate::disable();
+
+        let review = review_live_jsonl(&format!("{first}\n{grown}\n"), 0.5).unwrap();
+        assert!(review.regressions.is_empty(), "{:?}", review.regressions);
+        let review = review_live_jsonl(&format!("{first}\n{grown}\n{cleared}\n"), 0.5).unwrap();
+        assert_eq!(
+            review.regressions,
+            vec![
+                "counter rx.bands.segmented{session=\"s0\"} (780 at line 2) is missing \
+                 from line 3"
+                    .to_string(),
+                "counter tx.symbols{session=\"s0\"} fell from 1000 at line 2 to 3 at line 3"
+                    .to_string(),
+            ]
+        );
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!   gauges + span timings + config + seeds, alongside the existing stdout
 //!   table.
 //! * **Live telemetry** ([`mod@live`]) — the one [`Registry`]
-//!   implementation of gauges, counters, sliding-window rates, and latency
-//!   histograms, snapshot-able mid-run without stopping writers, with a
-//!   Prometheus text renderer and a periodic JSONL writer
-//!   (`COLORBARS_OBS_LIVE`).
+//!   implementation of counters, gauges and latency histograms,
+//!   snapshot-able mid-run without stopping writers; a [`LiveSnapshot`]
+//!   serializes as one JSON line of the gateway's `COLORBARS_OBS_LIVE`
+//!   stream.
 //!
 //! ## Zero cost when disabled
 //!
@@ -57,9 +57,7 @@ pub mod span;
 pub mod trace;
 
 pub use json::Value;
-pub use live::{
-    CounterSample, GaugeSample, HistogramSample, LiveSnapshot, Registry, SnapshotWriter,
-};
+pub use live::{CounterSample, GaugeSample, HistogramSample, LiveSnapshot, Registry};
 pub use report::RunReport;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -160,31 +158,16 @@ pub fn flush() {
     flight::flush_to_configured();
 }
 
-/// A consistent point-in-time view of the global registry's unlabeled
-/// instruments.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Unlabeled counters of [`live::global`], sorted by name.
-    pub counters: Vec<CounterSample>,
-    /// Unlabeled gauges of [`live::global`], sorted by name.
-    pub gauges: Vec<GaugeSample>,
-    /// Unlabeled histograms of [`live::global`] — every [`span!`] timing
-    /// among them — sorted by name.
-    pub histograms: Vec<HistogramSample>,
-}
-
-/// Take a consistent snapshot. Labeled instruments (per-session ledgers,
-/// rates, histograms) belong to the live plane and are left out.
-pub fn snapshot() -> Snapshot {
-    let mut live = live::global().snapshot();
-    live.counters.retain(|c| c.id.labels.is_empty());
-    live.gauges.retain(|g| g.id.labels.is_empty());
-    live.histograms.retain(|h| h.id.labels.is_empty());
-    Snapshot {
-        counters: live.counters,
-        gauges: live.gauges,
-        histograms: live.histograms,
-    }
+/// A consistent snapshot of the global registry's unlabeled instruments:
+/// the stage counters, gauges and [`span!`] timings a run report or flight
+/// dump records. Labeled instruments (per-session ledgers and histograms)
+/// belong to the live plane and are left out.
+pub fn snapshot() -> LiveSnapshot {
+    let mut snap = live::global().snapshot();
+    snap.counters.retain(|c| c.id.labels.is_empty());
+    snap.gauges.retain(|g| g.id.labels.is_empty());
+    snap.histograms.retain(|h| h.id.labels.is_empty());
+    snap
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! on the [`live::global`](crate::live::global) registry — the same
 //! instrument kind as `session.frame_latency_ms`: exact count / sum / min /
 //! max, log-bucket p50 / p99. Run reports, flight dumps and the gateway's
-//! scrapes read span timings from there, like every other metric.
+//! snapshots read span timings from there, like every other metric.
 //! Hierarchy is by naming convention (dotted paths), not by runtime
 //! nesting — aggregation stays O(1) per span and the histograms stay
 //! stable across thread interleavings (seed sweeps run spans from several

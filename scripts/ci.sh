@@ -89,19 +89,62 @@ COLORBARS_OBS_TRACE="$CI_TMP/trace.json" COLORBARS_SWEEP_THREADS=2 \
 cargo run --release -p colorbars-bench --bin doctor -- \
     "$CI_TMP/smoke_report.json" --trace "$CI_TMP/trace.json" --min-tracks 2
 
+echo "==> trace round-trip drill (a trace with one thread track must fail --min-tracks 2)"
+# Keep only the first thread_name event in a copy of the trace. Exit 1 is
+# the doctor refusing the trace; 2 would be a usage or parse error.
+python3 - "$CI_TMP/trace.json" "$CI_TMP/trace_one_track.json" <<'PY'
+import json, sys
+trace = json.load(open(sys.argv[1]))
+named = [e for e in trace["traceEvents"] if e.get("ph") == "M" and e.get("name") == "thread_name"]
+if len(named) < 2:
+    sys.exit(f"trace has {len(named)} thread tracks; the drill needs at least 2")
+trace["traceEvents"] = [e for e in trace["traceEvents"] if e not in named[1:]]
+json.dump(trace, open(sys.argv[2], "w"))
+PY
+status=0
+cargo run --release -q -p colorbars-bench --bin doctor -- \
+    "$CI_TMP/smoke_report.json" --trace "$CI_TMP/trace_one_track.json" --min-tracks 2 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: doctor did not refuse a one-track trace (exit $status)" >&2
+    exit 1
+fi
+
 echo "==> gateway --smoke (4 concurrent streaming sessions, live telemetry plane)"
-COLORBARS_OBS_LIVE="$CI_TMP/gateway_live.jsonl" COLORBARS_OBS_LIVE_INTERVAL_MS=200 \
-COLORBARS_RESULTS_DIR="$CI_TMP/results" \
-    cargo run --release -p colorbars-bench --bin gateway -- \
-    --smoke --expo "$CI_TMP/gateway_expo"
+COLORBARS_OBS_LIVE="$CI_TMP/gateway_live.jsonl" COLORBARS_RESULTS_DIR="$CI_TMP/results" \
+    cargo run --release -p colorbars-bench --bin gateway -- --smoke
+# The stream is the gateway's two snapshots: mid-run, then final.
+lines=$(wc -l < "$CI_TMP/gateway_live.jsonl")
+if [ "$lines" -ne 2 ]; then
+    echo "ERROR: the gateway's live stream holds $lines lines, want 2" >&2
+    exit 1
+fi
 
-echo "==> gateway --validate (exposition scrapes re-parse; counters monotone)"
-cargo run --release -p colorbars-bench --bin gateway -- \
-    --validate "$CI_TMP/gateway_expo.1.prom" "$CI_TMP/gateway_expo.2.prom"
-
-echo "==> doctor --live (fleet review of the gateway's snapshot stream)"
+echo "==> doctor --live (every line parses, no counter falls, fleet review of the last)"
 cargo run --release -p colorbars-bench --bin doctor -- \
     --live "$CI_TMP/gateway_live.jsonl" --threshold 0.5
+
+echo "==> doctor --live drill (a session's rx.frames lowered in line 2 must fail the stream)"
+# rx.frames is in no loss ledger, so only the line-to-line check can see
+# it fall. Exit 1 is the doctor naming the counter; 2 would be a parse
+# error.
+python3 - "$CI_TMP/gateway_live.jsonl" "$CI_TMP/gateway_live_lowered.jsonl" <<'PY'
+import json, sys
+first, second = [json.loads(line) for line in open(sys.argv[1])]
+def s0_frames(line):
+    return next(c for c in line["counters"]
+                if c["name"] == "rx.frames" and c["labels"] == {"session": "s0"})
+s0_frames(second)["value"] = s0_frames(first)["value"] - 1
+with open(sys.argv[2], "w") as out:
+    for line in (first, second):
+        out.write(json.dumps(line) + "\n")
+PY
+status=0
+cargo run --release -q -p colorbars-bench --bin doctor -- \
+    --live "$CI_TMP/gateway_live_lowered.jsonl" --threshold 0.5 > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: doctor --live did not fail a lowered counter (exit $status)" >&2
+    exit 1
+fi
 
 echo "==> obs-diff gateway gate (link metrics and counters identical, p99 latency within its band)"
 cargo run --release -p colorbars-bench --bin obs-diff -- \
@@ -121,6 +164,32 @@ test -f "$CI_TMP/results/flight/gateway.fdr.json" || {
 }
 cargo run --release -p colorbars-bench --bin postmortem -- \
     "$CI_TMP/results/flight/gateway.fdr.json" --replay
+
+echo "==> postmortem --replay drills (an edited journey verdict must fail the replay)"
+# In copies of the dump: one ring rx.data journey's verdict, then one
+# trigger's pinned journey record, turned from rs_failed to ok. Exit 1 is
+# the replay flagging the mismatch; 2 would be a usage or parse error.
+python3 - "$CI_TMP/results/flight/gateway.fdr.json" "$CI_TMP" <<'PY'
+import json, sys
+dump = json.load(open(sys.argv[1]))
+ring = next(j for j in dump["journeys"] if j["stage"] == "rx.data" and j["verdict"] == "rs_failed")
+ring["verdict"] = "ok"
+json.dump(dump, open(sys.argv[2] + "/flight_ring_edit.json", "w"))
+ring["verdict"] = "rs_failed"
+pinned = next(t["journey_record"] for t in dump["triggers"]
+              if (t.get("journey_record") or {}).get("verdict") == "rs_failed")
+pinned["verdict"] = "ok"
+json.dump(dump, open(sys.argv[2] + "/flight_pinned_edit.json", "w"))
+PY
+for edited in flight_ring_edit flight_pinned_edit; do
+    status=0
+    cargo run --release -q -p colorbars-bench --bin postmortem -- \
+        "$CI_TMP/$edited.json" --replay > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "ERROR: postmortem --replay did not fail on $edited (exit $status)" >&2
+        exit 1
+    fi
+done
 
 echo "==> results gate (deterministic bins reprint their committed results/*.txt and *.json)"
 # Every committed transcript must be what this tree prints, and every
