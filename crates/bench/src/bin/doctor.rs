@@ -39,14 +39,8 @@ const DEFAULT_LIVE_THRESHOLD: f64 = 0.25;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(healthy) => {
-            if healthy {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
+    let task = match parse(&args) {
+        Ok(task) => task,
         Err(err) => {
             eprintln!("doctor: {err}");
             eprintln!(
@@ -54,12 +48,43 @@ fn main() -> ExitCode {
                  [--fec-results <path>]"
             );
             eprintln!("       doctor --live <live.jsonl> [--threshold X]");
+            return ExitCode::from(2);
+        }
+    };
+    let outcome = match task {
+        Task::Live { path, threshold } => review_live(path, threshold),
+        Task::Report {
+            path,
+            trace,
+            min_tracks,
+            fec_results,
+        } => diagnose(path, trace, min_tracks, fec_results),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(err) => {
+            eprintln!("doctor: {err}");
             ExitCode::from(2)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
+/// What a command line asks the doctor to do.
+enum Task<'a> {
+    /// Review a live JSONL stream.
+    Live { path: &'a str, threshold: f64 },
+    /// Diagnose a run report, and validate a trace of it when given.
+    Report {
+        path: &'a str,
+        trace: Option<&'a str>,
+        min_tracks: usize,
+        fec_results: Option<&'a str>,
+    },
+}
+
+/// The command line's task, or what is wrong with it.
+fn parse(args: &[String]) -> Result<Task<'_>, String> {
     let mut report_path: Option<&str> = None;
     let mut trace_path: Option<&str> = None;
     let mut live_path: Option<&str> = None;
@@ -103,14 +128,28 @@ fn run(args: &[String]) -> Result<bool, String> {
         }
     }
 
-    if let Some(live_path) = live_path {
+    if let Some(path) = live_path {
         if report_path.is_some() || trace_path.is_some() {
             return Err("--live reviews a snapshot stream on its own".to_string());
         }
-        return review_live(live_path, threshold);
+        return Ok(Task::Live { path, threshold });
     }
-    let report_path = report_path.ok_or("no run report given")?;
+    Ok(Task::Report {
+        path: report_path.ok_or("no run report given")?,
+        trace: trace_path,
+        min_tracks,
+        fec_results,
+    })
+}
 
+/// Report mode: the ranked diagnosis of a run report, its gap-loss
+/// advisory, and the trace check when a trace is given.
+fn diagnose(
+    report_path: &str,
+    trace_path: Option<&str>,
+    min_tracks: usize,
+    fec_results: Option<&str>,
+) -> Result<bool, String> {
     let report = parse_file(report_path)?;
     let doctor = Doctor::from_report(&report)?;
     let diagnosis = doctor.diagnose();

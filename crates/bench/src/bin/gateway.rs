@@ -65,13 +65,20 @@ const BASELINE_PATH: &str = "results/baselines/gateway_smoke.json";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
+    let options = match parse(&args) {
+        Ok(options) => options,
         Err(err) => {
             eprintln!("gateway: {err}");
             eprintln!("usage: gateway --smoke [--record] [--flight]");
             eprintln!("       gateway [--sessions N] [--seconds S] [--flight]");
+            return ExitCode::from(2);
+        }
+    };
+    match run_gateway(&options) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(err) => {
+            eprintln!("gateway: {err}");
             ExitCode::from(2)
         }
     }
@@ -85,7 +92,8 @@ struct Options {
     flight: bool,
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
+/// The command line's options, or what is wrong with it.
+fn parse(args: &[String]) -> Result<Options, String> {
     let mut sessions = SMOKE_SESSIONS;
     let mut seconds = SMOKE_SECONDS;
     let mut smoke = false;
@@ -126,7 +134,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     if seconds.is_nan() || seconds <= 0.0 {
         return Err("--seconds must be positive".to_string());
     }
-    run_gateway(&Options {
+    Ok(Options {
         sessions,
         seconds,
         smoke,

@@ -44,18 +44,33 @@ const DEFAULT_BANDS_SHOWN: usize = 5;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let options = match parse(&args) {
+        Ok(options) => options,
+        Err(err) => {
+            eprintln!("postmortem: {err}");
+            eprintln!("usage: postmortem <dump.fdr.json> [--replay] [--bands N]");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&options) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(1),
         Err(err) => {
             eprintln!("postmortem: {err}");
-            eprintln!("usage: postmortem <dump.fdr.json> [--replay] [--bands N]");
             ExitCode::from(2)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
+/// What the command line asks for.
+struct Options {
+    path: String,
+    replay: bool,
+    bands_shown: usize,
+}
+
+/// The command line's options, or what is wrong with it.
+fn parse(args: &[String]) -> Result<Options, String> {
     let mut path: Option<String> = None;
     let mut replay = false;
     let mut bands_shown = DEFAULT_BANDS_SHOWN;
@@ -75,13 +90,21 @@ fn run(args: &[String]) -> Result<bool, String> {
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    let path = path.ok_or("missing dump path")?;
-    let body = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Ok(Options {
+        path: path.ok_or("missing dump path")?,
+        replay,
+        bands_shown,
+    })
+}
+
+fn run(options: &Options) -> Result<bool, String> {
+    let path = &options.path;
+    let body = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let dump = Value::parse(&body).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
 
-    let report = analyze(&dump, bands_shown)?;
+    let report = analyze(&dump, options.bands_shown)?;
     let mut ok = true;
-    if replay {
+    if options.replay {
         ok = replay_dump(&dump, &report.links)? && ok;
         let check = cross_check_journeys(&dump);
         print!("{}", check.render_text());

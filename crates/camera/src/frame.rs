@@ -195,7 +195,8 @@ impl Frame {
     }
 
     /// Mean 8-bit luma (Rec. 601 weights) over the whole frame — the
-    /// auto-exposure controller's metering input.
+    /// auto-exposure controller's metering input during video. Settling
+    /// renders no frame: its preview meter weighs luma the same way.
     pub fn mean_luma(&self) -> f64 {
         let mut acc = 0.0;
         for px in &self.pixels {

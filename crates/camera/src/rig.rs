@@ -25,9 +25,9 @@
 //! Every capture renders a [`SceneRadiance`]: the ROI's columns are
 //! partitioned into radiance regions, and steps 1–2 run per (row, region).
 //! The single-emitter entry points ([`CameraRig::capture_frame`],
-//! [`CameraRig::capture_video`], [`CameraRig::settle_exposure`]) capture a
-//! one-region [`UniformScene`] of the emitter behind the rig's own channel;
-//! the `*_scene` entry points capture any scene. There is one photosite
+//! [`CameraRig::capture_video`], [`CameraRig::settle_exposure`]) wrap the
+//! emitter behind the rig's own channel in a one-region [`UniformScene`];
+//! the `*_scene` entry points take any scene. There is one photosite
 //! loop, in `f64`, and it is built for speed without changing a stored byte:
 //!
 //! * **Per-row noise streams, drawn eight rows at a time.** Rows are
@@ -73,6 +73,17 @@
 //!   [`Frame`] returns its pixels to the pool on drop, so a warmed-up
 //!   capture→decode pipeline performs no per-frame heap allocation (the
 //!   gateway smoke run asserts zero pool misses).
+//!
+//! ## Metered settling
+//!
+//! Auto-exposure settles before a capture as a phone's preview loop does,
+//! but no settle step renders a frame. A private preview meter runs steps
+//! 1–2, then reads the noise-free expected luma of every
+//! `METER_ROW_STRIDE`-th row through the device transform, vignetting,
+//! the sensor's expected response and the quantizer, the steps a stored
+//! pixel takes less its noise and demosaic. Each metered step advances the
+//! frame counter as a captured frame does, so the data frames after a
+//! settle keep their frame indices and noise streams.
 
 use crate::bayer::{demosaic_bilinear_with, CfaChannel};
 use crate::device::DeviceProfile;
@@ -119,6 +130,12 @@ impl Default for CaptureConfig {
         }
     }
 }
+
+/// The preview meter reads every this-many-th row. Sensor noise plays no
+/// part in the meter, and band structure spans many rows at the paper's
+/// symbol rates, so a quarter of the rows reads what all of them do to
+/// within the tolerance `meter_tracks_the_rendered_luma` holds it to.
+const METER_ROW_STRIDE: usize = 4;
 
 /// Cached vignette row/column profiles. The vignette model and frame
 /// geometry are fixed for the life of a rig, so these are computed on the
@@ -234,8 +251,10 @@ impl CameraRig {
     }
 
     /// Warm the auto-exposure controller on a scene until it settles
-    /// (real apps do this during the first second of preview). Captures
-    /// and discards up to `max_frames` frames.
+    /// (real apps do this during the first second of preview). Meters up
+    /// to `max_frames` preview frames, one frame period apart from
+    /// `t = 0`, without rendering them (see the module docs); each one
+    /// advances the frame index as a captured frame does.
     pub fn settle_exposure(&mut self, emitter: &LedEmitter, max_frames: usize) {
         let scene = UniformScene::new(emitter, &self.channel);
         self.camera.settle_exposure(&scene, max_frames);
@@ -291,8 +310,7 @@ impl Camera {
         let mut last = f64::NAN;
         for k in 0..max_frames {
             let t = k as f64 * self.device.frame_period();
-            let frame = self.capture_frame(scene, t);
-            let luma = frame.mean_luma();
+            let luma = self.meter_frame(scene, t);
             self.ae.observe(luma, &self.device);
             // Converged only once the meter is in its informative range —
             // a clipped reading that hasn't moved is not convergence.
@@ -301,6 +319,87 @@ impl Camera {
             }
             last = luma;
         }
+    }
+
+    /// The preview meter: the mean luma [`Frame::mean_luma`] would read
+    /// from a capture of `scene` at `start_time`, without its noise. Steps
+    /// 1–2 run as in [`Camera::capture_frame`]; then every
+    /// [`METER_ROW_STRIDE`]-th row's light goes through the device
+    /// transform, gamut compression, vignetting, the sensor's expected
+    /// response per channel ([`crate::sensor::SensorModel::expose_expected`])
+    /// and the quantizer, and its Rec. 601 luma is averaged over the ROI.
+    /// No RNG is drawn and no raw plane is built, but the frame counter
+    /// advances as for a captured frame, so the data frames after a settle
+    /// keep their frame indices and noise streams.
+    fn meter_frame<S: SceneRadiance + ?Sized>(&mut self, scene: &S, start_time: f64) -> f64 {
+        obs::counter!("camera.frames");
+        let rows = self.device.rows;
+        let width = self.config.roi_width;
+        let settings = self.ae.settings();
+        let light = self.row_light(scene, start_time, settings.exposure);
+        self.ensure_vig_cache(rows, width);
+        let m = self.device.xyz_to_linear_srgb();
+        let sensor = &self.device.sensor;
+        let quant = &self.quant;
+        let (vrows, vcols) = (&self.vig.vrows[..], &self.vig.vcols[..]);
+        let byte = |linear: f64, vignette: f64| {
+            let sample = (linear * vignette).max(0.0);
+            let raw = sensor.expose_expected(sample, settings.exposure, settings.iso);
+            f64::from(quant.encode_byte(raw))
+        };
+        let (mut acc, mut pixels) = (0.0, 0usize);
+        for r in (0..rows).step_by(METER_ROW_STRIDE) {
+            for run in &self.runs {
+                let rgb = LinearRgb::from_vec3(m.mul_vec(light[run.region * rows + r].to_vec3()))
+                    .compress_into_gamut();
+                for &vcol in &vcols[run.start..run.end] {
+                    let v = vrows[r] + vcol;
+                    acc += 0.299 * byte(rgb.r, v) + 0.587 * byte(rgb.g, v) + 0.114 * byte(rgb.b, v);
+                }
+                pixels += run.end - run.start;
+            }
+        }
+        self.pool.recycle_row_light(light);
+        self.frames_captured += 1;
+        acc / (pixels as f64 * 255.0)
+    }
+
+    /// Steps 1–2 of a capture, shared by the capture loop and the preview
+    /// meter: per-(row, region) mean irradiance over each row's exposure
+    /// window, region-major (`light[k * rows + r]`), then each region's PSF
+    /// blur across rows (band-edge ISI). Also rebuilds the ROI's column-run
+    /// map for `scene`. The returned buffer comes from the frame pool and
+    /// goes back to it with `recycle_row_light`.
+    fn row_light<S: SceneRadiance + ?Sized>(
+        &mut self,
+        scene: &S,
+        start_time: f64,
+        exposure: f64,
+    ) -> Vec<Xyz> {
+        let rows = self.device.rows;
+        let row_time = self.device.row_time();
+        let regions = scene.region_count();
+        assert!(regions >= 1, "a scene must have at least one region");
+        self.map_column_runs(scene, self.config.roi_width, regions);
+
+        // Step 1 into a pooled buffer; every element is overwritten, so
+        // reuse needs no clearing.
+        let mut light = self.pool.take_row_light(regions * rows);
+        {
+            let _stage = obs::span!("camera.rows_integrate");
+            for (k, region) in light.chunks_mut(rows).enumerate() {
+                scene.region_rows(k, start_time, row_time, exposure, region);
+            }
+        }
+
+        // Step 2 into a second pooled buffer; the pre-blur buffer goes
+        // straight back to the pool.
+        let mut blurred = self.pool.take_row_light(regions * rows);
+        for (k, (src, dst)) in light.chunks(rows).zip(blurred.chunks_mut(rows)).enumerate() {
+            scene.region_blur(k).convolve_rows_into(src, dst);
+        }
+        self.pool.recycle_row_light(light);
+        blurred
     }
 
     /// The one capture loop: render `scene` as a frame beginning at
@@ -313,30 +412,9 @@ impl Camera {
         let settings = self.ae.settings();
         let row_time = self.device.row_time();
         let frame_index = self.frames_captured;
-        let regions = scene.region_count();
-        assert!(regions >= 1, "a scene must have at least one region");
-        self.map_column_runs(scene, width, regions);
 
-        // Step 1: per-(row, region) mean irradiance over each row's
-        // exposure window, region-major (`light[k * rows + r]`). Scratch
-        // buffers come from the frame pool; every element is overwritten,
-        // so reuse needs no clearing.
-        let mut light = self.pool.take_row_light(regions * rows);
-        {
-            let _stage = obs::span!("camera.rows_integrate");
-            for (k, region) in light.chunks_mut(rows).enumerate() {
-                scene.region_rows(k, start_time, row_time, settings.exposure, region);
-            }
-        }
-
-        // Step 2: each region's PSF blur across rows (band-edge ISI) into a
-        // second pooled buffer; the pre-blur buffer goes straight back to
-        // the pool.
-        let mut blurred = self.pool.take_row_light(regions * rows);
-        for (k, (src, dst)) in light.chunks(rows).zip(blurred.chunks_mut(rows)).enumerate() {
-            scene.region_blur(k).convolve_rows_into(src, dst);
-        }
-        self.pool.recycle_row_light(light);
+        // Steps 1–2: each row's light, blurred.
+        let blurred = self.row_light(scene, start_time, settings.exposure);
         let light = &blurred;
 
         // Step 3: per-photosite capture. The device sees the scene through
@@ -875,6 +953,73 @@ mod tests {
             (f.meta.exposure - rig.device().min_exposure).abs() < 1e-9,
             "exposure pinned at the floor"
         );
+    }
+
+    /// A CSK emitter: 3 kHz symbols at one duty budget, walking eight
+    /// chromaticities of the LED's gamut (its vertices, edge midpoints,
+    /// centroid, and a point between the centroid and red).
+    fn csk_emitter() -> LedEmitter {
+        let led = TriLed::typical();
+        let (red, green, blue) = (led.gamut().red, led.gamut().green, led.gamut().blue);
+        let centroid = led.gamut().centroid();
+        let points = [
+            red,
+            green,
+            blue,
+            red.lerp(green, 0.5),
+            green.lerp(blue, 0.5),
+            blue.lerp(red, 0.5),
+            centroid,
+            centroid.lerp(red, 0.5),
+        ]
+        .map(|xy| led.solve_constant_power(xy, 1.0).expect("in-gamut symbol"));
+        let mut state = 0x5EED_u64;
+        let schedule: Vec<ScheduledColor> = (0..1500)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ScheduledColor {
+                    drive: points[(state >> 61) as usize],
+                    duration: 1.0 / 3000.0,
+                }
+            })
+            .collect();
+        LedEmitter::new(led, 200_000.0, &schedule)
+    }
+
+    #[test]
+    fn meter_tracks_the_rendered_luma() {
+        // The meter against `Frame::mean_luma` of a frame rendered at the
+        // same time and settings, on both phones filming a CSK link through
+        // the paper's channel, from under-exposed to near clipping. The
+        // meter reads 0.0005–0.0017 below the rendered frames here: sensor
+        // noise clipped at zero and the demosaic's mixing both lift a
+        // rendered frame's mean a little. The tolerance is about twice
+        // that.
+        const TOLERANCE: f64 = 0.003;
+        let emitter = csk_emitter();
+        let channel = OpticalChannel::paper_setup();
+        let scene = UniformScene::new(&emitter, &channel);
+        for device in [DeviceProfile::nexus5(), DeviceProfile::iphone5s()] {
+            for exposure in [20e-6, 50e-6, 100e-6, 200e-6, 400e-6] {
+                let mut rig =
+                    CameraRig::new(device.clone(), channel.clone(), CaptureConfig::default());
+                rig.set_exposure_controller(AutoExposure::locked(ExposureSettings {
+                    exposure,
+                    iso: 100.0,
+                }));
+                for t in [0.0, 0.1, 0.2, 0.3] {
+                    let metered = rig.camera.meter_frame(&scene, t);
+                    let rendered = rig.capture_frame(&emitter, t).mean_luma();
+                    assert!(
+                        (metered - rendered).abs() <= TOLERANCE,
+                        "{} at {exposure:e} s, t = {t}: metered {metered} vs rendered {rendered}",
+                        device.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

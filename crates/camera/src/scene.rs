@@ -31,7 +31,7 @@ use colorbars_led::LedEmitter;
 /// Implementors describe a static spatial layout (regions never move
 /// during a capture) with time-varying radiance per region. All methods
 /// must be pure with respect to time: the rig evaluates every row's window
-/// afresh for each frame, and exposure settling re-captures from `t = 0`.
+/// afresh for each frame, and exposure settling meters again from `t = 0`.
 pub trait SceneRadiance {
     /// Number of distinct radiance regions (≥ 1).
     fn region_count(&self) -> usize;

@@ -84,7 +84,8 @@ impl SensorModel {
     }
 
     /// Noise-free version of [`SensorModel::expose_with_noise`]: the
-    /// expected raw value, which tests check the noisy path against.
+    /// expected raw value. Auto-exposure settling meters each preview
+    /// frame through it instead of rendering the frame with noise.
     pub fn expose_expected(&self, luminance: f64, exposure_s: f64, iso: f64) -> f64 {
         let electrons =
             (luminance.max(0.0) * exposure_s * self.sensitivity).min(self.full_well_e * 4.0);

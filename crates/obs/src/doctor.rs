@@ -848,6 +848,14 @@ pub fn review_live_jsonl(text: &str, threshold: f64) -> Result<FleetReview, Stri
 /// recorded by independent code paths, so agreement means the provenance
 /// layer saw every packet the ledger accounted — the flight dump tells the
 /// whole story.
+///
+/// A ring that evicted journeys can only have lost outcomes, and only so
+/// many: each evicted `rx.data` record held one, and each evicted
+/// `rx.fec_group` record one per packet of its group, at most the group's
+/// interleave depth. So with `d` journeys evicted, no class may count more
+/// outcomes on the ring than in the ledger, and the ledger's surplus over
+/// the ring, summed over the classes, may not exceed
+/// `d × max(1, deepest fec_depth among the dump's contexts)`.
 #[derive(Debug, Clone)]
 pub struct JourneyCrossCheck {
     /// Packet outcomes as the journey ring recorded them, per class.
@@ -855,18 +863,30 @@ pub struct JourneyCrossCheck {
     /// Packet outcomes as the counter ledger recorded them
     /// (`rx.packets.<class>`), per class.
     pub ledger_counts: BTreeMap<String, u64>,
-    /// Journeys evicted from the bounded ring before the dump. When
-    /// nonzero, exact agreement is impossible and no mismatch is flagged —
-    /// the ring only retains recent history by design.
+    /// Journeys evicted from the bounded ring before the dump.
     pub journeys_dropped: u64,
-    /// Classes where the two accounts disagree (empty when dropped > 0).
+    /// The most packet outcomes the evicted journeys can have held (0 when
+    /// none was evicted).
+    pub eviction_bound: u64,
+    /// The ledger's surplus over the ring: Σ(ledger − ring) over the
+    /// classes whose ledger count is the larger.
+    pub surplus: u64,
+    /// Classes the per-class check flags: with no eviction, every class
+    /// whose two counts differ; with evictions, every class whose ring
+    /// count exceeds its ledger count.
     pub mismatches: Vec<String>,
 }
 
 impl JourneyCrossCheck {
     /// Whether the journey ring and the ledger tell the same story.
     pub fn is_consistent(&self) -> bool {
-        self.mismatches.is_empty()
+        self.mismatches.is_empty() && !self.exceeds_eviction_bound()
+    }
+
+    /// Whether the ledger's surplus is more than the evicted journeys can
+    /// explain (never with no eviction: the per-class check is exact then).
+    fn exceeds_eviction_bound(&self) -> bool {
+        self.journeys_dropped > 0 && self.surplus > self.eviction_bound
     }
 
     /// Serialize the cross-check as a JSON object.
@@ -889,6 +909,8 @@ impl JourneyCrossCheck {
                 ),
             ),
             ("journeys_dropped", Value::from(self.journeys_dropped)),
+            ("eviction_bound", Value::from(self.eviction_bound)),
+            ("surplus", Value::from(self.surplus)),
             (
                 "mismatches",
                 Value::Array(
@@ -920,11 +942,35 @@ impl JourneyCrossCheck {
         }
         if self.journeys_dropped > 0 {
             out.push_str(&format!(
-                "  ({} journeys evicted from the ring; exact agreement not expected)\n",
-                self.journeys_dropped
+                "  {} journeys evicted from the ring: they can hide at most {} packet outcomes; \
+                 the ledger's surplus is {}\n",
+                self.journeys_dropped, self.eviction_bound, self.surplus
             ));
-        } else if self.is_consistent() {
-            out.push_str("  consistent: the journey ring accounts for every ledgered packet\n");
+        }
+        if !self.mismatches.is_empty() {
+            let check = if self.journeys_dropped == 0 {
+                "ring and ledger counts differ"
+            } else {
+                "ring count above ledger count"
+            };
+            out.push_str(&format!(
+                "  FAILED ({check}): {}\n",
+                self.mismatches.join(", ")
+            ));
+        }
+        if self.exceeds_eviction_bound() {
+            out.push_str(&format!(
+                "  FAILED (eviction bound): a surplus of {} outcomes exceeds the {} that {} \
+                 evicted journeys can hide\n",
+                self.surplus, self.eviction_bound, self.journeys_dropped
+            ));
+        }
+        if self.is_consistent() {
+            out.push_str(if self.journeys_dropped == 0 {
+                "  consistent: the journey ring accounts for every ledgered packet\n"
+            } else {
+                "  consistent: eviction accounts for every outcome missing from the ring\n"
+            });
         }
         out
     }
@@ -999,23 +1045,40 @@ pub fn cross_check_journeys(dump: &Value) -> JourneyCrossCheck {
         .get("journeys_dropped")
         .and_then(Value::as_u64)
         .unwrap_or(0);
-    let mismatches = if journeys_dropped == 0 {
-        PACKET_CLASSES
-            .iter()
-            .filter(|class| {
-                journey_counts.get(**class).copied().unwrap_or(0)
-                    != ledger_counts.get(**class).copied().unwrap_or(0)
-            })
-            .map(|c| (*c).to_string())
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let deepest_fec = dump
+        .get("contexts")
+        .and_then(Value::as_object)
+        .into_iter()
+        .flatten()
+        .filter_map(|(_, ctx)| ctx.get("fec_depth").and_then(Value::as_u64))
+        .max()
+        .unwrap_or(0);
+    let eviction_bound = journeys_dropped.saturating_mul(deepest_fec.max(1));
+    let count =
+        |counts: &BTreeMap<String, u64>, class: &str| counts.get(class).copied().unwrap_or(0);
+    let surplus = PACKET_CLASSES
+        .iter()
+        .map(|class| count(&ledger_counts, class).saturating_sub(count(&journey_counts, class)))
+        .sum();
+    let mismatches = PACKET_CLASSES
+        .iter()
+        .filter(|class| {
+            let (ring, ledger) = (count(&journey_counts, class), count(&ledger_counts, class));
+            if journeys_dropped == 0 {
+                ring != ledger
+            } else {
+                ring > ledger
+            }
+        })
+        .map(|c| (*c).to_string())
+        .collect();
 
     JourneyCrossCheck {
         journey_counts,
         ledger_counts,
         journeys_dropped,
+        eviction_bound,
+        surplus,
         mismatches,
     }
 }
@@ -1506,19 +1569,86 @@ mod tests {
         assert_eq!(check.to_json().get("consistent"), Some(&Value::Bool(false)));
     }
 
-    #[test]
-    fn journey_cross_check_tolerates_ring_eviction() {
-        // With drops, exact agreement is impossible: no mismatch flagged.
-        let dump = Value::object([
-            ("journeys", Value::Array(vec![journey("rx.data", "ok")])),
-            ("journeys_dropped", Value::from(7u64)),
+    /// A dump of `journeys` with `dropped` of them evicted, the ledger's
+    /// `rx.packets.*` counters and one replay context per FEC depth.
+    fn evicted_dump(
+        journeys: Vec<Value>,
+        dropped: u64,
+        ledger: &[(&str, u64)],
+        fec_depths: &[u64],
+    ) -> Value {
+        Value::object([
+            ("journeys", Value::Array(journeys)),
+            ("journeys_dropped", Value::from(dropped)),
             (
                 "counters",
-                Value::object([("rx.packets.ok", Value::from(50u64))]),
+                Value::object(
+                    ledger
+                        .iter()
+                        .map(|&(class, n)| (format!("rx.packets.{class}"), Value::from(n))),
+                ),
             ),
-        ]);
-        let check = cross_check_journeys(&dump);
-        assert!(check.is_consistent());
-        assert!(check.render_text().contains("evicted"));
+            (
+                "contexts",
+                Value::object(fec_depths.iter().enumerate().map(|(i, &depth)| {
+                    (
+                        format!("s{i}"),
+                        Value::object([("fec_depth", Value::from(depth))]),
+                    )
+                })),
+            ),
+        ])
+    }
+
+    #[test]
+    fn journey_cross_check_passes_drops_within_the_eviction_bound() {
+        // Two of the ledger's outcomes are missing from the ring, in two
+        // classes, and two journeys were evicted: each held one.
+        let journeys = vec![journey("rx.data", "ok"), journey("rx.data", "rs_failed")];
+        let ledger = [("ok", 2), ("rs_failed", 2)];
+        let check = cross_check_journeys(&evicted_dump(journeys, 2, &ledger, &[0, 0]));
+        assert!(check.is_consistent(), "{}", check.render_text());
+        assert_eq!((check.surplus, check.eviction_bound), (2, 2));
+        assert!(check.render_text().contains("2 journeys evicted"));
+    }
+
+    #[test]
+    fn journey_cross_check_flags_a_ring_count_above_the_ledger_despite_drops() {
+        // Eviction only removes outcomes, so no class can gain any.
+        let journeys = vec![journey("rx.data", "ok"), journey("rx.data", "ok")];
+        let ledger = [("ok", 1), ("rs_failed", 1)];
+        let check = cross_check_journeys(&evicted_dump(journeys, 5, &ledger, &[]));
+        assert!(!check.is_consistent());
+        assert_eq!(check.mismatches, vec!["ok".to_string()]);
+        assert!(check
+            .render_text()
+            .contains("FAILED (ring count above ledger count): ok"));
+    }
+
+    #[test]
+    fn journey_cross_check_flags_a_surplus_beyond_the_eviction_bound() {
+        // 49 outcomes missing from the ring, but only 7 journeys evicted on
+        // a per-packet link: the ring lost more than eviction explains.
+        let journeys = vec![journey("rx.data", "ok")];
+        let check = cross_check_journeys(&evicted_dump(journeys, 7, &[("ok", 50)], &[0]));
+        assert!(!check.is_consistent());
+        assert!(check.mismatches.is_empty());
+        assert_eq!((check.surplus, check.eviction_bound), (49, 7));
+        let text = check.render_text();
+        assert!(text.contains("FAILED (eviction bound)"), "{text}");
+        assert_eq!(check.to_json().get("consistent"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn journey_cross_check_bound_grows_with_the_deepest_interleave() {
+        // An evicted `rx.fec_group` record held one outcome per packet of
+        // its group: at depth 8, 7 evictions can hide 56 outcomes.
+        let journeys = vec![journey("rx.data", "ok")];
+        let ledger = [("ok", 50)];
+        let per_packet = cross_check_journeys(&evicted_dump(journeys.clone(), 7, &ledger, &[0]));
+        assert!(!per_packet.is_consistent());
+        let interleaved = cross_check_journeys(&evicted_dump(journeys, 7, &ledger, &[0, 8, 4]));
+        assert_eq!(interleaved.eviction_bound, 56);
+        assert!(interleaved.is_consistent(), "{}", interleaved.render_text());
     }
 }

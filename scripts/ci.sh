@@ -191,6 +191,34 @@ for edited in flight_ring_edit flight_pinned_edit; do
     fi
 done
 
+echo "==> postmortem --replay eviction drills (ring losses past the eviction bound must fail)"
+# In copies of the dump: two ring rx.data journeys that no trigger pins are
+# removed. The gateway's links frame each packet on its own (fec_depth 0),
+# so each evicted journey can hide one outcome: with journeys_dropped
+# raised by 1 the two missing outcomes exceed the bound (exit 1), and
+# raised by 2 they fit it (exit 0).
+python3 - "$CI_TMP/results/flight/gateway.fdr.json" "$CI_TMP" <<'PY'
+import json, sys
+dump = json.load(open(sys.argv[1]))
+pinned = {t.get("journey") for t in dump["triggers"]}
+unpinned = [j for j in dump["journeys"] if j["stage"] == "rx.data" and j["id"] not in pinned]
+assert len(unpinned) >= 2, "the dump holds fewer than two unpinned rx.data journeys"
+for j in unpinned[:2]:
+    dump["journeys"].remove(j)
+for extra, name in [(1, "flight_evicted_over"), (2, "flight_evicted_within")]:
+    edited = dict(dump, journeys_dropped=dump["journeys_dropped"] + extra)
+    json.dump(edited, open(sys.argv[2] + "/" + name + ".json", "w"))
+PY
+for edited in flight_evicted_over:1 flight_evicted_within:0; do
+    status=0
+    cargo run --release -q -p colorbars-bench --bin postmortem -- \
+        "$CI_TMP/${edited%:*}.json" --replay > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne "${edited#*:}" ]; then
+        echo "ERROR: postmortem --replay exited $status on ${edited%:*}, want ${edited#*:}" >&2
+        exit 1
+    fi
+done
+
 echo "==> results gate (deterministic bins reprint their committed results/*.txt and *.json)"
 # Every committed transcript must be what this tree prints, and every
 # committed run report's rows and counters what it records. gateway is not
