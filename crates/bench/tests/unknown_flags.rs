@@ -6,7 +6,7 @@ use std::path::Path;
 use std::process::Command;
 
 /// Every bin of the package: its name and Cargo's path to it.
-const BINS: [(&str, &str); 20] = [
+const BINS: [(&str, &str); 19] = [
     ("ablations", env!("CARGO_BIN_EXE_ablations")),
     ("coded_grid", env!("CARGO_BIN_EXE_coded_grid")),
     ("doctor", env!("CARGO_BIN_EXE_doctor")),
@@ -21,7 +21,6 @@ const BINS: [(&str, &str); 20] = [
     ("ext_fec", env!("CARGO_BIN_EXE_ext_fec")),
     ("ext_gray_mapping", env!("CARGO_BIN_EXE_ext_gray_mapping")),
     ("ext_highorder", env!("CARGO_BIN_EXE_ext_highorder")),
-    ("ext_multi_tx", env!("CARGO_BIN_EXE_ext_multi_tx")),
     (
         "fig1_constellations",
         env!("CARGO_BIN_EXE_fig1_constellations"),

@@ -44,8 +44,8 @@ impl FrameMeta {
 ///
 /// A frame may hold a handle to the [`FramePool`] its pixel buffer came
 /// from; such a frame returns the buffer to the pool when dropped, and its
-/// clones and column crops draw their buffers from the same pool — the
-/// steady-state capture pipeline allocates nothing. Equality ignores the
+/// clones draw their buffers from the same pool — the steady-state capture
+/// pipeline allocates nothing. Equality ignores the
 /// pool handle: two frames are equal when their dimensions, pixels and
 /// metadata are.
 #[derive(Debug)]
@@ -110,8 +110,8 @@ impl Frame {
     }
 
     /// [`Frame::new`] for a pixel buffer checked out of `pool`: the frame
-    /// returns the buffer there when dropped, and derives clones/crops from
-    /// the same pool.
+    /// returns the buffer there when dropped, and draws its clones from the
+    /// same pool.
     pub fn new_pooled(
         width: usize,
         height: usize,
@@ -143,39 +143,6 @@ impl Frame {
     /// Iterate rows in order.
     pub fn rows(&self) -> impl Iterator<Item = &[[u8; 3]]> {
         self.pixels.chunks_exact(self.width)
-    }
-
-    /// Extract the column span `[col_start, col_end)` as a new frame.
-    ///
-    /// The crop keeps every row and the full capture metadata: under the
-    /// rolling shutter, columns share their row's exposure window, so a
-    /// column crop is the *same time series* restricted to one transmitter's
-    /// spatial region — exactly what a per-region receiver of a
-    /// multi-transmitter scene decodes. Band timestamps computed from the
-    /// cropped frame's [`FrameMeta`] remain valid.
-    ///
-    /// # Panics
-    /// Panics when the span is empty or exceeds the frame width.
-    pub fn crop_columns(&self, col_start: usize, col_end: usize) -> Frame {
-        assert!(
-            col_start < col_end && col_end <= self.width,
-            "column crop [{col_start}, {col_end}) invalid for width {}",
-            self.width
-        );
-        let cropped_width = col_end - col_start;
-        // Per-region crops run per frame in multi-transmitter decode; draw
-        // the buffer from the frame's pool (when it has one) so the crop is
-        // allocation-free at steady state.
-        let mut pixels = match &self.pool {
-            Some(pool) => pool.take_pixels(cropped_width * self.height),
-            None => Vec::with_capacity(cropped_width * self.height),
-        };
-        for row in self.rows() {
-            pixels.extend_from_slice(&row[col_start..col_end]);
-        }
-        let mut cropped = Frame::new(cropped_width, self.height, pixels, self.meta);
-        cropped.pool = self.pool.clone();
-        cropped
     }
 
     /// Write the frame as a binary PPM (P6) image — the captured color
@@ -312,36 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn crop_columns_keeps_rows_and_meta() {
-        // Distinct per-pixel values so misaligned crops are caught.
-        let pixels: Vec<[u8; 3]> = (0..5 * 3).map(|i| [i as u8, 0, 0]).collect();
-        let f = Frame::new(5, 3, pixels, meta());
-        let c = f.crop_columns(1, 4);
-        assert_eq!(c.width(), 3);
-        assert_eq!(c.height(), 3);
-        assert_eq!(c.meta, f.meta, "crop keeps the timing metadata");
-        for r in 0..3 {
-            for col in 0..3 {
-                assert_eq!(c.pixel(r, col), f.pixel(r, col + 1));
-            }
-        }
-        // Full-width crop is the identity.
-        assert_eq!(f.crop_columns(0, 5), f);
-    }
-
-    #[test]
-    #[should_panic(expected = "column crop")]
-    fn empty_crop_panics() {
-        let _ = checker(4, 2).crop_columns(2, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "column crop")]
-    fn out_of_range_crop_panics() {
-        let _ = checker(4, 2).crop_columns(1, 5);
-    }
-
-    #[test]
     #[should_panic(expected = "pixel buffer size mismatch")]
     fn size_mismatch_panics() {
         let _ = Frame::new(4, 4, vec![[0u8; 3]; 15], meta());
@@ -362,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_clone_and_crop_draw_from_and_return_to_the_pool() {
+    fn pooled_clone_draws_from_and_returns_to_the_pool() {
         let pool = FramePool::new();
         let pixels: Vec<[u8; 3]> = (0..5 * 3).map(|i| [i as u8, 0, 0]).collect();
         let f = Frame::new_pooled(5, 3, pixels, meta(), pool.clone());
@@ -375,17 +312,11 @@ mod tests {
         assert_eq!(pool.misses(), miss_base, "clone reused a pooled buffer");
         let unpooled = Frame::new(5, 3, (0..15).map(|i| [i as u8, 0, 0]).collect(), meta());
         assert_eq!(unpooled, f, "equality ignores the pool handle");
-        // Crop draws from the pool too, and every drop feeds it back.
-        pool.recycle_pixels(Vec::with_capacity(15));
-        let miss_base = pool.misses();
-        let cropped = f.crop_columns(1, 4);
-        assert_eq!(cropped.width(), 3);
-        assert_eq!(pool.misses(), miss_base, "crop reused a pooled buffer");
+        // Every drop feeds the pool back.
         let idle_before = pool.idle_buffers();
-        drop(cropped);
         drop(c);
         drop(f);
-        assert_eq!(pool.idle_buffers(), idle_before + 3);
+        assert_eq!(pool.idle_buffers(), idle_before + 2);
     }
 
     #[test]

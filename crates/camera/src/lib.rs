@@ -24,11 +24,6 @@
 //!   its own staggered exposure window, frames are separated by the
 //!   inter-frame gap, and every captured frame reports exactly when each of
 //!   its rows saw the scene.
-//! * [`scene`] — column-partitioned spatial scenes: the [`SceneRadiance`]
-//!   contract is what the rig's one capture loop renders, sampling
-//!   per-(row, region) irradiance when several transmitters share the
-//!   sensor; the one-region [`UniformScene`] is how the single-emitter
-//!   entry points capture an emitter through the rig's own channel.
 //!
 //! The simulation is deterministic given an RNG seed.
 
@@ -41,7 +36,6 @@ pub mod exposure;
 pub mod frame;
 pub mod pool;
 pub mod rig;
-pub mod scene;
 pub mod sensor;
 pub mod vignette;
 
@@ -51,6 +45,5 @@ pub use exposure::{AutoExposure, ExposureSettings};
 pub use frame::{Frame, FrameMeta};
 pub use pool::FramePool;
 pub use rig::{CameraRig, CaptureConfig};
-pub use scene::{SceneRadiance, UniformScene};
 pub use sensor::SensorModel;
 pub use vignette::Vignette;

@@ -95,19 +95,13 @@ impl OpticalChannel {
         self.path.set_distance(meters);
     }
 
-    /// Mean light arriving at the sensor plane over the window `[t0, t1]`:
-    /// attenuated LED emission plus ambient. Blur is *not* applied here —
-    /// it is a spatial effect across scanlines, applied by the camera via
+    /// Mean light arriving at the sensor plane over each row window of a
+    /// rolling shutter: attenuated LED emission plus ambient, where
+    /// `out[r]` covers `[t0, t0 + exposure]` with `t0 = start + r·row_time`.
+    /// The emitter walks each row's boundary slots on from the previous
+    /// row's ([`LedEmitter::row_means`]). Blur is *not* applied here — it
+    /// is a spatial effect across scanlines, applied by the camera via
     /// [`BlurKernel::convolve_rows_into`].
-    pub fn received_mean(&self, emitter: &LedEmitter, t0: f64, t1: f64) -> Xyz {
-        let signal = emitter.mean(t0, t1).scale(self.path.gain());
-        signal.add(self.ambient.irradiance())
-    }
-
-    /// [`OpticalChannel::received_mean`] over each row window of a rolling
-    /// shutter, bit for bit: `out[r]` covers `[t0, t0 + exposure]` with
-    /// `t0 = start + r·row_time`. The emitter walks each row's boundary
-    /// slots on from the previous row's ([`LedEmitter::row_means`]).
     pub fn received_rows(
         &self,
         emitter: &LedEmitter,
@@ -123,6 +117,16 @@ impl OpticalChannel {
         {
             *out = mean.scale(gain).add(ambient);
         }
+    }
+}
+
+/// One window's mean, for the tests: attenuated LED emission plus ambient
+/// over `[t0, t1]`, which `received_rows` must reproduce bit for bit.
+#[cfg(test)]
+impl OpticalChannel {
+    fn received_mean(&self, emitter: &LedEmitter, t0: f64, t1: f64) -> Xyz {
+        let signal = emitter.mean(t0, t1).scale(self.path.gain());
+        signal.add(self.ambient.irradiance())
     }
 }
 
@@ -177,6 +181,35 @@ mod tests {
                 .max_abs_diff(ch.ambient().irradiance().to_vec3())
                 < 1e-12
         );
+    }
+
+    #[test]
+    fn received_rows_is_received_mean_per_row_bitwise() {
+        let e = LedEmitter::new(
+            TriLed::typical(),
+            200_000.0,
+            &[ScheduledColor {
+                drive: DriveLevels::new(0.4, 0.2, 0.6),
+                duration: 0.01,
+            }],
+        );
+        let ch = OpticalChannel::paper_setup();
+        // Rows that straddle slot edges, run off the schedule's end, and
+        // begin before it.
+        for &(start, row_time, exposure) in &[
+            (0.0, 1e-5, 40e-6),
+            (0.0031, 2e-6, 1e-4),
+            (0.0095, 3e-5, 1e-3),
+            (-2e-4, 7e-5, 6e-5),
+        ] {
+            let mut rows = [Xyz::BLACK; 40];
+            ch.received_rows(&e, start, row_time, exposure, &mut rows);
+            for (r, got) in rows.iter().enumerate() {
+                let t0 = start + r as f64 * row_time;
+                let direct = ch.received_mean(&e, t0, t0 + exposure);
+                assert_eq!(got.to_vec3().0, direct.to_vec3().0, "row {r}");
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use constellation::{Constellation, CskOrder};
 pub use equalizer::{EqualizerKind, TrainedEqualizer};
 pub use error::LinkError;
 pub use illumination::{is_white_position, WhiteRatioTable};
-pub use link::{compute_metrics, start_phase, CapturedRun, LinkMetrics, LinkSimulator};
+pub use link::{start_phase, CapturedRun, LinkMetrics, LinkSimulator};
 pub use packet::{Packet, PacketKind};
 pub use receiver::{Receiver, ReceiverReport};
 pub use replay::ReplayLink;

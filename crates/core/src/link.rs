@@ -291,8 +291,8 @@ impl LinkSimulator {
 /// Seed-derived capture phase in `[0, frame_period)`: a SplitMix64 hash of
 /// the capture seed mapped onto one frame period, so different seeds sample
 /// different transmitter/camera clock offsets. Shared by the single-link
-/// simulator and the multi-transmitter scene harness so both sample the
-/// same phase distribution for the same seed.
+/// simulator and `linkbench`'s capture so both sample the same phase
+/// distribution for the same seed.
 pub fn start_phase(seed: u64, frame_period: f64) -> f64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -304,12 +304,11 @@ pub fn start_phase(seed: u64, frame_period: f64) -> f64 {
 /// Compute the paper's evaluation metrics for one receive run against the
 /// transmission's ground truth.
 ///
-/// This is the measurement half of [`LinkSimulator`], exposed as a free
-/// function so per-region reports of a multi-transmitter scene can be
-/// scored with exactly the single-link semantics. `fps` is the capturing
+/// This is the measurement half of [`LinkSimulator`], a free function so
+/// the unit tests can score hand-built reports. `fps` is the capturing
 /// device's frame rate (the Table-1 counters are per realized capture
 /// second); `airtime` is the transmission's wire duration.
-pub fn compute_metrics(
+fn compute_metrics(
     config: &LinkConfig,
     fps: f64,
     transmission: &Transmission,

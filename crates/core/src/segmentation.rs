@@ -290,8 +290,10 @@ mod tests {
         assert!(segment(&[], &cfg).is_empty());
     }
 
-    /// Multi-transmitter crops are narrow, so every chunk tail of the row
-    /// kernel must reproduce the scalar fold exactly, not just full rows.
+    /// The ROI width is a capture setting (8 or 16 columns in unit tests,
+    /// 24 by default, 96 in `band_visualizer`), so every chunk tail of the
+    /// row kernel must reproduce the scalar fold exactly, not just full
+    /// rows of one width.
     #[test]
     fn row_signal_is_the_scalar_fold_at_every_width() {
         use colorbars_camera::FrameMeta;

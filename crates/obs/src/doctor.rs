@@ -38,10 +38,6 @@
 //!   reference first locked, so survivors − calibrated is the bootstrap
 //!   window decoded against ideal references. Those bands were not lost
 //!   (they reached the depacketizer), so the category is advisory too.
-//!
-//! Multi-transmitter runs additionally surface an **errors** ledger from
-//! the `scene.*` counters: demodulation errors attributed to a neighbor's
-//! scheduled color (cross-talk) vs everything else.
 
 use crate::json::Value;
 use crate::LiveSnapshot;
@@ -58,8 +54,6 @@ pub enum Ledger {
     Repairs,
     /// Bands decoded before the color reference locked (at risk, not lost).
     Calibration,
-    /// Demodulation errors in a multi-transmitter scene.
-    Errors,
     /// Cross-packet interleave activity (codewords rescued from bursts).
     Fec,
 }
@@ -71,7 +65,6 @@ impl Ledger {
             Ledger::Packets => "packets",
             Ledger::Repairs => "repairs",
             Ledger::Calibration => "calibration",
-            Ledger::Errors => "errors",
             Ledger::Fec => "fec",
         }
     }
@@ -520,39 +513,6 @@ impl Doctor {
                     explanation: "noise-corrupted bytes repaired as RS errors (sensor \
                                   noise / color misclassification within budget)"
                         .to_string(),
-                },
-            ]);
-        }
-
-        // --- Errors ledger: multi-TX cross-talk (scene runs only).
-        let scene_errors = c("scene.ser_errors");
-        let crosstalk = c("scene.crosstalk_bands");
-        if scene_errors > 0 || crosstalk > 0 {
-            if crosstalk > scene_errors {
-                violations.push(format!(
-                    "cross-talk bands ({crosstalk}) exceed scene demodulation errors \
-                     ({scene_errors})"
-                ));
-            }
-            let err_total = scene_errors.max(1) as f64;
-            attributions.extend([
-                Attribution {
-                    category: "multi-tx-crosstalk",
-                    ledger: Ledger::Errors,
-                    amount: crosstalk,
-                    share: crosstalk as f64 / err_total,
-                    advisory: false,
-                    explanation: "demodulation errors matching a neighbor transmitter's \
-                                  scheduled color (column bleed)"
-                        .to_string(),
-                },
-                Attribution {
-                    category: "single-link-noise-errors",
-                    ledger: Ledger::Errors,
-                    amount: scene_errors.saturating_sub(crosstalk),
-                    share: scene_errors.saturating_sub(crosstalk) as f64 / err_total,
-                    advisory: false,
-                    explanation: "demodulation errors not attributable to any neighbor".to_string(),
                 },
             ]);
         }
@@ -1199,28 +1159,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.contains("exceed data packets sent")));
-    }
-
-    #[test]
-    fn crosstalk_ledger_appears_for_scene_runs() {
-        let d = Doctor::from_counters([
-            ("tx.symbols", 1000u64),
-            ("rx.bands.segmented", 800),
-            ("rx.bands.classified", 800),
-            ("rx.bands.calibrated", 800),
-            ("rx.bands.depacketized", 800),
-            ("scene.ser_errors", 40),
-            ("scene.crosstalk_bands", 30),
-        ])
-        .diagnose();
-        let ct = d
-            .attributions
-            .iter()
-            .find(|a| a.category == "multi-tx-crosstalk")
-            .expect("crosstalk attributed");
-        assert_eq!(ct.amount, 30);
-        assert!((ct.share - 0.75).abs() < 1e-12);
-        assert!(d.is_consistent(), "{:?}", d.violations);
     }
 
     /// An interleaved run: 16 codewords attempted, 14 decoded (3 of them

@@ -4,7 +4,8 @@
 //!
 //! ```sh
 //! cargo run --release --example band_visualizer
-//! # then open /tmp/colorbars_*.ppm in any image viewer
+//! # then open colorbars_*.ppm in the system temporary directory ($TMPDIR,
+//! # else /tmp on Unix) in any image viewer
 //! ```
 //!
 //! Writes three PPM frames: 8-CSK at 1 kHz (wide bands), 8-CSK at 3 kHz
@@ -43,10 +44,11 @@ fn main() -> std::io::Result<()> {
         let frames = rig.capture_video(&emitter, 0.0, frame_idx + 1);
         let frame = &frames[frame_idx];
 
-        let path = format!("/tmp/colorbars_{label}.ppm");
+        let path = std::env::temp_dir().join(format!("colorbars_{label}.ppm"));
         frame.save_ppm(&path)?;
         println!(
-            "wrote {path}  ({}x{}, exposure {:.0} µs, band width ≈ {:.0} px)",
+            "wrote {}  ({}x{}, exposure {:.0} µs, band width ≈ {:.0} px)",
+            path.display(),
             frame.width(),
             frame.height(),
             frame.meta.exposure * 1e6,

@@ -37,28 +37,47 @@ COLORBARS_RESULTS_DIR="$CI_TMP/linkbench" cargo run --release --locked --quiet \
 echo "==> scripts/bench.sh --smoke"
 ./scripts/bench.sh --smoke
 
-echo "==> ext_multi_tx --smoke (multi-transmitter scene end to end)"
-# Redirected so the smoke run cannot clobber the recorded results/ artifact.
-# Two pool workers, so the smoke's two runs go in parallel on any host.
-COLORBARS_RESULTS_DIR="$CI_TMP/results" COLORBARS_SWEEP_THREADS=2 \
-    cargo run --release -p colorbars-bench --bin ext_multi_tx -- --smoke
-
-echo "==> ext_multi_tx --smoke at one pool worker (pool width cannot change the output)"
-COLORBARS_RESULTS_DIR="$CI_TMP/serial" COLORBARS_SWEEP_THREADS=1 \
-    cargo run --release -p colorbars-bench --bin ext_multi_tx -- --smoke
-diff -u "$CI_TMP/results/ext_multi_tx.txt" "$CI_TMP/serial/ext_multi_tx.txt"
-cargo run --release -p colorbars-bench --bin obs-diff -- \
-    "$CI_TMP/results/ext_multi_tx.json" "$CI_TMP/serial/ext_multi_tx.json"
-
 echo "==> ext_fec negative test (over-budget burst must be attributed, not silent)"
 cargo run --release -p colorbars-bench --bin ext_fec -- --burst-negative
 
 echo "==> ext_highorder --smoke (learned equalizer must beat NN at a functional high order)"
-COLORBARS_RESULTS_DIR="$CI_TMP/results" \
+# Redirected so the smoke run cannot clobber the recorded results/ artifact.
+# Two pool workers, so the smoke's 20 runs go in parallel on any host.
+COLORBARS_RESULTS_DIR="$CI_TMP/results" COLORBARS_SWEEP_THREADS=2 \
     cargo run --release -p colorbars-bench --bin ext_highorder -- --smoke
+
+echo "==> ext_highorder --smoke at one pool worker (pool width cannot change the output)"
+COLORBARS_RESULTS_DIR="$CI_TMP/serial" COLORBARS_SWEEP_THREADS=1 \
+    cargo run --release -p colorbars-bench --bin ext_highorder -- --smoke
+diff -u "$CI_TMP/results/ext_highorder.txt" "$CI_TMP/serial/ext_highorder.txt"
+cargo run --release -p colorbars-bench --bin obs-diff -- \
+    "$CI_TMP/results/ext_highorder.json" "$CI_TMP/serial/ext_highorder.json"
+
+echo "==> pool-width drill (one counter edited in the one-worker report must fail obs-diff)"
+# camera.frames raised by 1 in a copy of the one-worker report. Exit 1 is
+# the gate flagging the changed counter; 2 would be a usage or parse error.
+python3 - "$CI_TMP/serial/ext_highorder.json" "$CI_TMP/serial_edited.json" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+report["counters"]["camera.frames"] += 1
+json.dump(report, open(sys.argv[2], "w"), indent=2)
+PY
+status=0
+cargo run --release -q -p colorbars-bench --bin obs-diff -- \
+    "$CI_TMP/results/ext_highorder.json" "$CI_TMP/serial_edited.json" > /dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: pool-width gate did not fail on an edited counter (exit $status)" >&2
+    exit 1
+fi
 
 echo "==> ext_highorder negative test (degenerate preamble must demote, never NaN)"
 cargo run --release -p colorbars-bench --bin ext_highorder -- --degenerate-negative
+
+echo "==> examples (each runs to exit 0, writing only under the temp dir)"
+for example in quickstart calibration_demo band_visualizer indoor_navigation \
+    retail_advertisement; do
+    TMPDIR="$CI_TMP" cargo run --release -q --example "$example" > /dev/null
+done
 
 echo "==> obs-diff --smoke (rows and counters identical to the committed baseline)"
 cargo run --release -p colorbars-bench --bin obs-diff -- --smoke
@@ -226,7 +245,7 @@ echo "==> results gate (deterministic bins reprint their committed results/*.txt
 # holds its deterministic facts.
 RESULTS_BINS="raw_grid coded_grid ablations fig1_constellations fig3b_flicker
     fig3c_bandwidth fig6_diversity fig8b_lab_variance ext_constellation_opt
-    ext_distance_sweep ext_fec ext_gray_mapping ext_highorder ext_multi_tx"
+    ext_distance_sweep ext_fec ext_gray_mapping ext_highorder"
 for bin in $RESULTS_BINS; do
     COLORBARS_RESULTS_DIR="$CI_TMP/fresh" \
         cargo run --release -q -p colorbars-bench --bin "$bin" > /dev/null

@@ -15,8 +15,6 @@
 //!   transmitter, receiver, calibration, and the end-to-end link simulator.
 //! * [`obs`] — observability: timing spans, pipeline-stage counters, the
 //!   live telemetry registry, and machine-readable run reports.
-//! * [`scene`] — multi-transmitter spatial scenes: column-span composition,
-//!   receive-side segmentation, and parallel multi-link decode.
 //!
 //! See `examples/quickstart.rs` for a complete transmit→capture→decode loop.
 
@@ -31,4 +29,3 @@ pub use colorbars_flicker as flicker;
 pub use colorbars_led as led;
 pub use colorbars_obs as obs;
 pub use colorbars_rs as rs;
-pub use colorbars_scene as scene;
